@@ -114,7 +114,12 @@ class FitResult:
 
 
 def resolve_delta(config: FitConfig, n: int) -> float:
-    """Apply the default delta = 1/n^2 when none was given."""
+    """Apply the default delta = 1/n^2 when none was given.
+
+    Raises SchemaError for a table without rows: no answer count/n exists.
+    """
+    if n < 1:
+        raise SchemaError("the private table has no rows")
     return 1.0 / (n * n) if config.delta is None else config.delta
 
 
@@ -129,6 +134,8 @@ def conjectured_answers(pool, workload: Workload, relaxed: RelaxedDataset) -> np
 
 def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResult:
     """Run the full mechanism and return the fitted relaxed dataset."""
+    n = data.n
+    delta = resolve_delta(config, n)
     if workload.m == 0:
         raise InfeasibleConfigError("workload is empty")
     if data.schema != workload.schema:
@@ -140,8 +147,6 @@ def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResu
         )
 
     started = time.perf_counter()
-    n = data.n
-    delta = resolve_delta(config, n)
     if config.no_noise:
         budget = PrivacyBudget.non_private()
         rho = math.inf

@@ -162,15 +162,41 @@ def report_noisy_max(
 _CAP_SLACK = 1e-9
 
 
+def _add_partial(partials: list[float], x: float) -> None:
+    """Add x to a list of non-overlapping partial sums, exactly (Shewchuk).
+
+    The partials always sum exactly to the running total, so math.fsum of
+    them is that total correctly rounded, as math.fsum of every term is.
+    """
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
 @dataclass
 class PrivacyBudget:
-    """Total budget plus an append-only ledger of per-call spends."""
+    """Total budget plus an append-only ledger of per-call spends.
+
+    The exact running total of the ledger is kept as Shewchuk partials,
+    rebuilt from any ledger given at construction and updated on each spend,
+    so spent() costs O(1) amortized instead of a pass over the ledger.
+    Record spends through spend(), which keeps the two in step.
+    """
 
     epsilon: float
     delta: float
     rho_total: float
     private: bool = True
     ledger: list[tuple[str, float]] = field(default_factory=list)
+    _partials: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.private:
@@ -180,6 +206,8 @@ class PrivacyBudget:
                     f"rho_total {self.rho_total} does not reproduce epsilon "
                     f"{self.epsilon} (got {back})"
                 )
+        for _, rho in self.ledger:
+            _add_partial(self._partials, rho)
 
     @classmethod
     def from_eps_delta(cls, epsilon: float, delta: float) -> "PrivacyBudget":
@@ -193,7 +221,7 @@ class PrivacyBudget:
         return cls(math.inf, 0.0, math.inf, private=False)
 
     def spend(self, label: str, rho: float) -> None:
-        if rho < 0 or math.isinf(rho):
+        if not 0.0 <= rho < math.inf:
             raise BudgetError(f"ledger spend must be finite and >= 0, got {rho}")
         new_total = self.spent() + rho
         if self.private and new_total > self.rho_total * (1.0 + _CAP_SLACK) + 1e-15:
@@ -202,9 +230,11 @@ class PrivacyBudget:
                 f"{new_total} > {self.rho_total}"
             )
         self.ledger.append((label, rho))
+        _add_partial(self._partials, rho)
 
     def spent(self) -> float:
-        return math.fsum(r for _, r in self.ledger)
+        """math.fsum of the ledger's spends, from the running partials."""
+        return math.fsum(self._partials)
 
     def remaining(self) -> float:
         return self.rho_total - self.spent()

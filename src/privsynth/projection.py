@@ -173,7 +173,7 @@ def relaxed_projection(
     X = init.data.astype(np.float64, copy=True)
     _normalize_inplace(X, schema, config.normalization)
 
-    evaluator = QueryEvaluator(queries, schema.d_prime, X.shape[0], config.batch_size)
+    evaluator = QueryEvaluator(queries, schema, X.shape[0], config.batch_size)
     loss, grad = evaluator.loss_and_gradient(X, targets)
     losses = [loss]
     best_loss, best_X, best_step = loss, X.copy(), 0

@@ -6,6 +6,26 @@ column set T = {offset[i] + y_i}: q_T(x) = prod_{c in T} x_c, which extends
 the 0/1 query differentiably to real-valued rows. The "at least one of k"
 threshold variant is q_T(x) = 1 - prod_{c in T} (1 - x_c).
 
+The marginal is the unit of work. All prod_{i in S} t_i queries of a
+marginal are the cells of one answer tensor: the row sum of the row-wise
+Khatri-Rao product of S's feature blocks. Evaluation is built on that:
+
+* Relaxed answers group the query list by (kind, feature set). For each
+  marginal the Khatri-Rao product of the first k-1 blocks is multiplied by
+  the last block (one matmul), and the requested cells are gathered. The
+  threshold kind runs the same computation on 1 - X.
+* The gradient applies the same contractions to the residual tensor, a
+  bincount of 2/n * residual over the cells, for marginals the query list
+  covers densely. Marginals with only a few selected cells (as in adaptive
+  rounds) keep a per-cell gather/scatter path, which costs in proportion to
+  the cells instead of the tensor size.
+* Exact answers on discrete data count each marginal's joint cells with one
+  bincount; the threshold kind follows by integer inclusion-exclusion. On
+  one-hot rows relaxed and exact answers agree bit for bit (count/n).
+
+Tensor work runs over row chunks under a fixed cell budget, so a high-arity
+marginal never allocates n times its prefix size at once.
+
 Answers are dataset averages (not counts), so each query has sensitivity 1/n
 to a one-row change. Workload enumeration is odometer order (last feature
 fastest) per marginal, with marginals sorted lexicographically; both choices
@@ -29,7 +49,7 @@ PRODUCT = "product"
 ONE_OUT_OF_K = "one_out_of_k"
 QUERY_KINDS = (PRODUCT, ONE_OUT_OF_K)
 
-#: Queries evaluated per vectorized chunk; bounds peak memory on huge workloads.
+#: Queries per chunk on the per-cell gradient path; bounds its peak memory.
 DEFAULT_BATCH_SIZE = 1 << 16
 
 # Enumerating all C(d, k) feature subsets is fine up to this count; above it,
@@ -57,7 +77,12 @@ class MarginalQuery:
 
 @dataclass(frozen=True)
 class CompiledQuery:
-    """A query over one-hot columns: kind plus the column index set T."""
+    """A query over one-hot columns: kind plus the column index set T.
+
+    The columns must lie in distinct feature blocks, one category per
+    feature, so that the query is a cell of a marginal; the evaluators raise
+    WorkloadError otherwise.
+    """
 
     kind: str
     columns: tuple[int, ...]
@@ -182,58 +207,177 @@ def random_workload(
 # Exact evaluation on discrete data
 # ---------------------------------------------------------------------------
 
-_EINSUM_AXES = "abcdefgh"
+#: Largest supported marginal arity. It bounds the cell count of a marginal's
+#: answer tensor, which the evaluators allocate in full.
+MAX_ARITY = 8
 
 
-def _marginal_counts(rows: np.ndarray, t, subset) -> np.ndarray:
-    """Joint match counts for every assignment to `subset`, odometer order."""
-    ops, labels = [], []
-    for pos, i in enumerate(subset):
-        ind = (rows[:, i][:, None] == np.arange(t[i])[None, :]).astype(np.float64)
-        ops.append(ind)
-        labels.append("z" + _EINSUM_AXES[pos])
-    spec = ",".join(labels) + "->" + _EINSUM_AXES[: len(subset)]
-    return np.einsum(spec, *ops).ravel()
-
-
-def _marginal_nomatch_counts(rows: np.ndarray, t, subset) -> np.ndarray:
-    """Counts of rows matching none of the assignment's pairs, odometer order."""
-    ops, labels = [], []
-    for pos, i in enumerate(subset):
-        ind = (rows[:, i][:, None] != np.arange(t[i])[None, :]).astype(np.float64)
-        ops.append(ind)
-        labels.append("z" + _EINSUM_AXES[pos])
-    spec = ",".join(labels) + "->" + _EINSUM_AXES[: len(subset)]
-    return np.einsum(spec, *ops).ravel()
+def _check_arity(k: int) -> None:
+    if k > MAX_ARITY:
+        raise WorkloadError(f"marginal arity above {MAX_ARITY} is not supported")
 
 
 def eval_discrete(workload: Workload, dataset: DiscreteDataset) -> np.ndarray:
     """Exact answers on discrete data, as match fractions count/n.
 
-    Counts are accumulated per marginal with indicator contractions, so every
-    answer is an exactly-representable integer divided by n.
+    Each marginal's joint cells are counted with one bincount over the rows'
+    flat cell indices, in the marginal's stored (odometer) order. For the
+    threshold kind, the number of rows matching none of an assignment's pairs
+    follows from the joint counts by inclusion-exclusion on every axis (the
+    total along the axis minus the cell). All counts are integers, so every
+    answer is an exactly representable integer divided by n.
     """
     if dataset.schema != workload.schema:
         raise SchemaError("workload and dataset schemas differ")
-    if len(workload.marginals) > 0 and max(len(s) for s in workload.marginals) > len(_EINSUM_AXES):
-        raise WorkloadError(f"marginal arity above {len(_EINSUM_AXES)} is not supported")
+    for s in workload.marginals:
+        _check_arity(len(s))
     n = dataset.n
     t = workload.schema.cardinalities
-    out = np.empty(workload.m, dtype=np.float64)
+    out = np.zeros(workload.m, dtype=np.float64)
+    if n == 0:
+        return out
     for s, (a, b) in zip(workload.marginals, workload._slices):
-        if n == 0:
-            out[a:b] = 0.0
-            continue
+        dims = tuple(t[i] for i in s)
+        cells = np.ravel_multi_index(tuple(dataset.rows[:, i] for i in s), dims)
+        counts = np.bincount(cells, minlength=b - a).reshape(dims)
         if workload.kind == PRODUCT:
-            out[a:b] = _marginal_counts(dataset.rows, t, s) / n
+            out[a:b] = counts.ravel() / n
         else:
-            out[a:b] = 1.0 - _marginal_nomatch_counts(dataset.rows, t, s) / n
+            for axis in range(len(dims)):
+                counts = counts.sum(axis=axis, keepdims=True) - counts
+            out[a:b] = 1.0 - counts.ravel() / n
     return out
 
 
 # ---------------------------------------------------------------------------
 # Relaxed (differentiable) evaluation and hand-derived gradients
 # ---------------------------------------------------------------------------
+
+# A marginal's gradient runs on its full answer tensor when the query list
+# covers at least this share of the marginal's cells, and on the per-cell
+# gather/scatter path below it. The tensor path costs about the same for any
+# coverage; the per-cell path grows with the number of selected cells.
+_TENSOR_MIN_COVERAGE = 0.25
+
+# Cap on rows * prefix cells per tensor chunk. The prefix Khatri-Rao product
+# and the backward contraction each hold one buffer of that size, so rows are
+# processed in chunks that shrink as the marginal grows.
+_TENSOR_CELL_BUDGET = 1 << 22
+
+# Soft cap on rows*queries per per-cell gradient chunk: that path keeps ~2k
+# slot buffers of that size alive, so chunks shrink as the relaxed dataset
+# grows.
+_GRAD_CELL_BUDGET = 1 << 22
+
+
+@dataclass(frozen=True)
+class _Marginal:
+    """Queries of one kind on one feature set, as cells of its answer tensor."""
+
+    kind: str
+    features: tuple[int, ...]  # ascending
+    dims: tuple[int, ...]  # cardinalities of `features`
+    cells: np.ndarray  # flat cell index of each query, last feature fastest
+    pos: np.ndarray  # position of each query in the evaluator's list
+
+
+def _group_by_marginal(queries, schema: Schema) -> list[_Marginal]:
+    """Map each query's columns to (feature, category) and group by feature set.
+
+    Raises WorkloadError for a column outside the one-hot layout and for a
+    query with two columns in one feature block, which is not a marginal cell.
+    """
+    offsets = np.asarray(schema.offsets, dtype=np.int64)
+    card = schema.cardinalities
+    by_shape: dict[tuple[str, int], list[int]] = {}
+    for j, q in enumerate(queries):
+        by_shape.setdefault((q.kind, len(q.columns)), []).append(j)
+    groups = []
+    for (kind, k), idx in by_shape.items():
+        _check_arity(k)
+        idx = np.asarray(idx, dtype=np.int64)
+        cols = np.sort(np.array([queries[j].columns for j in idx], dtype=np.int64), axis=1)
+        bad = (cols[:, 0] < 0) | (cols[:, -1] >= schema.d_prime)
+        if bad.any():
+            q = queries[idx[np.argmax(bad)]]
+            raise WorkloadError(f"query columns {q.columns} outside [0, {schema.d_prime})")
+        feats = np.searchsorted(offsets, cols, side="right") - 1
+        shared = (np.diff(feats, axis=1) == 0).any(axis=1)
+        if shared.any():
+            q = queries[idx[np.argmax(shared)]]
+            raise WorkloadError(
+                f"query columns {q.columns} put two columns in one feature block; "
+                "a marginal query takes one category per feature"
+            )
+        values = cols - offsets[feats]
+        order = np.lexsort(feats.T[::-1])  # stable, lexicographic by feature set
+        ranked = feats[order]
+        starts = np.flatnonzero((ranked[1:] != ranked[:-1]).any(axis=1)) + 1
+        for sel in np.split(order, starts):
+            fs = feats[sel[0]]
+            dims = tuple(card[f] for f in fs)
+            cells = np.ravel_multi_index(tuple(values[sel].T), dims)
+            groups.append(_Marginal(kind, tuple(int(f) for f in fs), dims, cells, idx[sel]))
+    return groups
+
+
+def _prefix_products(blocks) -> list:
+    """pre[i] = row-wise Khatri-Rao product of blocks[:i]; pre[0] is None (ones)."""
+    pre = [None]
+    for b in blocks[:-1]:
+        p = pre[-1]
+        pre.append(b if p is None else (p[:, :, None] * b[:, None, :]).reshape(b.shape[0], -1))
+    return pre
+
+
+def _tensor_sums(blocks, pre) -> np.ndarray:
+    """Row sums of the Khatri-Rao product of all blocks: (prefix cells, t_last)."""
+    if pre[-1] is None:
+        return blocks[-1].sum(axis=0, keepdims=True)
+    return pre[-1].T @ blocks[-1]
+
+
+def _block_gradients(blocks, pre, coef) -> list:
+    """Per-row gradient of sum_c coef[c] * prod_i blocks[i][r, c_i] in each block.
+
+    coef is the residual tensor shaped (prefix cells, t_last). The last block
+    takes one matmul with the prefix product; the suffix contraction then
+    peels the other blocks off one at a time, last to first.
+    """
+    if pre[-1] is None:
+        return [coef]  # arity 1: one row of weights, the same for every row
+    rows = blocks[0].shape[0]
+    grads = [None] * len(blocks)
+    grads[-1] = pre[-1] @ coef
+    suffix = blocks[-1] @ coef.T
+    for i in range(len(blocks) - 2, -1, -1):
+        suffix = suffix.reshape(rows, -1, blocks[i].shape[1])
+        if pre[i] is None:
+            grads[i] = suffix[:, 0, :]
+        else:
+            grads[i] = np.einsum("rp,rpv->rv", pre[i], suffix)
+            suffix = np.einsum("rpv,rv->rp", suffix, blocks[i])
+    return grads
+
+
+def _row_spans(n: int, mg: _Marginal) -> list[slice]:
+    """Row chunks holding at most _TENSOR_CELL_BUDGET prefix-product cells."""
+    step = max(1, _TENSOR_CELL_BUDGET // math.prod(mg.dims[:-1]))
+    return [slice(r0, r0 + step) for r0 in range(0, n, step)]
+
+
+def _chunked_sums(blocks, spans):
+    """Tensor sums over every row chunk, plus the prefix products of a lone chunk.
+
+    When one chunk covers all rows the gradient reuses its prefix products;
+    otherwise they are recomputed chunk by chunk to stay under the budget.
+    """
+    sums, pre = 0.0, None
+    for span in spans:
+        chunk = [b[span] for b in blocks]
+        pre = _prefix_products(chunk)
+        sums = sums + _tensor_sums(chunk, pre)
+    return sums, (pre if len(spans) == 1 else None)
 
 
 def _augment_t(X: np.ndarray) -> np.ndarray:
@@ -272,33 +416,24 @@ def _pack(queries, d_prime: int):
     return groups
 
 
-# Soft cap on rows*queries per gradient chunk: the gradient keeps ~2k slot
-# buffers of that size alive, so chunks shrink as the relaxed dataset grows.
-_GRAD_CELL_BUDGET = 1 << 22
+class _CellPath:
+    """Per-cell gradient for queries on sparsely selected marginals.
 
-
-class QueryEvaluator:
-    """Packed query list with precomputed scatter plans, built once per use.
-
-    The optimizer calls the gradient thousands of times on a fixed query
-    list; packing the column sets and sorting each slot's scatter targets up
-    front turns the per-step gradient accumulation into contiguous segment
-    sums (add.reduceat) instead of per-element scattered adds.
+    Each query gathers its own columns. Packing the column sets and sorting
+    each slot's scatter targets up front turns the per-step gradient
+    accumulation into contiguous segment sums (add.reduceat) instead of
+    per-element scattered adds.
     """
 
-    def __init__(self, queries, d_prime: int, n_rows: int, batch_size: int = DEFAULT_BATCH_SIZE):
-        self.m = len(queries)
+    def __init__(self, queries, pos: np.ndarray, d_prime: int, n_rows: int, batch_size: int):
         self.d_prime = d_prime
-        self.n_rows = n_rows
-        self.batch_size = batch_size
-        self.groups = _pack(queries, d_prime)
         grad_batch = max(1, min(batch_size, _GRAD_CELL_BUDGET // max(1, n_rows)))
-        self._batches = []  # (kind, sub, pos_slice, per-slot scatter plans)
-        for kind, cols, pos in self.groups:
+        self._batches = []  # (kind, sub, target positions, per-slot scatter plans)
+        for kind, cols, sub_pos in _pack(queries, d_prime):
             for b0 in range(0, cols.shape[0], grad_batch):
                 sub = cols[b0 : b0 + grad_batch]
                 plans = [self._scatter_plan(sub[:, p]) for p in range(sub.shape[1])]
-                self._batches.append((kind, sub, pos[b0 : b0 + grad_batch], plans))
+                self._batches.append((kind, sub, pos[sub_pos[b0 : b0 + grad_batch]], plans))
 
     @staticmethod
     def _scatter_plan(slot_cols: np.ndarray):
@@ -317,34 +452,7 @@ class QueryEvaluator:
         _, starts = np.unique(slot_cols[order], return_index=True)
         return ("segments", (order, starts), distinct)
 
-    def answers(self, X: np.ndarray) -> np.ndarray:
-        """Query values averaged over the rows of X."""
-        n = X.shape[0]
-        Xt = _augment_t(X)
-        out = np.empty(self.m, dtype=np.float64)
-        for kind, cols, pos in self.groups:
-            base = Xt if kind == PRODUCT else 1.0 - Xt
-            for b0 in range(0, cols.shape[0], self.batch_size):
-                sub = cols[b0 : b0 + self.batch_size]
-                prod = base[sub[:, 0]].copy()
-                for p in range(1, sub.shape[1]):
-                    prod *= base[sub[:, p]]
-                vals = prod.sum(axis=1) / n
-                if kind == ONE_OUT_OF_K:
-                    vals = 1.0 - vals
-                out[pos[b0 : b0 + self.batch_size]] = vals
-        return out
-
     def loss_and_gradient(self, X: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-        """Squared-error loss and its gradient in the data matrix.
-
-        loss = sum_j (q_j(X) - a_j)^2. For a product query,
-        d q_j / d X[r, c] is the leave-one-out product
-        prod_{i in T, i != c} X[r, i] scaled by 1/n_rows; for the threshold
-        kind the same leave-one-out form applies to (1 - X), and the two
-        minus signs of the chain rule cancel, so both kinds share one sign.
-        Entries outside a query's column set contribute zero.
-        """
         n = X.shape[0]
         Xt = _augment_t(X)
         grad_t = np.zeros_like(Xt)
@@ -382,6 +490,91 @@ class QueryEvaluator:
         return loss, grad_t[: self.d_prime].T.copy()
 
 
+class QueryEvaluator:
+    """A fixed query list grouped into marginals, built once per use.
+
+    Each query is a cell of the answer tensor of its (kind, feature set).
+    Answers always come from the full tensors; the gradient uses the tensors
+    for marginals the list covers densely and the per-cell path for the rest.
+    """
+
+    def __init__(
+        self, queries, schema: Schema, n_rows: int, batch_size: int = DEFAULT_BATCH_SIZE
+    ):
+        self.m = len(queries)
+        self._offsets = schema.offsets
+        self._marginals = _group_by_marginal(queries, schema)
+        self._tensor, sparse = [], []
+        for mg in self._marginals:
+            covered = np.unique(mg.cells).size >= _TENSOR_MIN_COVERAGE * math.prod(mg.dims)
+            (self._tensor if covered else sparse).append(mg)
+        self._cells = None
+        if sparse:
+            pos = np.sort(np.concatenate([mg.pos for mg in sparse]))
+            self._cells = _CellPath(
+                [queries[j] for j in pos], pos, schema.d_prime, n_rows, batch_size
+            )
+
+    def _blocks(self, X: np.ndarray, X_comp, mg: _Marginal) -> list:
+        """The marginal's feature blocks of X, or of 1 - X for the threshold kind."""
+        base = X if mg.kind == PRODUCT else X_comp
+        offsets = self._offsets
+        return [base[:, offsets[f] : offsets[f] + t] for f, t in zip(mg.features, mg.dims)]
+
+    @staticmethod
+    def _complement(X: np.ndarray, marginals):
+        return 1.0 - X if any(mg.kind == ONE_OUT_OF_K for mg in marginals) else None
+
+    @staticmethod
+    def _cell_values(sums: np.ndarray, mg: _Marginal, n: int) -> np.ndarray:
+        vals = sums.ravel()[mg.cells] / n
+        return 1.0 - vals if mg.kind == ONE_OUT_OF_K else vals
+
+    def answers(self, X: np.ndarray) -> np.ndarray:
+        """Query values averaged over the rows of X."""
+        n = X.shape[0]
+        X_comp = self._complement(X, self._marginals)
+        out = np.empty(self.m, dtype=np.float64)
+        for mg in self._marginals:
+            sums, _ = _chunked_sums(self._blocks(X, X_comp, mg), _row_spans(n, mg))
+            out[mg.pos] = self._cell_values(sums, mg, n)
+        return out
+
+    def loss_and_gradient(self, X: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+        """Squared-error loss and its gradient in the data matrix.
+
+        loss = sum_j (q_j(X) - a_j)^2. For a product query,
+        d q_j / d X[r, c] is the leave-one-out product
+        prod_{i in T, i != c} X[r, i] scaled by 1/n_rows; for the threshold
+        kind the same leave-one-out form applies to (1 - X), and the two
+        minus signs of the chain rule cancel, so both kinds share one sign.
+        Entries outside a query's column set contribute zero. On the tensor
+        path the residuals 2/n * (q_j - a_j) are summed into their cells
+        first, so duplicate queries add up.
+        """
+        n = X.shape[0]
+        X_comp = self._complement(X, self._tensor)
+        offsets = self._offsets
+        if self._cells is not None:
+            loss, grad = self._cells.loss_and_gradient(X, targets)
+        else:
+            loss, grad = 0.0, np.zeros_like(X)
+        for mg in self._tensor:
+            blocks = self._blocks(X, X_comp, mg)
+            spans = _row_spans(n, mg)
+            sums, kept = _chunked_sums(blocks, spans)
+            res = self._cell_values(sums, mg, n) - targets[mg.pos]
+            loss += float(res @ res)
+            coef = np.bincount(mg.cells, weights=(2.0 / n) * res, minlength=sums.size)
+            coef = coef.reshape(sums.shape)
+            for span in spans:
+                chunk = [b[span] for b in blocks]
+                pre = kept if kept is not None else _prefix_products(chunk)
+                for f, t, g in zip(mg.features, mg.dims, _block_gradients(chunk, pre, coef)):
+                    grad[span, offsets[f] : offsets[f] + t] += g
+        return loss, grad
+
+
 def eval_relaxed(
     workload: Workload, relaxed: RelaxedDataset, batch_size: int = DEFAULT_BATCH_SIZE
 ) -> np.ndarray:
@@ -396,7 +589,7 @@ def eval_relaxed(
         )
     if relaxed.n == 0:
         return np.zeros(workload.m, dtype=np.float64)
-    ev = QueryEvaluator(workload.queries, workload.schema.d_prime, relaxed.n, batch_size)
+    ev = QueryEvaluator(workload.queries, workload.schema, relaxed.n, batch_size)
     return ev.answers(relaxed.data)
 
 
@@ -406,7 +599,7 @@ def eval_compiled(
     """eval_relaxed for an explicit query list (e.g. a selected subset)."""
     if relaxed.n == 0:
         return np.zeros(len(queries), dtype=np.float64)
-    ev = QueryEvaluator(queries, relaxed.schema.d_prime, relaxed.n, batch_size)
+    ev = QueryEvaluator(queries, relaxed.schema, relaxed.n, batch_size)
     return ev.answers(relaxed.data)
 
 
@@ -424,5 +617,5 @@ def loss_and_gradient(
     targets = np.asarray(targets, dtype=np.float64)
     if len(queries) != targets.shape[0]:
         raise WorkloadError(f"{len(queries)} queries but {targets.shape[0]} targets")
-    ev = QueryEvaluator(queries, relaxed.schema.d_prime, relaxed.n, batch_size)
+    ev = QueryEvaluator(queries, relaxed.schema, relaxed.n, batch_size)
     return ev.loss_and_gradient(relaxed.data, targets)

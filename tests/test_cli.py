@@ -125,6 +125,19 @@ class TestFitCommand:
                     "--out-dir", tmp_path / "x"])
         assert code == 3
 
+    def test_empty_table_exit_code(self, toy_csv, tmp_path, capsys):
+        wpath = tmp_path / "w.json"
+        run(["workload", "--data", toy_csv, "--k", 2, "--marginals", 1, "--seed", 0,
+             "--out", wpath])
+        empty = tmp_path / "empty.csv"
+        empty.write_text(toy_csv.read_text().splitlines()[0] + "\n")
+        capsys.readouterr()
+        code = run(["fit", "--data", empty, "--schema", wpath.with_suffix(".schema.json"),
+                    "--workload", wpath, "--out-dir", tmp_path / "x"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "no rows" in err and "Traceback" not in err
+
     def test_rerun_byte_identical_without_timing(self, fitted, tmp_path):
         toy_csv, wpath, out_dir = fitted
         out2 = tmp_path / "fit2"

@@ -6,6 +6,7 @@ import pytest
 
 from privsynth import (
     FitConfig,
+    DiscreteDataset,
     InfeasibleConfigError,
     NoiseSource,
     ProjectionConfig,
@@ -19,6 +20,7 @@ from privsynth import (
     random_init,
     random_workload,
     relaxed_projection,
+    SchemaError,
     schema_from_cardinalities,
 )
 
@@ -220,6 +222,13 @@ class TestTinyEdges:
         data = random_dataset(schema, 5, np.random.default_rng(0))
         with pytest.raises(InfeasibleConfigError):
             fit(data, Workload(schema, []), FitConfig(no_noise=True))
+
+    def test_empty_table_rejected(self):
+        schema = schema_from_cardinalities((2, 3))
+        data = DiscreteDataset(schema, np.zeros((0, 2), dtype=np.int64))
+        for config in (FitConfig(), FitConfig(delta=1e-6), FitConfig(no_noise=True)):
+            with pytest.raises(SchemaError, match="no rows"):
+                fit(data, Workload(schema, [(0, 1)]), config)
 
 
 class TestConjecturedAnswers:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privsynth import (
     BudgetError,
@@ -13,7 +15,15 @@ from privsynth import (
     report_noisy_max,
     rho_from_eps_delta,
 )
-from privsynth.privacy import gaussian_noise_sigma
+from privsynth.privacy import _CAP_SLACK, gaussian_noise_sigma
+
+# Spends across many magnitudes, subnormals and exact zeros included, so the
+# running total must be exact to match math.fsum.
+SPENDS = st.lists(
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
+    | st.sampled_from([0.0, 0.1, 1e-300, 1.0 / 3.0, 2.0**-52]),
+    max_size=80,
+)
 
 
 class FixedUniform:
@@ -210,6 +220,44 @@ class TestPrivacyBudget:
         b.spend("noiseless", 0.0)
         assert b.spent() == 0.0
         assert b.summary()["private"] is False
+
+    @settings(max_examples=200, deadline=None)
+    @given(SPENDS)
+    def test_running_total_is_fsum(self, rhos):
+        b = PrivacyBudget.non_private()  # no cap: every spend lands
+        for i, rho in enumerate(rhos):
+            b.spend(f"call{i}", rho)
+            assert b.spent() == math.fsum(rhos[: i + 1])
+        rebuilt = PrivacyBudget(b.epsilon, b.delta, b.rho_total, private=False, ledger=b.ledger)
+        assert rebuilt.spent() == math.fsum(rhos)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(min_value=1e-3, max_value=8.0),
+        st.lists(st.floats(min_value=0.0, max_value=0.6), min_size=1, max_size=40),
+        st.integers(min_value=1, max_value=60),
+    )
+    def test_overspend_boundary_matches_fsum(self, epsilon, fractions, k):
+        b = PrivacyBudget.from_eps_delta(epsilon, 1e-6)
+        cap = b.rho_total * (1.0 + _CAP_SLACK) + 1e-15
+        # random shares, then k+1 equal shares of rho_total/k that end on the cap
+        rhos = [f * b.rho_total for f in fractions] + [b.rho_total / k] * (k + 1)
+        accepted = []
+        for i, rho in enumerate(rhos):
+            if math.fsum(accepted) + rho > cap:
+                with pytest.raises(BudgetError):
+                    b.spend(f"call{i}", rho)
+            else:
+                b.spend(f"call{i}", rho)
+                accepted.append(rho)
+            assert b.spent() == math.fsum(accepted)
+        assert [r for _, r in b.ledger] == accepted
+
+    def test_nan_spend_rejected(self):
+        b = PrivacyBudget.from_eps_delta(1.0, 1e-6)
+        with pytest.raises(BudgetError):
+            b.spend("nan", math.nan)
+        assert b.ledger == []
 
     def test_ledger_export(self):
         b = PrivacyBudget.from_eps_delta(1.0, 0.1)

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +22,9 @@ from privsynth import (
     random_workload,
     schema_from_cardinalities,
 )
+
+import privsynth.queries as queries_mod
+from privsynth.queries import eval_compiled
 
 from helpers import random_dataset
 
@@ -237,3 +242,101 @@ class TestLossAndGradient:
         _, analytic = loss_and_gradient(queries, targets, dp)
         numeric = finite_difference_gradient(queries, targets, dp)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
+
+
+def _random_query_list(rng):
+    """Queries mixing full and partial marginals of both kinds, arity 1-5.
+
+    Cardinality-1 features, duplicate queries, marginals stored unsorted and
+    hand-shuffled column tuples are all included.
+    """
+    d = int(rng.integers(1, 7))
+    s = schema_from_cardinalities(tuple(int(rng.integers(1, 4)) for _ in range(d)))
+    queries = []
+    for kind in (PRODUCT, ONE_OUT_OF_K):
+        for _ in range(int(rng.integers(1, 4))):
+            k = int(rng.integers(1, min(d, 5) + 1))
+            marginal = tuple(int(i) for i in rng.permutation(d)[:k])  # unsorted
+            cells = Workload(s, [marginal], kind=kind).queries
+            if rng.random() < 0.5:  # partial marginal
+                take = rng.choice(len(cells), int(rng.integers(1, len(cells) + 1)))
+                cells = [cells[i] for i in take]
+            queries.extend(cells)
+    queries.extend(queries[i] for i in rng.choice(len(queries), 3))  # duplicates
+    queries = [CompiledQuery(q.kind, tuple(rng.permutation(q.columns).tolist())) for q in queries]
+    order = rng.permutation(len(queries))
+    return s, [queries[i] for i in order]
+
+
+class TestMarginalKernel:
+    def test_tensor_and_per_cell_gradients_agree(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        default = queries_mod._TENSOR_MIN_COVERAGE
+        for _ in range(60):
+            s, queries = _random_query_list(rng)
+            dp = RelaxedDataset(s, rng.random((int(rng.integers(1, 12)), s.d_prime)))
+            targets = rng.random(len(queries))
+            results = {}
+            for coverage in (math.inf, default, 0.0):
+                monkeypatch.setattr(queries_mod, "_TENSOR_MIN_COVERAGE", coverage)
+                results[coverage] = loss_and_gradient(queries, targets, dp)
+            ref_loss, ref_grad = results.pop(math.inf)  # per-cell path only
+            scale = max(np.abs(ref_grad).max(), 1e-300)
+            for loss, grad in results.values():
+                assert abs(loss - ref_loss) <= 1e-12 * ref_loss
+                assert np.abs(grad - ref_grad).max() <= 1e-12 * scale
+
+    def test_threshold_discrete_matches_row_loop(self):
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            s = schema_from_cardinalities(tuple(int(rng.integers(1, 4)) for _ in range(4)))
+            data = random_dataset(s, int(rng.integers(1, 40)), rng)
+            features = tuple(int(i) for i in rng.permutation(4)[: int(rng.integers(1, 5))])
+            w = Workload(s, [features], kind=ONE_OUT_OF_K)
+            expected = []
+            for y in itertools.product(*(range(s.cardinalities[i]) for i in features)):
+                none = sum(all(row[i] != v for i, v in zip(features, y)) for row in data.rows)
+                expected.append(1.0 - none / data.n)
+            assert np.array_equal(eval_discrete(w, data), np.array(expected))
+
+    def test_arity_eight_with_small_row_chunks(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        s = schema_from_cardinalities((2, 2, 1, 2, 2, 2, 2, 3))
+        data = random_dataset(s, 9, rng)
+        dp = RelaxedDataset(s, rng.random((9, s.d_prime)))
+        for kind in (PRODUCT, ONE_OUT_OF_K):
+            w = Workload(s, [tuple(range(8))], kind=kind)
+            targets = rng.random(w.m)
+            whole = (eval_relaxed(w, dp), loss_and_gradient(w.queries, targets, dp))
+            monkeypatch.setattr(queries_mod, "_TENSOR_CELL_BUDGET", 128)  # 2 rows per chunk
+            chunked = (eval_relaxed(w, dp), loss_and_gradient(w.queries, targets, dp))
+            one_hot_rows = one_hot(data).as_relaxed()
+            assert np.array_equal(eval_discrete(w, data), eval_relaxed(w, one_hot_rows))
+            monkeypatch.undo()
+            np.testing.assert_allclose(chunked[0], whole[0], rtol=1e-12)
+            assert chunked[1][0] == pytest.approx(whole[1][0], rel=1e-12)
+            np.testing.assert_allclose(chunked[1][1], whole[1][1], rtol=1e-12, atol=1e-15)
+
+    def test_two_columns_in_one_block_rejected(self):
+        s = schema_from_cardinalities((3, 2))
+        dp = RelaxedDataset(s, np.full((2, 5), 0.5))
+        bad = [CompiledQuery(PRODUCT, (0, 3)), CompiledQuery(PRODUCT, (0, 1))]
+        with pytest.raises(WorkloadError, match="one feature block"):
+            loss_and_gradient(bad, np.zeros(2), dp)
+        with pytest.raises(WorkloadError, match="one feature block"):
+            eval_compiled(bad, dp)
+
+    def test_column_outside_layout_rejected(self):
+        s = schema_from_cardinalities((3, 2))
+        dp = RelaxedDataset(s, np.full((2, 5), 0.5))
+        with pytest.raises(WorkloadError):
+            eval_compiled([CompiledQuery(PRODUCT, (1, 5))], dp)
+
+    def test_arity_above_eight_rejected(self):
+        s = schema_from_cardinalities((2,) * 9)
+        w = Workload(s, [tuple(range(9))])
+        data = random_dataset(s, 3, np.random.default_rng(34))
+        with pytest.raises(WorkloadError, match="arity"):
+            eval_discrete(w, data)
+        with pytest.raises(WorkloadError, match="arity"):
+            eval_relaxed(w, one_hot(data).as_relaxed())
