@@ -16,8 +16,11 @@ Two branches, chosen by the `rounds` parameter:
   rho/(2*T*K), so T*K full rounds spend exactly rho.
 
 Within a round the relaxed dataset is fixed, so conjectured pool answers are
-computed once per round and the K selections index into them. If the pool
-empties early, remaining rounds are skipped and unspent budget stays unspent.
+computed once per round and the K selections index into them. One evaluator
+over the whole workload serves the fit: each relaxed dataset is answered once,
+and those answers feed both its round's record and the next round's
+conjectures. If the pool empties early, remaining rounds are skipped and
+unspent budget stays unspent.
 Everything is deterministic given the seed (noise streams are derived per
 component), so rerunning a fit reproduces its result byte for byte.
 """
@@ -40,7 +43,7 @@ from .projection import (
     random_init,
     relaxed_projection,
 )
-from .queries import Workload, eval_compiled, eval_discrete, eval_relaxed
+from .queries import QueryEvaluator, Workload, eval_compiled, eval_discrete
 from .schema import DiscreteDataset, RelaxedDataset, SchemaError
 
 
@@ -123,13 +126,25 @@ def resolve_delta(config: FitConfig, n: int) -> float:
     return 1.0 / (n * n) if config.delta is None else config.delta
 
 
-def conjectured_answers(pool, workload: Workload, relaxed: RelaxedDataset) -> np.ndarray:
-    """Relaxed answers for the pool's queries, in pool order."""
+def conjectured_answers(
+    pool, workload: Workload, relaxed: RelaxedDataset, evaluator: QueryEvaluator | None = None
+) -> np.ndarray:
+    """Relaxed answers for the pool's queries, in pool order.
+
+    `evaluator`, when given, is a QueryEvaluator over workload.queries for
+    relaxed.n rows, and the pool's entries are read off its answers to the
+    whole workload; without one only the pool's queries are evaluated. A
+    query's answer comes from its marginal's full answer tensor either way,
+    so the two agree bit for bit.
+    """
     m = workload.m
-    for i in pool:
-        if not 0 <= i < m:
-            raise IndexError(f"query index {i} out of range for workload of size {m}")
-    return eval_compiled([workload.queries[i] for i in pool], relaxed)
+    idx = np.asarray(pool, dtype=np.int64)
+    bad = (idx < 0) | (idx >= m)
+    if bad.any():
+        raise IndexError(f"query index {idx[bad][0]} out of range for workload of size {m}")
+    if evaluator is None:
+        return eval_compiled([workload.queries[i] for i in idx], relaxed)
+    return evaluator.answers(relaxed.data)[idx]
 
 
 def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResult:
@@ -162,12 +177,24 @@ def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResu
     current = random_init(
         workload.schema, config.n_synth, init_rng, config.projection.normalization
     )
+    full = QueryEvaluator(workload.queries, workload.schema, config.n_synth)
+    everything = range(workload.m)
 
     selected: list[int] = []
     noisy: list[float] = []
     round_trace: list[dict] = []
     round_datasets: list[RelaxedDataset] = []
     proj_seconds = 0.0
+    phases = {"gradient_s": 0.0, "normalize_s": 0.0, "adam_s": 0.0}
+
+    def project(queries, targets, start):
+        nonlocal proj_seconds
+        t0 = time.perf_counter()
+        proj = relaxed_projection(queries, targets, start, config.projection)
+        proj_seconds += time.perf_counter() - t0
+        for key, seconds in proj.timing.items():
+            phases[key] += seconds
+        return proj
 
     if t_rounds == 1:
         share = math.inf if config.no_noise else rho / workload.m
@@ -176,22 +203,22 @@ def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResu
             budget.spend(f"gaussian[q={i}]", 0.0 if config.no_noise else share)
         selected = list(range(workload.m))
         noisy = [float(a) for a in np.atleast_1d(answers)]
-        t0 = time.perf_counter()
-        proj = relaxed_projection(workload.queries, answers, current, config.projection)
-        proj_seconds += time.perf_counter() - t0
+        proj = project(workload.queries, answers, current)
         current = proj.dataset
-        round_trace.append(_round_record(1, proj, workload, current, true_answers, selected))
+        conj = conjectured_answers(everything, workload, current, full)
+        round_trace.append(_round_record(1, proj, conj, true_answers, selected))
         if config.keep_round_datasets:
             round_datasets.append(current)
     else:
         share = math.inf if config.no_noise else rho / (2.0 * t_rounds * k_per)
         ledger_share = 0.0 if config.no_noise else share
         pool = list(range(workload.m))
+        conj = conjectured_answers(everything, workload, current, full)
         for t in range(1, t_rounds + 1):
             if not pool:
                 break  # pool exhausted: skip remaining rounds, budget stays unspent
             pool_true = true_answers[pool]
-            pool_conj = conjectured_answers(pool, workload, current)
+            pool_conj = conj[pool]
             for j in range(k_per):
                 if not pool:
                     break
@@ -204,16 +231,10 @@ def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResu
                 budget.spend(f"gaussian[q={qidx}]", ledger_share)
                 selected.append(qidx)
                 noisy.append(float(answer))
-            t0 = time.perf_counter()
-            proj = relaxed_projection(
-                [workload.queries[i] for i in selected],
-                np.asarray(noisy),
-                current,
-                config.projection,
-            )
-            proj_seconds += time.perf_counter() - t0
+            proj = project([workload.queries[i] for i in selected], np.asarray(noisy), current)
             current = proj.dataset
-            round_trace.append(_round_record(t, proj, workload, current, true_answers, selected))
+            conj = conjectured_answers(everything, workload, current, full)
+            round_trace.append(_round_record(t, proj, conj, true_answers, selected))
             if config.keep_round_datasets:
                 round_datasets.append(current)
 
@@ -228,16 +249,17 @@ def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResu
         timing={
             "wall_ms": (time.perf_counter() - started) * 1000.0,
             "projection_ms": proj_seconds * 1000.0,
+            **phases,
         },
         round_datasets=round_datasets,
     )
     return result
 
 
-def _round_record(t, proj, workload, current, true_answers, selected) -> dict:
+def _round_record(t, proj, answers, true_answers, selected) -> dict:
     # Max error over the full workload is a diagnostic computed from the
     # private data; it belongs in evaluation reports, not in released output.
-    errors = np.abs(eval_relaxed(workload, current) - true_answers)
+    errors = np.abs(answers - true_answers)
     return {
         "round": t,
         "selected_total": len(selected),

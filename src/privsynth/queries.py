@@ -380,20 +380,6 @@ def _chunked_sums(blocks, spans):
     return sums, (pre if len(spans) == 1 else None)
 
 
-def _augment_t(X: np.ndarray) -> np.ndarray:
-    """Transpose to (columns, rows) layout, appending constant 1/0 pad rows.
-
-    Queries gather whole one-hot columns; in transposed C-order each gather
-    is a contiguous row copy instead of a strided column walk.
-    """
-    n, w = X.shape
-    out = np.empty((w + 2, n), dtype=np.float64)
-    out[:w] = X.T
-    out[w] = 1.0
-    out[w + 1] = 0.0
-    return out
-
-
 def _pack(queries, d_prime: int):
     """Group queries by kind into padded column-index matrices.
 
@@ -423,6 +409,12 @@ class _CellPath:
     each slot's scatter targets up front turns the per-step gradient
     accumulation into contiguous segment sums (add.reduceat) instead of
     per-element scattered adds.
+
+    X is transposed to (columns, rows) layout with constant 1/0 pad rows
+    appended, so each gather is a contiguous row copy. That matrix, its
+    complement, the gradient and every per-slot product live in a workspace
+    allocated on the first call for a row count and rewritten in place on
+    every later call; the returned gradient is a fresh array.
     """
 
     def __init__(self, queries, pos: np.ndarray, d_prime: int, n_rows: int, batch_size: int):
@@ -434,6 +426,7 @@ class _CellPath:
                 sub = cols[b0 : b0 + grad_batch]
                 plans = [self._scatter_plan(sub[:, p]) for p in range(sub.shape[1])]
                 self._batches.append((kind, sub, pos[sub_pos[b0 : b0 + grad_batch]], plans))
+        self._rows = None  # row count the workspace is allocated for
 
     @staticmethod
     def _scatter_plan(slot_cols: np.ndarray):
@@ -452,23 +445,56 @@ class _CellPath:
         _, starts = np.unique(slot_cols[order], return_index=True)
         return ("segments", (order, starts), distinct)
 
+    def _allocate(self, n: int) -> None:
+        """Workspace for n rows, sized for the widest and longest batch."""
+        w = self.d_prime
+        batch = max(sub.shape[0] for _, sub, _, _ in self._batches)
+        widths = [sub.shape[1] for _, sub, _, _ in self._batches]
+        kmax = max(widths)
+        self._Xt = np.empty((w + 2, n))
+        self._Xt[w] = 1.0
+        self._Xt[w + 1] = 0.0
+        threshold = any(kind == ONE_OUT_OF_K for kind, _, _, _ in self._batches)
+        self._Xc = np.empty_like(self._Xt) if threshold else None
+        self._grad_t = np.empty_like(self._Xt)
+        shape = (batch, n)
+        self._slots = [np.empty(shape) for _ in range(kmax)]
+        self._suffix = [np.empty(shape) for _ in range(kmax - 2)]  # products of slots p+1..k-1
+        self._prefix = np.empty(shape) if kmax >= 3 else None
+        self._full = np.empty(shape)  # all slots' product, then each slot's leave-one-out
+        self._ones = np.ones(shape) if min(widths) == 1 else None
+        self._rows = n
+
     def loss_and_gradient(self, X: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
         n = X.shape[0]
-        Xt = _augment_t(X)
-        grad_t = np.zeros_like(Xt)
+        if self._rows != n:
+            self._allocate(n)
+        Xt, grad_t = self._Xt, self._grad_t
+        Xt[: self.d_prime] = X.T
+        if self._Xc is not None:
+            np.subtract(1.0, Xt, out=self._Xc)
+        grad_t.fill(0.0)
         loss = 0.0
         for kind, sub, pos, plans in self._batches:
-            base = Xt if kind == PRODUCT else 1.0 - Xt
-            kmax = sub.shape[1]
-            slot_vals = [base[sub[:, p]] for p in range(kmax)]  # (batch, n) each
-            # suffix[p] = product of slots p+1..k-1; running accumulates all
+            base = Xt if kind == PRODUCT else self._Xc
+            b, kmax = sub.shape
+            # Column indices were validated when the evaluator was built.
+            slot_vals = [
+                np.take(base, sub[:, p], axis=0, out=self._slots[p][:b], mode="clip")
+                for p in range(kmax)
+            ]  # (batch, n) each
+            # suffix[p] = product of slots p+1..k-1; None is the empty product
             suffix = [None] * kmax
-            running = np.ones_like(slot_vals[0])
-            for p in range(kmax - 1, 0, -1):
-                suffix[p] = running
-                running = running * slot_vals[p]
-            suffix[0] = running
-            full = running * slot_vals[0]
+            for p in range(kmax - 2, -1, -1):
+                nxt = suffix[p + 1]
+                suffix[p] = (
+                    slot_vals[p + 1]
+                    if nxt is None
+                    else np.multiply(nxt, slot_vals[p + 1], out=self._suffix[p][:b])
+                )
+            full = slot_vals[0]
+            if suffix[0] is not None:
+                full = np.multiply(suffix[0], slot_vals[0], out=self._full[:b])
             vals = full.sum(axis=1) / n
             if kind == ONE_OUT_OF_K:
                 vals = 1.0 - vals
@@ -477,7 +503,12 @@ class _CellPath:
             coef = (2.0 / n) * res
             prefix = None
             for p in range(kmax):
-                loo = suffix[p] if prefix is None else prefix * suffix[p]
+                if prefix is None:
+                    loo = self._ones[:b] if suffix[p] is None else suffix[p]
+                elif suffix[p] is None:
+                    loo = prefix
+                else:
+                    loo = np.multiply(prefix, suffix[p], out=self._full[:b])
                 style, plan, distinct = plans[p]
                 if style == "dense":
                     grad_t[distinct] += (plan * coef[:, None]).T @ loo
@@ -486,7 +517,11 @@ class _CellPath:
                     weighted = loo * coef[:, None]
                     grad_t[distinct] += np.add.reduceat(weighted[order], starts, axis=0)
                 if p + 1 < kmax:
-                    prefix = slot_vals[p] if prefix is None else prefix * slot_vals[p]
+                    prefix = (
+                        slot_vals[p]
+                        if prefix is None
+                        else np.multiply(prefix, slot_vals[p], out=self._prefix[:b])
+                    )
         return loss, grad_t[: self.d_prime].T.copy()
 
 

@@ -10,6 +10,7 @@ from privsynth import (
     InfeasibleConfigError,
     NoiseSource,
     ProjectionConfig,
+    RelaxedDataset,
     Workload,
     conjectured_answers,
     eval_discrete,
@@ -23,6 +24,8 @@ from privsynth import (
     SchemaError,
     schema_from_cardinalities,
 )
+
+from privsynth.queries import QueryEvaluator, eval_compiled
 
 from helpers import random_dataset, skewed_dataset
 
@@ -248,6 +251,22 @@ class TestConjecturedAnswers:
         relaxed = random_init(schema, 9, NoiseSource(1, "init"))
         conj = conjectured_answers(list(range(workload.m)), workload, relaxed)
         np.testing.assert_array_equal(conj, eval_relaxed(workload, relaxed))
+
+    def test_partial_pool_matches_pool_only_evaluation(self):
+        schema, data, workload = toy_instance(seed=14)
+        relaxed = random_init(schema, 9, NoiseSource(2, "init"))
+        pool = [7, 0, workload.m - 1, 3]
+        full = QueryEvaluator(workload.queries, schema, relaxed.n)
+        shared = conjectured_answers(pool, workload, relaxed, full)
+        alone = eval_compiled([workload.queries[i] for i in pool], relaxed)
+        assert np.array_equal(shared, alone)
+        assert np.array_equal(conjectured_answers(pool, workload, relaxed), alone)
+
+    def test_zero_rows_answer_zero(self):
+        schema, _, workload = toy_instance(seed=15)
+        relaxed = RelaxedDataset(schema, np.zeros((0, schema.d_prime)))
+        conj = conjectured_answers([0, 2], workload, relaxed)
+        assert np.array_equal(conj, np.zeros(2))
 
     def test_bad_index(self):
         _, data, workload = toy_instance(seed=13)

@@ -3,16 +3,23 @@ import itertools
 import numpy as np
 import pytest
 
+import privsynth.projection as projection_mod
 from privsynth import (
+    ONE_OUT_OF_K,
+    PRODUCT,
+    AdamState,
+    FitConfig,
     NoiseSource,
     Normalization,
     ProjectionConfig,
     RelaxedDataset,
     Workload,
     eval_relaxed,
+    fit,
     normalize_rows,
     one_hot,
     random_init,
+    random_workload,
     relaxed_projection,
     sparsemax,
     sparsemax_rows,
@@ -181,3 +188,111 @@ class TestRelaxedProjection:
         lines = trace.read_text().strip().splitlines()
         assert lines[0] == "step,loss"
         assert len(lines) >= 2
+
+
+# Reference kernels: the per-block sort kernel and the allocating Adam step
+# the optimized code must reproduce bit for bit.
+
+
+def reference_sparsemax_rows(Z):
+    srt = -np.sort(-Z, axis=1)
+    css = np.cumsum(srt, axis=1) - 1.0
+    ranks = np.arange(1, Z.shape[1] + 1, dtype=np.float64)
+    support = np.count_nonzero(srt * ranks > css, axis=1)
+    tau = css[np.arange(Z.shape[0]), support - 1] / support
+    return np.maximum(Z - tau[:, None], 0.0)
+
+
+def reference_normalize(X, schema, norm):
+    if norm.mode in ("clip", "clip+sparsemax"):
+        np.clip(X, norm.lo, norm.hi, out=X)
+    if norm.mode in ("sparsemax", "clip+sparsemax"):
+        for off, t in zip(schema.offsets, schema.cardinalities):
+            X[:, off : off + t] = reference_sparsemax_rows(X[:, off : off + t])
+
+
+def reference_adam_update(self, X, grad, config):
+    self.step += 1
+    b1, b2 = config.beta1, config.beta2
+    self.m = b1 * self.m + (1.0 - b1) * grad
+    self.v = b2 * self.v + (1.0 - b2) * grad * grad
+    m_hat = self.m / (1.0 - b1 ** self.step)
+    v_hat = self.v / (1.0 - b2 ** self.step)
+    X -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+
+
+def _normalization_inputs(schema, rng):
+    """Random rows, rows with ties, one-hot rows and already projected rows."""
+    n, w = 40, schema.d_prime
+    random = rng.uniform(-2.0, 2.0, (n, w))
+    ties = np.round(rng.uniform(-1.0, 1.0, (n, w)), 1)
+    ties[::3] = 0.25
+    hot = one_hot(random_dataset(schema, n, rng)).as_relaxed().data
+    projected = random.copy()
+    reference_normalize(projected, schema, Normalization())
+    return np.vstack([random, ties, hot, projected])
+
+
+class TestBitIdentity:
+    SCHEMAS = [(t,) for t in (*range(1, 13), 16, 32)] + [
+        tuple(range(1, 13)) + (16, 32),
+        (2, 2, 3, 3, 4, 4, 4, 5, 5, 5, 6, 6, 6, 6, 7),
+        (3, 9, 3, 16, 1, 8, 8),
+    ]
+
+    @pytest.mark.parametrize("mode", ["sparsemax", "clip+sparsemax"])
+    def test_normalization_matches_sort_kernel(self, mode):
+        rng = np.random.default_rng(41)
+        norm = Normalization(mode)
+        for cards in self.SCHEMAS:
+            s = schema_from_cardinalities(cards)
+            X = _normalization_inputs(s, rng)
+            if mode == "clip+sparsemax":
+                X = np.vstack([X, rng.uniform(-5.0, 5.0, X.shape)])
+            expected = X.copy()
+            reference_normalize(expected, s, norm)
+            got = normalize_rows(RelaxedDataset(s, X), norm).data
+            assert np.array_equal(got, expected), cards
+
+    def test_sparsemax_rows_matches_sort_kernel(self):
+        rng = np.random.default_rng(42)
+        for t in (*range(1, 13), 16, 32):
+            Z = rng.uniform(-3.0, 3.0, (60, t))
+            Z[30:] = np.round(Z[30:], 0)  # ties
+            assert np.array_equal(sparsemax_rows(Z), reference_sparsemax_rows(Z)), t
+            ints = np.round(Z).astype(np.int64)
+            for Zi in (ints, ints.astype(np.float32)):
+                got = sparsemax_rows(Zi)
+                assert got.dtype == np.float64
+                assert np.array_equal(got, reference_sparsemax_rows(Zi.astype(np.float64))), t
+
+    def test_adam_matches_reference_formula(self):
+        rng = np.random.default_rng(43)
+        config = ProjectionConfig(learning_rate=0.01)
+        X = rng.random((7, 5))
+        ref_X = X.copy()
+        adam, ref = AdamState.zeros(X.shape), AdamState.zeros(X.shape)
+        for _ in range(5):
+            grad = rng.normal(size=X.shape)
+            adam.update(X, grad, config)
+            reference_adam_update(ref, ref_X, grad, config)
+            assert np.array_equal(X, ref_X)
+            assert np.array_equal(adam.m, ref.m) and np.array_equal(adam.v, ref.v)
+        assert adam.step == ref.step == 5
+
+    @pytest.mark.parametrize("cards", [(2, 3, 4, 3, 5), (2, 9, 3, 12, 4)])
+    @pytest.mark.parametrize("kind", [PRODUCT, ONE_OUT_OF_K])
+    def test_fit_matches_reference_kernels(self, kind, cards, monkeypatch):
+        s = schema_from_cardinalities(cards)
+        data = random_dataset(s, 200, np.random.default_rng(44))
+        w = random_workload(s, 3, 6, seed=2, kind=kind)
+        config = FitConfig(
+            rounds=3, queries_per_round=4, n_synth=50, seed=3,
+            projection=ProjectionConfig(max_steps=40),
+        )
+        fast = fit(data, w, config)
+        monkeypatch.setattr(projection_mod, "_normalize_inplace", reference_normalize)
+        monkeypatch.setattr(AdamState, "update", reference_adam_update)
+        slow = fit(data, w, config)
+        assert fast.to_json(include_timing=False) == slow.to_json(include_timing=False)
+        assert fast.relaxed.data.tobytes() == slow.relaxed.data.tobytes()

@@ -24,7 +24,7 @@ from privsynth import (
 )
 
 import privsynth.queries as queries_mod
-from privsynth.queries import eval_compiled
+from privsynth.queries import QueryEvaluator, eval_compiled
 
 from helpers import random_dataset
 
@@ -340,3 +340,104 @@ class TestMarginalKernel:
             eval_discrete(w, data)
         with pytest.raises(WorkloadError, match="arity"):
             eval_relaxed(w, one_hot(data).as_relaxed())
+
+
+class TestCellWorkspace:
+    """The per-cell path reuses its buffers across calls; results must not."""
+
+    def _lists(self, s):
+        threshold = Workload(s, [(0, 1), (1, 2)], kind=ONE_OUT_OF_K).queries[::3]
+        arity_one = Workload(s, [(0,), (2,)]).queries[:3]
+        return [threshold, arity_one]
+
+    def test_gradient_survives_later_calls(self, monkeypatch):
+        monkeypatch.setattr(queries_mod, "_TENSOR_MIN_COVERAGE", math.inf)
+        rng = np.random.default_rng(35)
+        s = schema_from_cardinalities((2, 3, 4))
+        for queries in self._lists(s):
+            targets = rng.random(len(queries))
+            X1, X2, X3 = (rng.random((rows, s.d_prime)) for rows in (6, 6, 4))
+            ev = QueryEvaluator(queries, s, 6)
+            assert ev._cells is not None and not ev._tensor
+            loss1, g1 = ev.loss_and_gradient(X1, targets)
+            kept = g1.copy()
+            for X in (X2, X3):  # same row count, then a different one
+                loss, grad = ev.loss_and_gradient(X, targets)
+                fresh = QueryEvaluator(queries, s, X.shape[0]).loss_and_gradient(X, targets)
+                assert loss == fresh[0] and np.array_equal(grad, fresh[1])
+                assert not np.shares_memory(grad, g1)
+            assert np.array_equal(g1, kept)
+            assert ev.loss_and_gradient(X1, targets)[0] == loss1
+
+
+def reference_cell_loss_and_gradient(path, X, targets):
+    """The per-cell loop as it was before the workspace: fresh arrays throughout."""
+    n, w = X.shape
+    Xt = np.empty((w + 2, n))
+    Xt[:w] = X.T
+    Xt[w] = 1.0
+    Xt[w + 1] = 0.0
+    grad_t = np.zeros_like(Xt)
+    loss = 0.0
+    for kind, sub, pos, plans in path._batches:
+        base = Xt if kind == PRODUCT else 1.0 - Xt
+        kmax = sub.shape[1]
+        slot_vals = [base[sub[:, p]] for p in range(kmax)]
+        suffix = [None] * kmax
+        running = np.ones_like(slot_vals[0])
+        for p in range(kmax - 1, 0, -1):
+            suffix[p] = running
+            running = running * slot_vals[p]
+        suffix[0] = running
+        full = running * slot_vals[0]
+        vals = full.sum(axis=1) / n
+        if kind == ONE_OUT_OF_K:
+            vals = 1.0 - vals
+        res = vals - targets[pos]
+        loss += float(res @ res)
+        coef = (2.0 / n) * res
+        prefix = None
+        for p in range(kmax):
+            loo = suffix[p] if prefix is None else prefix * suffix[p]
+            style, plan, distinct = plans[p]
+            if style == "dense":
+                grad_t[distinct] += (plan * coef[:, None]).T @ loo
+            else:
+                order, starts = plan
+                weighted = loo * coef[:, None]
+                grad_t[distinct] += np.add.reduceat(weighted[order], starts, axis=0)
+            if p + 1 < kmax:
+                prefix = slot_vals[p] if prefix is None else prefix * slot_vals[p]
+    return loss, grad_t[:w].T.copy()
+
+
+class TestCellPathBitIdentity:
+    """The workspace-backed per-cell path gives the allocating loop's exact bits."""
+
+    MARGINALS = {1: [(0,), (3,)], 2: [(0, 1), (2, 3)], 3: [(0, 1, 2), (1, 2, 3)], 4: [(0, 1, 2, 3)]}
+
+    def _lists(self, s, rng):
+        lists = []
+        for kind in (PRODUCT, ONE_OUT_OF_K):
+            for arity, marginals in self.MARGINALS.items():
+                cells = Workload(s, marginals, kind=kind).queries
+                take = rng.choice(len(cells), min(len(cells), 7), replace=False)
+                lists.append([cells[i] for i in take])
+        mixed = [q for qs in lists for q in qs[:2]]  # both kinds, padded arities
+        return lists + [[mixed[i] for i in rng.permutation(len(mixed))]]
+
+    @pytest.mark.parametrize("batch_size", [3, 1024])
+    def test_matches_allocating_loop(self, batch_size, monkeypatch):
+        monkeypatch.setattr(queries_mod, "_TENSOR_MIN_COVERAGE", math.inf)
+        rng = np.random.default_rng(36)
+        s = schema_from_cardinalities((2, 3, 4, 3))
+        for queries in self._lists(s, rng):
+            targets = rng.random(len(queries))
+            ev = QueryEvaluator(queries, s, 9, batch_size)
+            assert ev._cells is not None and not ev._tensor
+            for rows in (9, 9, 5):  # reuse the workspace, then reallocate it
+                X = rng.random((rows, s.d_prime))
+                loss, grad = ev._cells.loss_and_gradient(X, targets)
+                ref_loss, ref_grad = reference_cell_loss_and_gradient(ev._cells, X, targets)
+                assert loss == ref_loss
+                assert np.array_equal(grad, ref_grad)
