@@ -273,8 +273,7 @@ def _round_record(t, proj, answers, true_answers, selected) -> dict:
 def save_relaxed_csv(relaxed: RelaxedDataset, path) -> None:
     """Write the relaxed matrix as headerless CSV with full float precision."""
     with Path(path).open("w", encoding="utf-8") as fh:
-        for row in relaxed.data:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in relaxed.data.tolist())
 
 
 def load_relaxed_csv(path, schema) -> RelaxedDataset:

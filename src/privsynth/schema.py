@@ -4,7 +4,8 @@ A dataset is a table of categorical features. Each feature i has a fixed,
 ordered list of t_i category labels; a row stores one category index per
 feature. The one-hot layout concatenates, per feature, a block of t_i binary
 columns, so the encoded width is d_prime = sum(t_i). Column offsets into that
-layout are owned by the Schema and shared by every module downstream.
+layout are owned by the Schema, computed once per instance, and shared by
+every module downstream.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -56,11 +58,14 @@ class Schema:
     def d(self) -> int:
         return len(self.features)
 
-    @property
+    # Query compilation reads the layout once per query. cached_property
+    # writes the instance __dict__ directly, which a frozen dataclass allows;
+    # equality, hashing and repr still see only `features`.
+    @cached_property
     def cardinalities(self) -> tuple[int, ...]:
         return tuple(f.cardinality for f in self.features)
 
-    @property
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
         """Starting one-hot column of each feature block."""
         out, acc = [], 0
@@ -69,9 +74,9 @@ class Schema:
             acc += f.cardinality
         return tuple(out)
 
-    @property
+    @cached_property
     def d_prime(self) -> int:
-        return sum(f.cardinality for f in self.features)
+        return sum(self.cardinalities)
 
     def feature_names(self) -> list[str]:
         return [f.name for f in self.features]
@@ -207,30 +212,50 @@ def load_csv(path, schema: Schema | None = None) -> DiscreteDataset:
     With a schema, the header must match the schema's feature names and every
     cell must be a known label. Empty cells are rejected; this pipeline
     assumes complete categorical data.
+
+    Errors are reported in this order: bytes that are not UTF-8; then the
+    first faulty row in file order (a row with the wrong number of cells, else
+    its first empty cell); then a header that does not match the schema; then
+    the first unknown label in row-major order.
+
+    The reader's rows are streamed into one flat list of cells, and each
+    column is mapped to category indices in one pass over its slice.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, expected a header row")
-        raw = list(reader)
+    cells: list[str] = []
+    widths: list[int] = []
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise SchemaError(f"{path}: empty file, expected a header row")
+            for row in reader:
+                widths.append(len(row))
+                cells += row
+    except UnicodeDecodeError:
+        raise _decode_error(path) from None
 
-    d = len(header)
-    for r, row in enumerate(raw):
-        if len(row) != d:
-            raise SchemaError(f"{path}: row {r} has {len(row)} cells, expected {d}")
-        for c, cell in enumerate(row):
-            if cell == "":
-                raise SchemaError(f"{path}: missing value at row {r}, column {header[c]!r}")
+    n, d = len(widths), len(header)
+    ragged = None if widths.count(d) == n else next(r for r, w in enumerate(widths) if w != d)
+    # Rows before the first ragged one hold exactly d cells each, so a flat
+    # position p there is row p // d, column p % d.
+    try:
+        p = cells.index("", 0, len(cells) if ragged is None else ragged * d)
+    except ValueError:
+        if ragged is not None:
+            w = widths[ragged]
+            raise SchemaError(f"{path}: row {ragged} has {w} cells, expected {d}") from None
+    else:
+        raise SchemaError(f"{path}: missing value at row {p // d}, column {header[p % d]!r}")
 
     if schema is None:
         feats = []
         for c, name in enumerate(header):
-            labels = sorted({row[c] for row in raw})
+            labels = sorted(set(cells[c::d]))
             if not labels:
                 labels = ["0"]  # empty data file: single placeholder category
             feats.append(FeatureSpec(name, tuple(labels)))
@@ -242,26 +267,40 @@ def load_csv(path, schema: Schema | None = None) -> DiscreteDataset:
             )
 
     lookup = [{lab: j for j, lab in enumerate(f.categories)} for f in schema.features]
-    rows = np.empty((len(raw), d), dtype=np.int64)
-    for r, row in enumerate(raw):
-        for c, cell in enumerate(row):
-            try:
-                rows[r, c] = lookup[c][cell]
-            except KeyError:
+    rows = np.empty((n, d), dtype=np.int64)
+    try:
+        for c in range(d):
+            rows[:, c] = np.fromiter(map(lookup[c].__getitem__, cells[c::d]), np.int64, count=n)
+    except KeyError:
+        for p, cell in enumerate(cells):
+            if cell not in lookup[p % d]:
                 raise SchemaError(
-                    f"{path}: unknown label {cell!r} at row {r}, column {header[c]!r}"
+                    f"{path}: unknown label {cell!r} at row {p // d}, column {header[p % d]!r}"
                 ) from None
     return DiscreteDataset(schema, rows)
+
+
+def _decode_error(path: Path) -> SchemaError:
+    """Name the first byte of `path` that is not valid UTF-8."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        byte, at = data[exc.start], exc.start
+        return SchemaError(f"{path}: not valid UTF-8: byte 0x{byte:02x} at position {at} ({exc.reason})")
+    return SchemaError(f"{path}: not valid UTF-8")
 
 
 def save_csv(dataset: DiscreteDataset, path) -> None:
     """Write a dataset as CSV using the schema's category labels."""
     schema = dataset.schema
+    columns = [
+        np.array(f.categories, dtype=object)[dataset.rows[:, i]] for i, f in enumerate(schema.features)
+    ]
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(schema.feature_names())
-        for row in dataset.rows:
-            writer.writerow([schema.features[i].categories[v] for i, v in enumerate(row)])
+        writer.writerows(zip(*columns))
 
 
 def bin_numeric(values, num_bins: int, name: str = "binned") -> tuple[np.ndarray, FeatureSpec]:

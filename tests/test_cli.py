@@ -46,6 +46,16 @@ class TestWorkloadCommand:
                     "--out", tmp_path / "w.json"])
         assert code == 2
 
+    def test_non_utf8_data_exit_code(self, toy_csv, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(toy_csv.read_bytes() + b"\xff,0,0\n")
+        capsys.readouterr()
+        code = run(["workload", "--data", bad, "--k", 2, "--marginals", 1,
+                    "--out", tmp_path / "w.json"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "bad.csv" in err and "not valid UTF-8" in err and "Traceback" not in err
+
     def test_compiled_dump(self, toy_csv, tmp_path):
         out = tmp_path / "w.json"
         run(["workload", "--data", toy_csv, "--k", 1, "--marginals", 1, "--seed", 0,

@@ -16,12 +16,14 @@ from privsynth import (
     eval_discrete,
     eval_relaxed,
     fit,
+    load_relaxed_csv,
     loss_and_gradient,
     one_hot,
     random_init,
     random_workload,
     relaxed_projection,
     SchemaError,
+    save_relaxed_csv,
     schema_from_cardinalities,
 )
 
@@ -304,3 +306,25 @@ class TestReproducibility:
         assert len(doc["ledger"]) == workload.m
         assert "timing" in doc
         assert doc["rounds"][0]["selected_total"] == workload.m
+
+
+class TestRelaxedCsv:
+    @staticmethod
+    def reference_save(relaxed, path):
+        """The former per-element writer."""
+        with open(path, "w", encoding="utf-8") as fh:
+            for row in relaxed.data:
+                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+    def test_bytes_match_reference(self, tmp_path):
+        schema = schema_from_cardinalities((3, 4))
+        data = np.random.default_rng(5).normal(size=(20, 7)) * 10.0 ** np.arange(-8, 13, 3)
+        data[0] = [-0.0, 5e-324, 1e300, 0.1 + 0.2, -1e-300, 1.0, 0.0]
+        data[1, :3] = [np.inf, -np.inf, np.nan]
+        relaxed = RelaxedDataset(schema, data)
+        save_relaxed_csv(relaxed, tmp_path / "new.csv")
+        self.reference_save(relaxed, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        back = load_relaxed_csv(tmp_path / "new.csv", schema).data
+        assert np.array_equal(back, data, equal_nan=True)
+        assert np.signbit(back[0, 0])

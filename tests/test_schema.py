@@ -1,5 +1,11 @@
+import csv
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privsynth import (
     DiscreteDataset,
@@ -95,6 +101,232 @@ class TestLoadCsv:
         p = write(tmp_path, "bad.csv", "wrong\na\n")
         with pytest.raises(SchemaError, match="does not match schema"):
             load_csv(p, schema)
+
+
+def reference_load_csv(path, schema=None):
+    """The former row-by-row loader, kept as the oracle for the columnar one."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"no such file: {path}")
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file, expected a header row")
+        raw = list(reader)
+
+    d = len(header)
+    for r, row in enumerate(raw):
+        if len(row) != d:
+            raise SchemaError(f"{path}: row {r} has {len(row)} cells, expected {d}")
+        for c, cell in enumerate(row):
+            if cell == "":
+                raise SchemaError(f"{path}: missing value at row {r}, column {header[c]!r}")
+
+    if schema is None:
+        feats = []
+        for c, name in enumerate(header):
+            labels = sorted({row[c] for row in raw})
+            if not labels:
+                labels = ["0"]
+            feats.append(FeatureSpec(name, tuple(labels)))
+        schema = Schema(tuple(feats))
+    else:
+        if header != schema.feature_names():
+            raise SchemaError(
+                f"{path}: header {header} does not match schema features {schema.feature_names()}"
+            )
+
+    lookup = [{lab: j for j, lab in enumerate(f.categories)} for f in schema.features]
+    rows = np.empty((len(raw), d), dtype=np.int64)
+    for r, row in enumerate(raw):
+        for c, cell in enumerate(row):
+            try:
+                rows[r, c] = lookup[c][cell]
+            except KeyError:
+                raise SchemaError(
+                    f"{path}: unknown label {cell!r} at row {r}, column {header[c]!r}"
+                ) from None
+    return DiscreteDataset(schema, rows)
+
+
+def reference_save_csv(dataset, path):
+    """The former row-by-row writer."""
+    schema = dataset.schema
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(schema.feature_names())
+        for row in dataset.rows:
+            writer.writerow([schema.features[i].categories[v] for i, v in enumerate(row)])
+
+
+def outcome(loader, path, schema):
+    try:
+        data = loader(path, schema)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return data
+
+
+# "zz" is never in a generated schema; "" is a missing value.
+LABELS = ["a", "b", "c", "a,b", 'q"x', " s", "zz", ""]
+NAMES = ["u", "v", "w"]
+
+
+def csv_field(draw, text):
+    if any(ch in text for ch in ',"\r\n') or draw(st.booleans()):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def csv_inputs(draw):
+    """CSV text plus an optional schema, with none, one or several kinds of fault."""
+    d = draw(st.integers(1, 3))
+    faults = draw(st.sets(st.sampled_from(["ragged", "missing", "unknown", "header"])))
+    header = NAMES[:d]
+    if "header" in faults:
+        header = draw(st.lists(st.sampled_from(NAMES + ["x"]), min_size=d, max_size=d))
+    pool = LABELS[:6] + ["zz"] * ("unknown" in faults) + [""] * ("missing" in faults)
+    row = st.lists(st.sampled_from(pool), min_size=d, max_size=d)
+    if "ragged" in faults:
+        row = row | st.lists(st.sampled_from(pool), max_size=4)  # ragged, or blank when empty
+    lines = [header] + draw(st.lists(row, max_size=8))
+    text = "".join(
+        ",".join(csv_field(draw, cell) for cell in line) + draw(st.sampled_from(["\n", "\r\n"]))
+        for line in lines
+    )
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    schema = None
+    if "unknown" in faults or draw(st.booleans()):
+        cats = st.permutations(LABELS[:6])
+        if "unknown" in faults:
+            cats = cats | st.lists(st.sampled_from(LABELS[:6]), min_size=1, max_size=6, unique=True)
+        schema = Schema(tuple(FeatureSpec(n, tuple(draw(cats))) for n in NAMES[:d]))
+    return text, schema
+
+
+class TestColumnarLoader:
+    """The columnar loader agrees with the row-by-row reference on every input."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=csv_inputs())
+    def test_matches_reference(self, tmp_path_factory, case):
+        text, schema = case
+        self.check(tmp_path_factory, text, schema)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text(alphabet='ab,"\r\n ', max_size=40), with_schema=st.booleans())
+    def test_matches_reference_on_raw_text(self, tmp_path_factory, text, with_schema):
+        schema = Schema((FeatureSpec("a", ("a", "b")),)) if with_schema else None
+        self.check(tmp_path_factory, text, schema)
+
+    @staticmethod
+    def check(tmp_path_factory, text, schema):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        want = outcome(reference_load_csv, path, schema)
+        got = outcome(load_csv, path, schema)
+        if isinstance(want, DiscreteDataset):
+            assert isinstance(got, DiscreteDataset), got
+            assert got.schema == want.schema
+            assert got.rows.dtype == want.rows.dtype and np.array_equal(got.rows, want.rows)
+        else:
+            assert got == want
+
+    def test_missing_value_before_ragged_row(self, tmp_path):
+        p = write(tmp_path, "bad.csv", "u,v\na,x\na,\na\n")
+        with pytest.raises(SchemaError, match="missing value at row 1, column 'v'"):
+            load_csv(p)
+
+    def test_ragged_row_before_missing_value(self, tmp_path):
+        p = write(tmp_path, "bad.csv", "u,v\na,x\na\na,\n")
+        with pytest.raises(SchemaError, match="row 1 has 1 cells, expected 2"):
+            load_csv(p)
+
+    def test_ragged_row_beats_its_own_missing_value(self, tmp_path):
+        p = write(tmp_path, "bad.csv", "u,v,w\na,\n")
+        with pytest.raises(SchemaError, match="row 0 has 2 cells, expected 3"):
+            load_csv(p)
+
+    def test_faulty_row_beats_header_mismatch(self, tmp_path):
+        schema = Schema((FeatureSpec("u", ("a",)), FeatureSpec("v", ("x",))))
+        p = write(tmp_path, "bad.csv", "u,wrong\na\n")
+        with pytest.raises(SchemaError, match="row 0 has 1 cells"):
+            load_csv(p, schema)
+
+    def test_unknown_labels_reported_row_major(self, tmp_path):
+        schema = Schema((FeatureSpec("u", ("a",)), FeatureSpec("v", ("x",))))
+        p = write(tmp_path, "bad.csv", "u,v\na,x\na,zz\nyy,x\n")
+        with pytest.raises(SchemaError, match="'zz' at row 1, column 'v'"):
+            load_csv(p, schema)
+
+    def test_crlf_and_quoted_newline(self, tmp_path):
+        p = tmp_path / "crlf.csv"
+        p.write_bytes(b'u,v\r\n"a\r\nb",x\r\nc,"y,z"\r\n')
+        d = load_csv(p)
+        assert d.schema.features[0].categories == ("a\r\nb", "c")
+        assert d.schema.features[1].categories == ("x", "y,z")
+        assert d.rows.tolist() == [[0, 0], [1, 1]]
+
+    def test_non_utf8_names_file_and_byte(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"u,v\na,b\n\xffc,d\n")
+        with pytest.raises(SchemaError, match=r"bad\.csv: not valid UTF-8: byte 0xff at position 8"):
+            load_csv(p)
+
+    def test_non_utf8_position_is_absolute(self, tmp_path):
+        # Far past the text layer's first read, so a chunk-relative offset would differ.
+        head = b"u,v\n" + b"a,b\n" * 5000
+        p = tmp_path / "late.csv"
+        p.write_bytes(head + b"a,\xc3(\n")
+        with pytest.raises(SchemaError, match=f"byte 0xc3 at position {len(head) + 2} "):
+            load_csv(p)
+
+
+class TestWriters:
+    def test_save_csv_matches_reference_bytes(self, tmp_path):
+        schema = Schema((
+            FeatureSpec("plain", ("a", "b")),
+            FeatureSpec("needs,quotes", ("x,y", 'say "hi"', " pad ", "line\nbreak")),
+            FeatureSpec("empty-ish", ("0", "-0.0", "é")),
+        ))
+        data = random_dataset(schema, 50, np.random.default_rng(3))
+        save_csv(data, tmp_path / "new.csv")
+        reference_save_csv(data, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert np.array_equal(load_csv(tmp_path / "new.csv", schema).rows, data.rows)
+
+    def test_save_csv_zero_rows(self, tmp_path):
+        schema = schema_from_cardinalities((2, 3))
+        data = DiscreteDataset(schema, np.zeros((0, 2), dtype=np.int64))
+        save_csv(data, tmp_path / "new.csv")
+        reference_save_csv(data, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+class TestSchemaLayout:
+    def test_layout_computed_once(self):
+        s = schema_from_cardinalities((3, 1, 4, 2))
+        assert s.cardinalities == (3, 1, 4, 2)
+        assert s.offsets == (0, 3, 4, 8)
+        assert s.d_prime == 10
+        assert s.cardinalities is s.cardinalities
+        assert s.offsets is s.offsets
+
+    def test_cache_invisible_to_equality_hash_repr_and_json(self, tmp_path):
+        a, b = schema_from_cardinalities((2, 5)), schema_from_cardinalities((2, 5))
+        a.offsets, a.d_prime  # populate a's cache only
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert a != schema_from_cardinalities((5, 2))
+        assert a.to_json_dict() == b.to_json_dict()
+        a.save(tmp_path / "schema.json")
+        back = Schema.load(tmp_path / "schema.json")
+        assert back == a and back.offsets == a.offsets
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.features = ()
 
 
 class TestBinNumeric:
