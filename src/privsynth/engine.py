@@ -16,11 +16,15 @@ Two branches, chosen by the `rounds` parameter:
   rho/(2*T*K), so T*K full rounds spend exactly rho.
 
 Within a round the relaxed dataset is fixed, so conjectured pool answers are
-computed once per round and the K selections index into them. One evaluator
-over the whole workload serves the fit: each relaxed dataset is answered once,
-and those answers feed both its round's record and the next round's
-conjectures. If the pool empties early, remaining rounds are skipped and
-unspent budget stays unspent.
+computed once, at the start of the round, and the K selections index into
+them; one evaluator over the whole workload serves every round. If the pool
+empties early, remaining rounds are skipped and unspent budget stays unspent.
+
+The per-round records hold only what the mechanism released or derived from
+released values (selection counts and projection losses against the noisy
+answers). Error against the private data is an evaluation, not part of the
+fit: see evaluation.max_error.
+
 Everything is deterministic given the seed (noise streams are derived per
 component), so rerunning a fit reproduces its result byte for byte.
 """
@@ -80,7 +84,7 @@ class FitResult:
     relaxed: RelaxedDataset
     selected: list[int]  # workload indices in selection order
     noisy_answers: list[float]  # aligned with `selected`
-    rounds: list[dict]  # per-round loss / max-error / step trace
+    rounds: list[dict]  # per-round selection count, losses and steps
     budget: PrivacyBudget
     config: FitConfig
     resolved_delta: float
@@ -177,9 +181,6 @@ def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResu
     current = random_init(
         workload.schema, config.n_synth, init_rng, config.projection.normalization
     )
-    full = QueryEvaluator(workload.queries, workload.schema, config.n_synth)
-    everything = range(workload.m)
-
     selected: list[int] = []
     noisy: list[float] = []
     round_trace: list[dict] = []
@@ -205,20 +206,19 @@ def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResu
         noisy = [float(a) for a in np.atleast_1d(answers)]
         proj = project(workload.queries, answers, current)
         current = proj.dataset
-        conj = conjectured_answers(everything, workload, current, full)
-        round_trace.append(_round_record(1, proj, conj, true_answers, selected))
+        round_trace.append(_round_record(1, proj, selected))
         if config.keep_round_datasets:
             round_datasets.append(current)
     else:
         share = math.inf if config.no_noise else rho / (2.0 * t_rounds * k_per)
         ledger_share = 0.0 if config.no_noise else share
+        full = QueryEvaluator(workload.queries, workload.schema, config.n_synth)
         pool = list(range(workload.m))
-        conj = conjectured_answers(everything, workload, current, full)
         for t in range(1, t_rounds + 1):
             if not pool:
                 break  # pool exhausted: skip remaining rounds, budget stays unspent
             pool_true = true_answers[pool]
-            pool_conj = conj[pool]
+            pool_conj = conjectured_answers(pool, workload, current, full)
             for j in range(k_per):
                 if not pool:
                     break
@@ -233,8 +233,7 @@ def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResu
                 noisy.append(float(answer))
             proj = project([workload.queries[i] for i in selected], np.asarray(noisy), current)
             current = proj.dataset
-            conj = conjectured_answers(everything, workload, current, full)
-            round_trace.append(_round_record(t, proj, conj, true_answers, selected))
+            round_trace.append(_round_record(t, proj, selected))
             if config.keep_round_datasets:
                 round_datasets.append(current)
 
@@ -256,17 +255,13 @@ def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResu
     return result
 
 
-def _round_record(t, proj, answers, true_answers, selected) -> dict:
-    # Max error over the full workload is a diagnostic computed from the
-    # private data; it belongs in evaluation reports, not in released output.
-    errors = np.abs(answers - true_answers)
+def _round_record(t, proj, selected) -> dict:
     return {
         "round": t,
         "selected_total": len(selected),
         "projection_initial_loss": proj.losses[0],
         "projection_loss": proj.best_loss,
         "projection_steps": proj.steps,
-        "max_error": float(errors.max()),
     }
 
 

@@ -24,8 +24,9 @@ calls, with results bit-identical to the plain per-block formulas:
 * AdamState.update works in place on its moments and on X, through two
   scratch buffers allocated with the state, in the operation order of the
   textbook formula.
-* The query gradient's per-cell path keeps its transposed matrix and slot
-  products in a workspace owned by the evaluator (see queries._CellPath).
+* The query gradient's per-cell path gathers, multiplies and scatters in a
+  workspace owned by the evaluator, sized once per row count (see
+  queries._CellPath).
 
 relaxed_projection reports the seconds spent in the gradient, the
 normalization and the Adam update in ProjectionResult.timing.
@@ -41,7 +42,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .queries import DEFAULT_BATCH_SIZE, QueryEvaluator
+from .queries import QueryEvaluator
 from .schema import RelaxedDataset, Schema
 
 SPARSEMAX = "sparsemax"
@@ -182,7 +183,6 @@ class ProjectionConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
-    batch_size: int = DEFAULT_BATCH_SIZE
     trace_path: str | None = None
 
     def __post_init__(self):
@@ -278,7 +278,7 @@ def relaxed_projection(
     t1 = perf_counter()
     normalize_s, adam_s = t1 - t0, 0.0
 
-    evaluator = QueryEvaluator(queries, schema, X.shape[0], config.batch_size)
+    evaluator = QueryEvaluator(queries, schema, X.shape[0])
     t0 = perf_counter()
     loss, grad = evaluator.loss_and_gradient(X, targets)
     gradient_s = perf_counter() - t0
@@ -326,7 +326,6 @@ def projection_config_json(config: ProjectionConfig) -> dict:
         "beta1": config.beta1,
         "beta2": config.beta2,
         "adam_eps": config.adam_eps,
-        "batch_size": config.batch_size,
     }
 
 
@@ -342,5 +341,4 @@ def projection_config_from_json(obj: dict) -> ProjectionConfig:
         beta1=obj.get("beta1", 0.9),
         beta2=obj.get("beta2", 0.999),
         adam_eps=obj.get("adam_eps", 1e-8),
-        batch_size=obj.get("batch_size", DEFAULT_BATCH_SIZE),
     )

@@ -17,14 +17,17 @@ Khatri-Rao product of S's feature blocks. Evaluation is built on that:
 * The gradient applies the same contractions to the residual tensor, a
   bincount of 2/n * residual over the cells, for marginals the query list
   covers densely. Marginals with only a few selected cells (as in adaptive
-  rounds) keep a per-cell gather/scatter path, which costs in proportion to
-  the cells instead of the tensor size.
+  rounds) take a per-cell path over the same marginal groups, batched by
+  (kind, arity): it gathers each cell's columns, forms the leave-one-out
+  products and scatters them with one-hot matmuls, at a cost in proportion
+  to the cells instead of the tensor size.
 * Exact answers on discrete data count each marginal's joint cells with one
   bincount; the threshold kind follows by integer inclusion-exclusion. On
   one-hot rows relaxed and exact answers agree bit for bit (count/n).
 
-Tensor work runs over row chunks under a fixed cell budget, so a high-arity
-marginal never allocates n times its prefix size at once.
+Tensor work runs over row chunks, and per-cell work over query batches, both
+sized under one fixed cell budget, so memory stays bounded as the rows and the
+selected cells grow.
 
 Answers are dataset averages (not counts), so each query has sensitivity 1/n
 to a one-row change. Workload enumeration is odometer order (last feature
@@ -48,9 +51,6 @@ from .schema import DiscreteDataset, RelaxedDataset, Schema, SchemaError
 PRODUCT = "product"
 ONE_OUT_OF_K = "one_out_of_k"
 QUERY_KINDS = (PRODUCT, ONE_OUT_OF_K)
-
-#: Queries per chunk on the per-cell gradient path; bounds its peak memory.
-DEFAULT_BATCH_SIZE = 1 << 16
 
 # Enumerating all C(d, k) feature subsets is fine up to this count; above it,
 # subsets are rejection-sampled instead.
@@ -255,19 +255,15 @@ def eval_discrete(workload: Workload, dataset: DiscreteDataset) -> np.ndarray:
 
 # A marginal's gradient runs on its full answer tensor when the query list
 # covers at least this share of the marginal's cells, and on the per-cell
-# gather/scatter path below it. The tensor path costs about the same for any
+# per-cell path below it. The tensor path costs about the same for any
 # coverage; the per-cell path grows with the number of selected cells.
 _TENSOR_MIN_COVERAGE = 0.25
 
 # Cap on rows * prefix cells per tensor chunk. The prefix Khatri-Rao product
 # and the backward contraction each hold one buffer of that size, so rows are
-# processed in chunks that shrink as the marginal grows.
+# processed in chunks that shrink as the marginal grows. The per-cell path
+# sizes its batches under the same cap.
 _TENSOR_CELL_BUDGET = 1 << 22
-
-# Soft cap on rows*queries per per-cell gradient chunk: that path keeps ~2k
-# slot buffers of that size alive, so chunks shrink as the relaxed dataset
-# grows.
-_GRAD_CELL_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -380,149 +376,105 @@ def _chunked_sums(blocks, spans):
     return sums, (pre if len(spans) == 1 else None)
 
 
-def _pack(queries, d_prime: int):
-    """Group queries by kind into padded column-index matrices.
-
-    Returns a list of (kind, cols, pos): cols is (g, k_max) int32, padded with
-    the multiplicative-identity sentinel column for its kind; pos maps group
-    rows back to positions in the input list.
-    """
-    by_kind: dict[str, list[int]] = {}
-    for j, q in enumerate(queries):
-        by_kind.setdefault(q.kind, []).append(j)
-    groups = []
-    for kind, idxs in by_kind.items():
-        kmax = max(len(queries[j].columns) for j in idxs)
-        pad = d_prime if kind == PRODUCT else d_prime + 1  # x=1 resp. 1-x=1
-        cols = np.full((len(idxs), kmax), pad, dtype=np.int32)
-        for r, j in enumerate(idxs):
-            c = queries[j].columns
-            cols[r, : len(c)] = c
-        groups.append((kind, cols, np.asarray(idxs, dtype=np.int64)))
-    return groups
-
-
 class _CellPath:
     """Per-cell gradient for queries on sparsely selected marginals.
 
-    Each query gathers its own columns. Packing the column sets and sorting
-    each slot's scatter targets up front turns the per-step gradient
-    accumulation into contiguous segment sums (add.reduceat) instead of
-    per-element scattered adds.
+    Marginals of one (kind, arity k) form a batch whose q queries are the
+    columns of a (k, q) matrix of one-hot column indices: slot p holds the
+    category column of the marginal's p-th feature. One np.take gathers all
+    k*q slot rows of the transposed data (of 1 - X for the threshold kind).
+    A suffix pass into a workspace and a prefix pass in place over the slots
+    give each slot's leave-one-out product, which one matmul per slot with a
+    one-hot matrix over the slot's distinct columns, scaled by the residuals,
+    scatters into the gradient. A batch holds at most
+    _TENSOR_CELL_BUDGET // (k * max(n_rows, d')) queries, so neither its slot
+    buffers nor its one-hot matrices exceed the budget.
 
-    X is transposed to (columns, rows) layout with constant 1/0 pad rows
-    appended, so each gather is a contiguous row copy. That matrix, its
-    complement, the gradient and every per-slot product live in a workspace
-    allocated on the first call for a row count and rewritten in place on
-    every later call; the returned gradient is a fresh array.
+    The transposed data, its complement, the gradient and the slot buffers
+    live in a workspace allocated on the first call for a row count and
+    rewritten in place on every later call; the returned gradient is a fresh
+    array.
     """
 
-    def __init__(self, queries, pos: np.ndarray, d_prime: int, n_rows: int, batch_size: int):
+    def __init__(self, marginals, offsets, d_prime: int, n_rows: int):
         self.d_prime = d_prime
-        grad_batch = max(1, min(batch_size, _GRAD_CELL_BUDGET // max(1, n_rows)))
-        self._batches = []  # (kind, sub, target positions, per-slot scatter plans)
-        for kind, cols, sub_pos in _pack(queries, d_prime):
-            for b0 in range(0, cols.shape[0], grad_batch):
-                sub = cols[b0 : b0 + grad_batch]
-                plans = [self._scatter_plan(sub[:, p]) for p in range(sub.shape[1])]
-                self._batches.append((kind, sub, pos[sub_pos[b0 : b0 + grad_batch]], plans))
+        offsets = np.asarray(offsets, dtype=np.int64)
+        by_shape: dict[tuple[str, int], list[_Marginal]] = {}
+        for mg in marginals:
+            by_shape.setdefault((mg.kind, len(mg.dims)), []).append(mg)
+        self._batches = []  # (kind, cols (k, q), query positions, per-slot scatter)
+        for (kind, k), group in by_shape.items():
+            cols = np.concatenate(
+                [
+                    offsets[list(mg.features)][:, None] + np.unravel_index(mg.cells, mg.dims)
+                    for mg in group
+                ],
+                axis=1,
+            )
+            pos = np.concatenate([mg.pos for mg in group])
+            step = max(1, _TENSOR_CELL_BUDGET // (k * max(n_rows, d_prime)))
+            for q0 in range(0, cols.shape[1], step):
+                sub = cols[:, q0 : q0 + step]
+                self._batches.append((kind, sub, pos[q0 : q0 + step], [_one_hot(c) for c in sub]))
         self._rows = None  # row count the workspace is allocated for
 
-    @staticmethod
-    def _scatter_plan(slot_cols: np.ndarray):
-        """Plan for accumulating per-query values into their target columns.
-
-        Small targets get a dense one-hot matrix (the accumulation becomes a
-        BLAS matmul); otherwise queries are grouped by target column and
-        summed segment-wise.
-        """
-        distinct, inverse = np.unique(slot_cols, return_inverse=True)
-        if slot_cols.shape[0] * distinct.shape[0] <= 1 << 24:
-            onehot = np.zeros((slot_cols.shape[0], distinct.shape[0]), dtype=np.float64)
-            onehot[np.arange(slot_cols.shape[0]), inverse] = 1.0
-            return ("dense", onehot, distinct)
-        order = np.argsort(slot_cols, kind="stable")
-        _, starts = np.unique(slot_cols[order], return_index=True)
-        return ("segments", (order, starts), distinct)
-
     def _allocate(self, n: int) -> None:
-        """Workspace for n rows, sized for the widest and longest batch."""
-        w = self.d_prime
-        batch = max(sub.shape[0] for _, sub, _, _ in self._batches)
-        widths = [sub.shape[1] for _, sub, _, _ in self._batches]
-        kmax = max(widths)
-        self._Xt = np.empty((w + 2, n))
-        self._Xt[w] = 1.0
-        self._Xt[w + 1] = 0.0
+        """Workspace for n rows, sized for the largest batch."""
+        shapes = [cols.shape for _, cols, _, _ in self._batches]
+        self._Xt = np.empty((self.d_prime, n))
         threshold = any(kind == ONE_OUT_OF_K for kind, _, _, _ in self._batches)
         self._Xc = np.empty_like(self._Xt) if threshold else None
         self._grad_t = np.empty_like(self._Xt)
-        shape = (batch, n)
-        self._slots = [np.empty(shape) for _ in range(kmax)]
-        self._suffix = [np.empty(shape) for _ in range(kmax - 2)]  # products of slots p+1..k-1
-        self._prefix = np.empty(shape) if kmax >= 3 else None
-        self._full = np.empty(shape)  # all slots' product, then each slot's leave-one-out
-        self._ones = np.ones(shape) if min(widths) == 1 else None
+        self._slots = np.empty(max(k * q for k, q in shapes) * n)
+        self._suffix = np.empty(max((k - 1) * q for k, q in shapes) * n)
+        self._ones = np.ones((max(q for _, q in shapes), n))
         self._rows = n
 
     def loss_and_gradient(self, X: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
         n = X.shape[0]
         if self._rows != n:
             self._allocate(n)
-        Xt, grad_t = self._Xt, self._grad_t
-        Xt[: self.d_prime] = X.T
+        grad_t = self._grad_t
+        np.copyto(self._Xt, X.T)
         if self._Xc is not None:
-            np.subtract(1.0, Xt, out=self._Xc)
+            np.subtract(1.0, self._Xt, out=self._Xc)
         grad_t.fill(0.0)
         loss = 0.0
-        for kind, sub, pos, plans in self._batches:
-            base = Xt if kind == PRODUCT else self._Xc
-            b, kmax = sub.shape
+        for kind, cols, pos, scatter in self._batches:
+            k, q = cols.shape
+            base = self._Xt if kind == PRODUCT else self._Xc
             # Column indices were validated when the evaluator was built.
-            slot_vals = [
-                np.take(base, sub[:, p], axis=0, out=self._slots[p][:b], mode="clip")
-                for p in range(kmax)
-            ]  # (batch, n) each
-            # suffix[p] = product of slots p+1..k-1; None is the empty product
-            suffix = [None] * kmax
-            for p in range(kmax - 2, -1, -1):
-                nxt = suffix[p + 1]
-                suffix[p] = (
-                    slot_vals[p + 1]
-                    if nxt is None
-                    else np.multiply(nxt, slot_vals[p + 1], out=self._suffix[p][:b])
-                )
-            full = slot_vals[0]
-            if suffix[0] is not None:
-                full = np.multiply(suffix[0], slot_vals[0], out=self._full[:b])
-            vals = full.sum(axis=1) / n
+            slots = self._slots[: k * q * n].reshape(k, q, n)
+            np.take(base, cols, axis=0, out=slots, mode="clip")
+            # suffix[p] = product of slots p+1..k-1, the empty product for the last slot
+            suffix = [*self._suffix[: (k - 1) * q * n].reshape(k - 1, q, n), self._ones[:q]]
+            for p in range(k - 2, -1, -1):
+                np.multiply(suffix[p + 1], slots[p + 1], out=suffix[p])
+            vals = np.einsum("qr,qr->q", suffix[0], slots[0]) / n
             if kind == ONE_OUT_OF_K:
                 vals = 1.0 - vals
             res = vals - targets[pos]
             loss += float(res @ res)
             coef = (2.0 / n) * res
-            prefix = None
-            for p in range(kmax):
-                if prefix is None:
-                    loo = self._ones[:b] if suffix[p] is None else suffix[p]
-                elif suffix[p] is None:
-                    loo = prefix
+            for p, (distinct, onehot) in enumerate(scatter):
+                if p > 1:
+                    slots[p - 1] *= slots[p - 2]  # now the product of slots 0..p-1
+                if p == 0:
+                    loo = suffix[0]
+                elif p == k - 1:
+                    loo = slots[p - 1]
                 else:
-                    loo = np.multiply(prefix, suffix[p], out=self._full[:b])
-                style, plan, distinct = plans[p]
-                if style == "dense":
-                    grad_t[distinct] += (plan * coef[:, None]).T @ loo
-                else:
-                    order, starts = plan
-                    weighted = loo * coef[:, None]
-                    grad_t[distinct] += np.add.reduceat(weighted[order], starts, axis=0)
-                if p + 1 < kmax:
-                    prefix = (
-                        slot_vals[p]
-                        if prefix is None
-                        else np.multiply(prefix, slot_vals[p], out=self._prefix[:b])
-                    )
-        return loss, grad_t[: self.d_prime].T.copy()
+                    loo = np.multiply(suffix[p], slots[p - 1], out=suffix[p])
+                grad_t[distinct] += (onehot * coef) @ loo
+        return loss, grad_t.T.copy()
+
+
+def _one_hot(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A slot's distinct columns and the (distinct, queries) 0/1 matrix mapping onto them."""
+    distinct, inverse = np.unique(cols, return_inverse=True)
+    onehot = np.zeros((distinct.size, cols.size))
+    onehot[inverse, np.arange(cols.size)] = 1.0
+    return distinct, onehot
 
 
 class QueryEvaluator:
@@ -533,9 +485,7 @@ class QueryEvaluator:
     for marginals the list covers densely and the per-cell path for the rest.
     """
 
-    def __init__(
-        self, queries, schema: Schema, n_rows: int, batch_size: int = DEFAULT_BATCH_SIZE
-    ):
+    def __init__(self, queries, schema: Schema, n_rows: int):
         self.m = len(queries)
         self._offsets = schema.offsets
         self._marginals = _group_by_marginal(queries, schema)
@@ -543,12 +493,7 @@ class QueryEvaluator:
         for mg in self._marginals:
             covered = np.unique(mg.cells).size >= _TENSOR_MIN_COVERAGE * math.prod(mg.dims)
             (self._tensor if covered else sparse).append(mg)
-        self._cells = None
-        if sparse:
-            pos = np.sort(np.concatenate([mg.pos for mg in sparse]))
-            self._cells = _CellPath(
-                [queries[j] for j in pos], pos, schema.d_prime, n_rows, batch_size
-            )
+        self._cells = _CellPath(sparse, schema.offsets, schema.d_prime, n_rows) if sparse else None
 
     def _blocks(self, X: np.ndarray, X_comp, mg: _Marginal) -> list:
         """The marginal's feature blocks of X, or of 1 - X for the threshold kind."""
@@ -610,39 +555,30 @@ class QueryEvaluator:
         return loss, grad
 
 
-def eval_relaxed(
-    workload: Workload, relaxed: RelaxedDataset, batch_size: int = DEFAULT_BATCH_SIZE
-) -> np.ndarray:
+def eval_relaxed(workload: Workload, relaxed: RelaxedDataset) -> np.ndarray:
     """Differentiable-query values averaged over the relaxed rows.
 
     On rows that are valid one-hot vectors this agrees exactly with
     eval_discrete on the decoded rows: both reduce to count/n.
     """
-    if relaxed.data.shape[1] != workload.schema.d_prime:
-        raise SchemaError(
-            f"relaxed width {relaxed.data.shape[1]} != schema d_prime {workload.schema.d_prime}"
-        )
+    if relaxed.schema != workload.schema:
+        raise SchemaError("workload and relaxed dataset schemas differ")
     if relaxed.n == 0:
         return np.zeros(workload.m, dtype=np.float64)
-    ev = QueryEvaluator(workload.queries, workload.schema, relaxed.n, batch_size)
+    ev = QueryEvaluator(workload.queries, workload.schema, relaxed.n)
     return ev.answers(relaxed.data)
 
 
-def eval_compiled(
-    queries, relaxed: RelaxedDataset, batch_size: int = DEFAULT_BATCH_SIZE
-) -> np.ndarray:
+def eval_compiled(queries, relaxed: RelaxedDataset) -> np.ndarray:
     """eval_relaxed for an explicit query list (e.g. a selected subset)."""
     if relaxed.n == 0:
         return np.zeros(len(queries), dtype=np.float64)
-    ev = QueryEvaluator(queries, relaxed.schema, relaxed.n, batch_size)
+    ev = QueryEvaluator(queries, relaxed.schema, relaxed.n)
     return ev.answers(relaxed.data)
 
 
 def loss_and_gradient(
-    queries,
-    targets: np.ndarray,
-    relaxed: RelaxedDataset,
-    batch_size: int = DEFAULT_BATCH_SIZE,
+    queries, targets: np.ndarray, relaxed: RelaxedDataset
 ) -> tuple[float, np.ndarray]:
     """One-shot loss/gradient; see QueryEvaluator.loss_and_gradient.
 
@@ -652,5 +588,5 @@ def loss_and_gradient(
     targets = np.asarray(targets, dtype=np.float64)
     if len(queries) != targets.shape[0]:
         raise WorkloadError(f"{len(queries)} queries but {targets.shape[0]} targets")
-    ev = QueryEvaluator(queries, relaxed.schema, relaxed.n, batch_size)
+    ev = QueryEvaluator(queries, relaxed.schema, relaxed.n)
     return ev.loss_and_gradient(relaxed.data, targets)

@@ -307,6 +307,25 @@ class TestReproducibility:
         assert "timing" in doc
         assert doc["rounds"][0]["selected_total"] == workload.m
 
+    def test_round_record_keys(self):
+        """Round records carry no value computed from the private data."""
+        _, data, workload = toy_instance(seed=17)
+        keys = {
+            "round",
+            "selected_total",
+            "projection_initial_loss",
+            "projection_loss",
+            "projection_steps",
+        }
+        for rounds, per_round in ((1, None), (2, 3)):
+            config = FitConfig(
+                epsilon=0.8, rounds=rounds, queries_per_round=per_round, n_synth=8,
+                projection=ProjectionConfig(max_steps=3),
+            )
+            doc = json.loads(fit(data, workload, config).to_json())
+            assert len(doc["rounds"]) == rounds
+            assert all(set(r) == keys for r in doc["rounds"])
+
 
 class TestRelaxedCsv:
     @staticmethod

@@ -12,6 +12,7 @@ from privsynth import (
     DiscreteDataset,
     MarginalQuery,
     RelaxedDataset,
+    SchemaError,
     Workload,
     WorkloadError,
     compile_marginal,
@@ -147,6 +148,12 @@ class TestEvalRelaxed:
             relaxed = eval_relaxed(w, one_hot(data).as_relaxed())
             assert np.array_equal(exact, relaxed)  # bit-exact, both count/n
 
+    def test_other_schema_of_same_width_rejected(self):
+        w = Workload(schema_from_cardinalities((2, 3)), [(0, 1)])
+        swapped = RelaxedDataset(schema_from_cardinalities((3, 2)), np.full((2, 5), 0.5))
+        with pytest.raises(SchemaError, match="schemas differ"):
+            eval_relaxed(w, swapped)
+
     def test_all_ones_row_contributes_one(self):
         s = schema_from_cardinalities((2, 2))
         w = Workload(s, [(0, 1)])
@@ -168,13 +175,6 @@ class TestEvalRelaxed:
             w = random_workload(s, 2, 1, seed=3, kind=kind)
             a = eval_relaxed(w, dp)
             assert (a >= 0).all() and (a <= 1).all()
-
-    def test_batched_evaluation_identical(self):
-        rng = np.random.default_rng(9)
-        s = schema_from_cardinalities((3, 4, 2))
-        dp = RelaxedDataset(s, rng.random((5, 9)))
-        w = random_workload(s, 2, 3, seed=4)
-        assert np.array_equal(eval_relaxed(w, dp), eval_relaxed(w, dp, batch_size=3))
 
 
 def finite_difference_gradient(queries, targets, dp, step=1e-5):
@@ -371,44 +371,28 @@ class TestCellWorkspace:
 
 
 def reference_cell_loss_and_gradient(path, X, targets):
-    """The per-cell loop as it was before the workspace: fresh arrays throughout."""
-    n, w = X.shape
-    Xt = np.empty((w + 2, n))
-    Xt[:w] = X.T
-    Xt[w] = 1.0
-    Xt[w + 1] = 0.0
-    grad_t = np.zeros_like(Xt)
+    """The per-cell kernel on the path's batches, with fresh arrays throughout."""
+    n = X.shape[0]
+    grad_t = np.zeros((X.shape[1], n))
     loss = 0.0
-    for kind, sub, pos, plans in path._batches:
-        base = Xt if kind == PRODUCT else 1.0 - Xt
-        kmax = sub.shape[1]
-        slot_vals = [base[sub[:, p]] for p in range(kmax)]
-        suffix = [None] * kmax
-        running = np.ones_like(slot_vals[0])
-        for p in range(kmax - 1, 0, -1):
-            suffix[p] = running
-            running = running * slot_vals[p]
-        suffix[0] = running
-        full = running * slot_vals[0]
-        vals = full.sum(axis=1) / n
+    for kind, cols, pos, scatter in path._batches:
+        k = cols.shape[0]
+        base = X.T if kind == PRODUCT else 1.0 - X.T
+        slots = [base[c] for c in cols]
+        suffix = [np.ones_like(slots[0])]
+        for p in range(k - 1, 0, -1):
+            suffix.insert(0, suffix[0] * slots[p])
+        vals = np.einsum("qr,qr->q", suffix[0], slots[0]) / n
         if kind == ONE_OUT_OF_K:
             vals = 1.0 - vals
         res = vals - targets[pos]
         loss += float(res @ res)
         coef = (2.0 / n) * res
-        prefix = None
-        for p in range(kmax):
-            loo = suffix[p] if prefix is None else prefix * suffix[p]
-            style, plan, distinct = plans[p]
-            if style == "dense":
-                grad_t[distinct] += (plan * coef[:, None]).T @ loo
-            else:
-                order, starts = plan
-                weighted = loo * coef[:, None]
-                grad_t[distinct] += np.add.reduceat(weighted[order], starts, axis=0)
-            if p + 1 < kmax:
-                prefix = slot_vals[p] if prefix is None else prefix * slot_vals[p]
-    return loss, grad_t[:w].T.copy()
+        prefix = np.ones_like(slots[0])
+        for p, (distinct, onehot) in enumerate(scatter):
+            grad_t[distinct] += (onehot * coef) @ (prefix * suffix[p])
+            prefix = prefix * slots[p]
+    return loss, grad_t.T.copy()
 
 
 class TestCellPathBitIdentity:
@@ -423,21 +407,55 @@ class TestCellPathBitIdentity:
                 cells = Workload(s, marginals, kind=kind).queries
                 take = rng.choice(len(cells), min(len(cells), 7), replace=False)
                 lists.append([cells[i] for i in take])
-        mixed = [q for qs in lists for q in qs[:2]]  # both kinds, padded arities
+        mixed = [q for qs in lists for q in qs[:2]]  # both kinds, every arity
         return lists + [[mixed[i] for i in rng.permutation(len(mixed))]]
 
-    @pytest.mark.parametrize("batch_size", [3, 1024])
-    def test_matches_allocating_loop(self, batch_size, monkeypatch):
+    # 72 values: batches of 6, 3, 2 and 1 queries for arities 1 to 4 (d' = 12 > 9 rows)
+    @pytest.mark.parametrize("budget", [queries_mod._TENSOR_CELL_BUDGET, 72])
+    def test_matches_allocating_loop(self, budget, monkeypatch):
         monkeypatch.setattr(queries_mod, "_TENSOR_MIN_COVERAGE", math.inf)
+        monkeypatch.setattr(queries_mod, "_TENSOR_CELL_BUDGET", budget)
         rng = np.random.default_rng(36)
         s = schema_from_cardinalities((2, 3, 4, 3))
         for queries in self._lists(s, rng):
             targets = rng.random(len(queries))
-            ev = QueryEvaluator(queries, s, 9, batch_size)
+            ev = QueryEvaluator(queries, s, 9)
             assert ev._cells is not None and not ev._tensor
+            shapes = [(kind, cols.shape[0]) for kind, cols, _, _ in ev._cells._batches]
+            if budget == 72 and len(queries) > 6:
+                assert len(shapes) > len(set(shapes))  # some (kind, arity) group was split
             for rows in (9, 9, 5):  # reuse the workspace, then reallocate it
                 X = rng.random((rows, s.d_prime))
                 loss, grad = ev._cells.loss_and_gradient(X, targets)
                 ref_loss, ref_grad = reference_cell_loss_and_gradient(ev._cells, X, targets)
                 assert loss == ref_loss
                 assert np.array_equal(grad, ref_grad)
+
+
+class TestCellBudget:
+    def test_one_row_many_queries(self, monkeypatch):
+        """At n_rows = 1 the one-hot matrices, not the rows, bound a batch."""
+        budget = 256
+        monkeypatch.setattr(queries_mod, "_TENSOR_CELL_BUDGET", budget)
+        rng = np.random.default_rng(37)
+        s = schema_from_cardinalities((3, 4, 5, 3, 4, 2, 5))  # d' = 26
+        queries = []
+        for kind in (PRODUCT, ONE_OUT_OF_K):
+            for k in (2, 3):
+                cells = Workload(s, list(itertools.combinations(range(s.d), k)), kind=kind).queries
+                queries += [cells[i] for i in rng.choice(len(cells), 150, replace=False)]
+        X = rng.random((1, s.d_prime))
+        targets = rng.random(len(queries))
+        monkeypatch.setattr(queries_mod, "_TENSOR_MIN_COVERAGE", math.inf)
+        ev = QueryEvaluator(queries, s, 1)
+        loss, grad = ev.loss_and_gradient(X, targets)
+        path = ev._cells
+        assert not ev._tensor and len(path._batches) > 100
+        for _, cols, _, scatter in path._batches:
+            assert cols.size <= budget
+            assert all(onehot.size <= budget for _, onehot in scatter)
+        assert max(path._slots.size, path._suffix.size, path._ones.size) <= budget
+        monkeypatch.setattr(queries_mod, "_TENSOR_MIN_COVERAGE", 0.0)
+        ref_loss, ref_grad = QueryEvaluator(queries, s, 1).loss_and_gradient(X, targets)
+        assert abs(loss - ref_loss) <= 1e-12 * ref_loss
+        assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
