@@ -33,8 +33,12 @@ EXIT_INFEASIBLE = 4
 
 
 def _load_data(args) -> schema.DiscreteDataset:
-    sch = schema.Schema.load(args.schema) if getattr(args, "schema", None) else None
-    return schema.load_csv(args.data, sch)
+    if args.schema:
+        return schema.load_csv(args.data, schema.Schema.load(args.schema))
+    data = schema.load_csv(args.data)
+    print("warning: no --schema given: the category domain was inferred from the private data "
+          "and is not differentially private", file=sys.stderr)
+    return data
 
 
 def _add_data_args(p, schema_required=False):
@@ -42,7 +46,7 @@ def _add_data_args(p, schema_required=False):
     p.add_argument(
         "--schema",
         required=schema_required,
-        help="schema JSON; omit to infer categories from the data",
+        help="public schema JSON; omit to infer categories from the data (not private)",
     )
 
 
@@ -119,7 +123,9 @@ def cmd_fit(args) -> int:
     result = engine.fit(data, wl, config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "result.json").write_text(result.to_json(), encoding="utf-8")
+    source = "given" if args.schema else "inferred-non-private"
+    record = json.dumps(dict(result.to_json_dict(), schema_source=source), sort_keys=True, indent=2)
+    (out_dir / "result.json").write_text(record + "\n", encoding="utf-8")
     engine.save_relaxed_csv(result.relaxed, out_dir / "relaxed.csv")
     data.schema.save(out_dir / "schema.json")
     summary = result.budget.summary()

@@ -7,6 +7,10 @@ a sensitivity-1/n answer with variance 1/(2*n^2*rho). Noisy-max selection
 adds i.i.d. Gumbel(1/(sqrt(2*rho)*n)) noise to error scores and reports the
 argmax, which matches exponential-mechanism selection probabilities.
 
+The neighbour relation is replace-one (bounded DP): two tables are neighbours
+when they have the same n and differ in one row. Sensitivity 1/n and the
+default delta = 1/n^2 both treat n as public.
+
 All randomness flows through explicit NoiseSource streams; there is no global
 RNG state. A rho of +inf is the sentinel for noiseless test runs: mechanisms
 become identity/argmax and the ledger records zero spend.

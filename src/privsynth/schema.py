@@ -204,6 +204,12 @@ def decode(encoded: OneHotDataset) -> DiscreteDataset:
     return DiscreteDataset(encoded.schema, rows)
 
 
+# Rows per chunk of the byte path; bounds its separator and key arrays.
+_CHUNK_ROWS = 1 << 11
+# _MASKS[w] keeps the first w bytes of a big-endian 8-byte window.
+_MASKS = np.array([((1 << 8 * w) - 1) << (64 - 8 * w) for w in range(9)], np.uint64)
+
+
 def load_csv(path, schema: Schema | None = None) -> DiscreteDataset:
     """Load a categorical dataset from a UTF-8 CSV file with a header row.
 
@@ -218,26 +224,120 @@ def load_csv(path, schema: Schema | None = None) -> DiscreteDataset:
     its first empty cell); then a header that does not match the schema; then
     the first unknown label in row-major order.
 
-    The reader's rows are streamed into one flat list of cells, and each
-    column is mapped to category indices in one pass over its slice.
+    The bytes are parsed with numpy when they hold no `"`, no NUL and no `\\r`
+    outside a `\\r\\n`, the header line is not empty, and every label in the
+    file and the schema is at most 8 bytes long. Any other file, and any
+    fault past the UTF-8 check, goes to `csv.reader`, which alone reports it.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
+    parsed = _load_bytes(path, schema)
+    return parsed if parsed is not None else _load_text(path, schema)
+
+
+def _load_bytes(path: Path, schema: Schema | None) -> DiscreteDataset | None:
+    """Check the file is UTF-8 and parse it with numpy, or return None for csv.reader.
+
+    A cell's key is its bytes, zero padded to 8 and read big-endian (unique, as
+    no cell holds a NUL). Per chunk, searchsorted maps each column's keys to ids
+    of its known labels: the schema's, or else those seen so far, ranked at the end.
+    """
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at = exc.start
+        raise SchemaError(
+            f"{path}: not valid UTF-8: byte 0x{data[at]:02x} at position {at} ({exc.reason})"
+        ) from None
+    if b'"' in data or b"\0" in data:
+        return None
+    if b"\r" in data:  # csv.reader ends a line at a lone \r too; take only CRLF
+        if data.count(b"\r") != data.count(b"\r\n"):
+            return None
+        data = data.replace(b"\r\n", b"\n")
+    # End the last line; the zero pad keeps every cell's 8-byte window in the buffer.
+    end = b"" if data.endswith(b"\n") else b"\n"
+    buf = np.frombuffer(data + end + bytes(8), np.uint8)
+    del data  # one copy of the file is enough
+    nl = np.flatnonzero(buf == 10)
+    if not 0 < nl[0] <= csv.field_size_limit():
+        return None
+    header = buf[: nl[0]].tobytes().decode("utf-8").split(",")
+    n, d = nl.size - 1, len(header)
+    known = [np.empty(0, np.uint64)] * d
+    if schema is not None:
+        labels = [[lab.encode("utf-8") for lab in f.categories] for f in schema.features]
+        if header != schema.feature_names() or any(
+            len(lab) > 8 or b"\0" in lab for col in labels for lab in col
+        ):
+            return None
+        known = [np.array([int.from_bytes(lab.ljust(8, b"\0"), "big") for lab in col], np.uint64)
+                 for col in labels]
+
+    windows = np.ndarray((buf.size - 7,), ">u8", buf, strides=(1,))  # one at every byte
+    rows = np.empty((n, d), np.int64)
+    for a in range(0, n, _CHUNK_ROWS):
+        b = min(a + _CHUNK_ROWS, n)
+        lo = nl[a] + 1
+        chunk = buf[lo : nl[b] + 1]
+        sep = np.flatnonzero((chunk == 44) | (chunk == 10))
+        sep += lo
+        # Exactly d separators per line, the d-th being its newline.
+        if sep.size != (b - a) * d or not np.array_equal(sep[d - 1 :: d], nl[a + 1 : b + 1]):
+            return None
+        starts = np.concatenate(([lo], sep[:-1] + 1))
+        width = np.subtract(sep, starts, out=sep)
+        if width.min() < 1 or width.max() > 8:
+            return None
+        keys = windows[starts].astype(np.uint64).reshape(b - a, d)
+        keys &= _MASKS[width.reshape(b - a, d)]
+        for c in range(d):
+            if not known[c].size:
+                known[c] = np.unique(keys[:, c])
+            ids, hit = _match(known[c], keys[:, c])
+            if not hit.all():
+                if schema is not None:
+                    return None  # an unknown label
+                known[c] = np.concatenate((known[c], np.unique(keys[~hit, c])))
+                ids, _ = _match(known[c], keys[:, c])
+            rows[a:b, c] = ids
+
+    if schema is None:
+        feats = []
+        for c, name in enumerate(header):
+            labels = [k.to_bytes(8, "big").rstrip(b"\0").decode("utf-8") for k in known[c].tolist()]
+            cats = sorted(labels) or ["0"]  # ["0"]: placeholder for a file with no rows
+            rank = {lab: i for i, lab in enumerate(cats)}
+            ids = np.array([rank[lab] for lab in labels], np.int64)
+            if (ids != np.arange(ids.size)).any():
+                rows[:, c] = ids[rows[:, c]]
+            feats.append(FeatureSpec(name, tuple(cats)))
+        schema = Schema(tuple(feats))
+    return DiscreteDataset(schema, rows)
+
+
+def _match(known: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index in `known` of each key, and whether the key is there at all."""
+    order = np.argsort(known)
+    ids = order[np.minimum(np.searchsorted(known[order], keys), known.size - 1)]
+    return ids, known[ids] == keys
+
+
+def _load_text(path: Path, schema: Schema | None) -> DiscreteDataset:
+    """The csv.reader path of load_csv: quoted input, and every fault report."""
     cells: list[str] = []
     widths: list[int] = []
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise SchemaError(f"{path}: empty file, expected a header row")
-            for row in reader:
-                widths.append(len(row))
-                cells += row
-    except UnicodeDecodeError:
-        raise _decode_error(path) from None
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file, expected a header row")
+        for row in reader:
+            widths.append(len(row))
+            cells += row
 
     n, d = len(widths), len(header)
     ragged = None if widths.count(d) == n else next(r for r, w in enumerate(widths) if w != d)
@@ -278,17 +378,6 @@ def load_csv(path, schema: Schema | None = None) -> DiscreteDataset:
                     f"{path}: unknown label {cell!r} at row {p // d}, column {header[p % d]!r}"
                 ) from None
     return DiscreteDataset(schema, rows)
-
-
-def _decode_error(path: Path) -> SchemaError:
-    """Name the first byte of `path` that is not valid UTF-8."""
-    data = path.read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        byte, at = data[exc.start], exc.start
-        return SchemaError(f"{path}: not valid UTF-8: byte 0x{byte:02x} at position {at} ({exc.reason})")
-    return SchemaError(f"{path}: not valid UTF-8")
 
 
 def save_csv(dataset: DiscreteDataset, path) -> None:

@@ -206,3 +206,33 @@ class TestSweepCommand:
         assert all(r["status"] == "ok" for r in rows)
         best = tmp_path / "sweep.best.csv"
         assert best.exists()
+
+
+class TestSchemaSource:
+    def test_inferred_domain_labelled_non_private(self, toy_csv, tmp_path, capsys):
+        wpath = tmp_path / "w.json"
+        assert run(["workload", "--data", toy_csv, "--k", 2, "--marginals", 2, "--seed", 0,
+                    "--out", wpath]) == 0
+        warning = capsys.readouterr().err.splitlines()
+        assert len(warning) == 1
+        assert "inferred from the private data" in warning[0]
+        assert "not differentially private" in warning[0]
+        out_dir = tmp_path / "fit"
+        assert run(["fit", "--data", toy_csv, "--workload", wpath, "--n-prime", 8,
+                    "--max-steps", 5, "--out-dir", out_dir]) == 0
+        assert capsys.readouterr().err.splitlines() == warning
+        doc = json.loads((out_dir / "result.json").read_text())
+        assert doc["schema_source"] == "inferred-non-private"
+
+    def test_given_schema(self, toy_csv, tmp_path, capsys):
+        wpath = tmp_path / "w.json"
+        run(["workload", "--data", toy_csv, "--k", 2, "--marginals", 2, "--seed", 0,
+             "--out", wpath])
+        capsys.readouterr()
+        out_dir = tmp_path / "fit"
+        assert run(["fit", "--data", toy_csv, "--schema", wpath.with_suffix(".schema.json"),
+                    "--workload", wpath, "--n-prime", 8, "--max-steps", 5,
+                    "--out-dir", out_dir]) == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads((out_dir / "result.json").read_text())
+        assert doc["schema_source"] == "given"

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from privsynth import (
     save_csv,
     schema_from_cardinalities,
 )
+
+from privsynth import schema as schema_module
 
 from helpers import random_dataset
 
@@ -284,6 +287,96 @@ class TestColumnarLoader:
         p.write_bytes(head + b"a,\xc3(\n")
         with pytest.raises(SchemaError, match=f"byte 0xc3 at position {len(head) + 2} "):
             load_csv(p)
+
+
+# Unquoted labels of 1 to 9 UTF-8 bytes ("é" is 2 bytes, "€" is 3), to
+# straddle the byte path's 8-byte key; "zz" is never in a generated schema.
+BYTE_LABELS = ["a", "b", "é", "€", " s", "abcdefg", "abcdefgh", "abcdefghi", "éééé", "€€€"]
+CHUNK_ROWS = [1, 2, 3, schema_module._CHUNK_ROWS]
+
+
+@st.composite
+def unquoted_inputs(draw):
+    """Unquoted CSV text plus an optional schema, with none, one or two kinds of fault."""
+    d = draw(st.integers(1, 3))
+    kinds = st.sampled_from(["ragged", "blank", "missing", "unknown", "header"])
+    faults = draw(st.sets(kinds, max_size=2))
+    header = NAMES[:d]
+    if "header" in faults:
+        header = draw(st.lists(st.sampled_from(NAMES + ["x"]), min_size=d, max_size=d))
+    labels = draw(st.lists(st.sampled_from(BYTE_LABELS), min_size=1, max_size=4, unique=True))
+    pool = labels + ["zz"] * ("unknown" in faults) + [""] * ("missing" in faults)
+    row = st.lists(st.sampled_from(pool), min_size=d, max_size=d)
+    if "ragged" in faults:
+        row = row | st.lists(st.sampled_from(pool), min_size=1, max_size=4)
+    lines = [",".join(cells) for cells in [header] + draw(st.lists(row, max_size=8))]
+    if "blank" in faults:
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    ends = st.sampled_from(draw(st.sampled_from([["\n"], ["\r\n"], ["\n", "\r\n"]])))
+    text = "".join(line + draw(ends) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    schema = None
+    if "unknown" in faults or draw(st.booleans()):
+        extra = draw(st.lists(st.sampled_from(BYTE_LABELS + ["a,b", 'q"x']), max_size=2))
+        cats = st.permutations(sorted(set(labels + extra)))
+        if "unknown" in faults:
+            cats = cats | st.lists(st.sampled_from(labels), min_size=1, unique=True)
+        schema = Schema(tuple(FeatureSpec(n, tuple(draw(cats))) for n in NAMES[:d]))
+    return text, schema
+
+
+def no_reader(*args, **kwargs):
+    raise AssertionError("csv.reader was called")
+
+
+class TestBytePath:
+    """The numpy byte path agrees with the row-by-row reference, chunk borders anywhere."""
+
+    @pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
+    @settings(max_examples=150, deadline=None)
+    @given(case=unquoted_inputs())
+    def test_matches_reference(self, tmp_path_factory, chunk_rows, case):
+        text, schema = case
+        with mock.patch.object(schema_module, "_CHUNK_ROWS", chunk_rows):
+            TestColumnarLoader.check(tmp_path_factory, text, schema)
+
+    @pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
+    @settings(max_examples=100, deadline=None)
+    @given(text=st.text(alphabet="ab,\r\n é€\x00", max_size=40), with_schema=st.booleans())
+    def test_matches_reference_on_raw_text(self, tmp_path_factory, chunk_rows, text, with_schema):
+        schema = Schema((FeatureSpec("a", ("a", "b", "é")),)) if with_schema else None
+        with mock.patch.object(schema_module, "_CHUNK_ROWS", chunk_rows):
+            TestColumnarLoader.check(tmp_path_factory, text, schema)
+
+    def test_ragged_rows_that_balance_in_a_chunk(self, tmp_path):
+        # 3 + 1 cells in two rows is the 2 x 2 a chunk expects, but not row by row.
+        p = write(tmp_path, "bad.csv", "u,v\na,b,a\nb\n")
+        with pytest.raises(SchemaError, match="row 0 has 3 cells, expected 2"):
+            load_csv(p)
+
+    def test_plain_and_crlf_files_skip_csv_reader(self, tmp_path, monkeypatch):
+        # Labels "0".."11" infer in string order: "0", "1", "10", "11", "2", ...
+        schema = schema_from_cardinalities((3, 2, 12))
+        data = random_dataset(schema, 40, np.random.default_rng(0))
+        crlf, plain = tmp_path / "crlf.csv", tmp_path / "plain.csv"
+        save_csv(data, crlf)
+        assert crlf.read_bytes().count(b"\r\n") == 41
+        plain.write_bytes(crlf.read_bytes().replace(b"\r\n", b"\n"))
+        inferred = reference_load_csv(plain)
+        monkeypatch.setattr(csv, "reader", no_reader)
+        for path in (plain, crlf):
+            assert np.array_equal(load_csv(path, schema).rows, data.rows)
+            got = load_csv(path)
+            assert got.schema == inferred.schema and np.array_equal(got.rows, inferred.rows)
+
+    def test_quoted_file_goes_through_csv_reader(self, tmp_path, monkeypatch):
+        calls = []
+        reader = csv.reader
+        monkeypatch.setattr(csv, "reader", lambda *a, **k: calls.append(a) or reader(*a, **k))
+        p = write(tmp_path, "quoted.csv", 'u,v\n"a",x\n')
+        assert load_csv(p).rows.tolist() == [[0, 0]]
+        assert len(calls) == 1
 
 
 class TestWriters:
