@@ -29,7 +29,6 @@ from .privacy import (
 )
 from .projection import (
     AdamState,
-    Normalization,
     ProjectionConfig,
     ProjectionResult,
     normalize_rows,
@@ -82,7 +81,6 @@ __all__ = [
     "InfeasibleConfigError",
     "MarginalQuery",
     "NoiseSource",
-    "Normalization",
     "ONE_OUT_OF_K",
     "OneHotDataset",
     "PRODUCT",

@@ -23,7 +23,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import engine, evaluation, projection, queries, rounding, schema
+from . import engine, evaluation, queries, rounding, schema
 from .privacy import BudgetError
 
 EXIT_OK = 0
@@ -53,39 +53,54 @@ def _add_data_args(p, schema_required=False):
 def _parse_delta(text: str) -> float | None:
     if text == "auto":
         return None
-    return float(text)
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f'delta must be a float or "auto", got {text!r}') from None
 
 
-def _normalization(args) -> projection.Normalization:
-    return projection.Normalization(mode=args.normalization)
-
-
-def _fit_config(args) -> engine.FitConfig:
-    base = engine.FitConfig()
-    if getattr(args, "config", None):
-        base = engine.fit_config_json_overrides(
-            json.loads(Path(args.config).read_text(encoding="utf-8"))
-        )
-    proj = replace(
-        base.projection,
-        normalization=_normalization(args),
-        max_steps=args.max_steps if args.max_steps is not None else base.projection.max_steps,
-        learning_rate=(
-            args.learning_rate if args.learning_rate is not None else base.projection.learning_rate
-        ),
-        trace_path=args.trace if args.trace is not None else base.projection.trace_path,
+def _add_fit_args(p) -> None:
+    """The fit flags of fit and sweep. Each given flag overrides its --config key."""
+    p.add_argument(
+        "--config", help='JSON file with the keys of result.json\'s "config"; flags override it'
     )
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--delta", help='float or "auto" for 1/n^2')
+    p.add_argument("--T", dest="rounds", type=int, help="rounds (1 = answer all queries up front)")
+    p.add_argument(
+        "--K", dest="queries_per_round", type=int, help="queries selected per round when T > 1"
+    )
+    p.add_argument("--n-prime", dest="n_synth", type=int, help="synthetic rows")
+    p.add_argument("--seed", type=int)
+    p.add_argument(
+        "--no-noise", action="store_true", default=None, help="noiseless test mode (NOT private)"
+    )
+    p.add_argument(
+        "--crypto-noise", action="store_true", default=None,
+        help="OS-entropy noise source (not reproducible)",
+    )
+    p.add_argument("--max-steps", type=int)
+    p.add_argument("--learning-rate", type=float)
+
+
+def _given(args, keys) -> dict:
+    return {key: value for key in keys if (value := getattr(args, key)) is not None}
+
+
+def _fit_config(args, trace_path: str | None = None) -> engine.FitConfig:
+    obj = {}
+    if args.config:
+        obj = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if isinstance(obj, dict) and isinstance(obj.get("delta"), str):
+            obj["delta"] = _parse_delta(obj["delta"])
+    base = engine.config_from_json(engine.FitConfig, obj)
+    flags = _given(args, ("epsilon", "rounds", "queries_per_round", "n_synth", "seed",
+                          "no_noise", "crypto_noise"))
+    if args.delta is not None:
+        flags["delta"] = _parse_delta(args.delta)
+    proj = _given(args, ("max_steps", "learning_rate"))
     return replace(
-        base,
-        epsilon=args.epsilon if args.epsilon is not None else base.epsilon,
-        delta=_parse_delta(args.delta) if args.delta is not None else base.delta,
-        rounds=args.T if args.T is not None else base.rounds,
-        queries_per_round=args.K if args.K is not None else base.queries_per_round,
-        n_synth=args.n_prime if args.n_prime is not None else base.n_synth,
-        seed=args.seed if args.seed is not None else base.seed,
-        no_noise=args.no_noise or base.no_noise,
-        crypto_noise=args.crypto_noise or base.crypto_noise,
-        projection=proj,
+        base, **flags, projection=replace(base.projection, trace_path=trace_path, **proj)
     )
 
 
@@ -93,7 +108,8 @@ def _echo_config(config: engine.FitConfig, delta: float) -> None:
     print(
         f"config: epsilon={config.epsilon} delta={delta} T={config.rounds} "
         f"K={config.queries_per_round} n_prime={config.n_synth} seed={config.seed} "
-        f"no_noise={config.no_noise} normalization={config.projection.normalization.mode}"
+        f"no_noise={config.no_noise} max_steps={config.projection.max_steps} "
+        f"learning_rate={config.projection.learning_rate}"
     )
 
 
@@ -118,7 +134,7 @@ def cmd_workload(args) -> int:
 def cmd_fit(args) -> int:
     data = _load_data(args)
     wl = queries.Workload.load(data.schema, args.workload)
-    config = _fit_config(args)
+    config = _fit_config(args, args.trace)
     _echo_config(config, engine.resolve_delta(config, data.n))
     result = engine.fit(data, wl, config)
     out_dir = Path(args.out_dir)
@@ -217,22 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a relaxed synthetic dataset to a workload")
     _add_data_args(p)
     p.add_argument("--workload", required=True)
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--delta", default=None, help='float or "auto" for 1/n^2')
-    p.add_argument("--T", type=int, default=None, help="rounds (1 = answer all queries up front)")
-    p.add_argument("--K", type=int, default=None, help="queries selected per round when T > 1")
-    p.add_argument("--n-prime", dest="n_prime", type=int, default=None, help="synthetic rows")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--no-noise", action="store_true", help="noiseless test mode (NOT private)")
-    p.add_argument(
-        "--crypto-noise", action="store_true", help="OS-entropy noise source (not reproducible)"
-    )
-    p.add_argument(
-        "--normalization", choices=list(projection.NORMALIZATION_MODES), default="sparsemax"
-    )
-    p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
+    _add_fit_args(p)
     p.add_argument("--trace", default=None, help="write per-step loss CSV here")
     p.add_argument("--out-dir", default="fit_out")
     p.set_defaults(func=cmd_fit)
@@ -266,21 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["product", "one-out-of-k"], default="product")
     p.add_argument("--grid-T", default=None, help="comma-separated rounds grid")
     p.add_argument("--grid-K", default=None, help="comma-separated queries-per-round grid")
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--delta", default=None)
-    p.add_argument("--T", type=int, default=None)
-    p.add_argument("--K", type=int, default=None)
-    p.add_argument("--n-prime", dest="n_prime", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--no-noise", action="store_true")
-    p.add_argument("--crypto-noise", action="store_true")
-    p.add_argument(
-        "--normalization", choices=list(projection.NORMALIZATION_MODES), default="sparsemax"
-    )
-    p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--trace", default=None)
+    _add_fit_args(p)
     p.add_argument("--out", default="sweep.csv")
     p.set_defaults(func=cmd_sweep)
 

@@ -34,19 +34,14 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .privacy import NoiseSource, PrivacyBudget, gaussian_mechanism, report_noisy_max
-from .projection import (
-    ProjectionConfig,
-    projection_config_from_json,
-    projection_config_json,
-    random_init,
-    relaxed_projection,
-)
+from .projection import ProjectionConfig, random_init, relaxed_projection
 from .queries import QueryEvaluator, Workload, eval_compiled, eval_discrete
 from .schema import DiscreteDataset, RelaxedDataset, SchemaError
 
@@ -68,7 +63,7 @@ class FitConfig:
     projection: ProjectionConfig = field(default_factory=ProjectionConfig)
     # Diagnostics: snapshot the relaxed dataset after every round. Off by
     # default; the copies are pure overhead outside of tests.
-    keep_round_datasets: bool = False
+    keep_round_datasets: bool = field(default=False, metadata={"json": False})
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -92,19 +87,8 @@ class FitResult:
     round_datasets: list[RelaxedDataset] = field(default_factory=list)
 
     def to_json_dict(self, include_timing: bool = True) -> dict:
-        cfg = {
-            "epsilon": self.config.epsilon,
-            "delta": self.resolved_delta,
-            "rounds": self.config.rounds,
-            "queries_per_round": self.config.queries_per_round,
-            "n_synth": self.config.n_synth,
-            "seed": self.config.seed,
-            "no_noise": self.config.no_noise,
-            "crypto_noise": self.config.crypto_noise,
-            "projection": projection_config_json(self.config.projection),
-        }
         out = {
-            "config": cfg,
+            "config": dict(config_to_json(self.config), delta=self.resolved_delta),
             "budget": self.budget.summary(),
             "ledger": self.budget.ledger_json(),
             "selected": list(self.selected),
@@ -178,9 +162,7 @@ def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResu
     gumbel_rng = NoiseSource(config.seed, "gumbel", crypto=config.crypto_noise)
 
     true_answers = eval_discrete(workload, data)
-    current = random_init(
-        workload.schema, config.n_synth, init_rng, config.projection.normalization
-    )
+    current = random_init(workload.schema, config.n_synth, init_rng)
     selected: list[int] = []
     noisy: list[float] = []
     round_trace: list[dict] = []
@@ -276,17 +258,51 @@ def load_relaxed_csv(path, schema) -> RelaxedDataset:
     return RelaxedDataset(schema, data)
 
 
-def fit_config_json_overrides(obj: dict) -> FitConfig:
-    """Build a FitConfig from a plain dict (config-file support for the CLI)."""
-    proj = projection_config_from_json(obj.get("projection", {}))
-    return FitConfig(
-        epsilon=obj.get("epsilon", 1.0),
-        delta=obj.get("delta"),
-        rounds=obj.get("rounds", 1),
-        queries_per_round=obj.get("queries_per_round"),
-        n_synth=obj.get("n_synth", 1000),
-        seed=obj.get("seed", 0),
-        no_noise=obj.get("no_noise", False),
-        crypto_noise=obj.get("crypto_noise", False),
-        projection=proj,
-    )
+def _json_fields(config_type) -> list:
+    return [f for f in fields(config_type) if f.metadata.get("json", True)]
+
+
+def config_to_json(config) -> dict:
+    """A config dataclass as a JSON object, nested configs as nested objects.
+
+    One key per field; fields marked metadata={"json": False} are left out.
+    """
+    return {
+        f.name: config_to_json(value) if is_dataclass(value := getattr(config, f.name)) else value
+        for f in _json_fields(config)
+    }
+
+
+def config_from_json(config_type, obj, where: str = ""):
+    """Inverse of config_to_json, checking `obj` as outside input.
+
+    A missing key takes the field's default. An unknown key, or a value whose
+    JSON type does not fit the field's annotation, raises ValueError naming
+    the key (ints are accepted for float fields, booleans only for bool ones).
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"config {where.rstrip('.') or 'file'} must be a JSON object")
+    hints = typing.get_type_hints(config_type)
+    known = {f.name: hints[f.name] for f in _json_fields(config_type)}
+    kwargs = {}
+    for key, value in obj.items():
+        name = where + key
+        if key not in known:
+            raise ValueError(f"unknown config key {name!r}")
+        if is_dataclass(known[key]):
+            kwargs[key] = config_from_json(known[key], value, name + ".")
+        else:
+            kwargs[key] = _checked_json_value(name, value, known[key])
+    return config_type(**kwargs)
+
+
+def _checked_json_value(name: str, value, hint):
+    allowed = typing.get_args(hint) or (hint,)  # float | None -> (float, NoneType)
+    if isinstance(value, bool):  # an int subclass, but never a count or a rate
+        ok = bool in allowed
+    else:
+        ok = isinstance(value, allowed) or (float in allowed and isinstance(value, int))
+    if not ok:
+        expected = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+        raise ValueError(f"config key {name!r} must be {expected}, got {value!r}")
+    return value

@@ -1,19 +1,16 @@
 """Projection of noisy answers onto (relaxed) synthetic datasets.
 
 relaxed_projection minimizes sum_j (q_j(X) - a_j)^2 over an n_rows-by-d_prime
-matrix with Adam, renormalizing rows after every step. The default
-normalization projects each feature block of each row onto the probability
-simplex (SparseMax: sort descending, find the support size, subtract the
-threshold tau, clamp at zero), which keeps rows interpretable as per-feature
-category distributions and is what randomized rounding consumes downstream.
-A plain box clamp is available as an alternative, alone or composed before
-SparseMax, since optimizing over [-1, 1] can converge faster than optimizing
-over [0, 1] where product-query gradients vanish at zero.
+matrix with Adam, renormalizing rows after every step. The normalization
+projects each feature block of each row onto the probability simplex
+(SparseMax: sort descending, find the support size, subtract the threshold
+tau, clamp at zero), which keeps rows interpretable as per-feature category
+distributions and is what randomized rounding consumes downstream.
 
 One projection step is built to allocate little and to avoid per-row numpy
 calls, with results bit-identical to the plain per-block formulas:
 
-* Normalization stacks all feature blocks of one cardinality t into a single
+* The normalization stacks all feature blocks of one cardinality t into one
   (t, blocks * rows) array and projects it in one sparsemax_rows call, so a
   step costs one call per distinct cardinality, not one per feature.
 * For t <= _NETWORK_MAX_T (8), sparsemax works column-wise on that layout:
@@ -44,11 +41,6 @@ import numpy as np
 
 from .queries import QueryEvaluator
 from .schema import RelaxedDataset, Schema
-
-SPARSEMAX = "sparsemax"
-CLIP = "clip"
-CLIP_THEN_SPARSEMAX = "clip+sparsemax"
-NORMALIZATION_MODES = (SPARSEMAX, CLIP, CLIP_THEN_SPARSEMAX)
 
 
 def sparsemax(z) -> np.ndarray:
@@ -118,21 +110,6 @@ def _sparsemax_network(Zt: np.ndarray) -> np.ndarray:
     return np.maximum(Zt - tau, 0.0)
 
 
-@dataclass(frozen=True)
-class Normalization:
-    """Row renormalization applied after each optimizer step."""
-
-    mode: str = SPARSEMAX
-    lo: float = -1.0
-    hi: float = 1.0
-
-    def __post_init__(self):
-        if self.mode not in NORMALIZATION_MODES:
-            raise ValueError(f"unknown normalization mode {self.mode!r}")
-        if not self.lo < self.hi:
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-
-
 @functools.lru_cache(maxsize=16)
 def _blocks_by_cardinality(schema: Schema) -> tuple:
     """(t, cols) per distinct block width t; cols[i, j] is column i of block j."""
@@ -147,30 +124,25 @@ def _blocks_by_cardinality(schema: Schema) -> tuple:
     return tuple(groups)
 
 
-def _normalize_inplace(X: np.ndarray, schema: Schema, norm: Normalization) -> None:
-    if norm.mode in (CLIP, CLIP_THEN_SPARSEMAX):
-        np.clip(X, norm.lo, norm.hi, out=X)
-    if norm.mode in (SPARSEMAX, CLIP_THEN_SPARSEMAX):
-        Xt = X.T
-        for t, cols in _blocks_by_cardinality(schema):
-            stacked = Xt[cols]  # every block of width t: (t, blocks, rows)
-            out = sparsemax_rows(stacked.reshape(t, -1).T)
-            Xt[cols] = out.T.reshape(stacked.shape)
+def _normalize_inplace(X: np.ndarray, schema: Schema) -> None:
+    Xt = X.T
+    for t, cols in _blocks_by_cardinality(schema):
+        stacked = Xt[cols]  # every block of width t: (t, blocks, rows)
+        out = sparsemax_rows(stacked.reshape(t, -1).T)
+        Xt[cols] = out.T.reshape(stacked.shape)
 
 
-def normalize_rows(relaxed: RelaxedDataset, norm: Normalization = Normalization()) -> RelaxedDataset:
+def normalize_rows(relaxed: RelaxedDataset) -> RelaxedDataset:
     """Return a renormalized copy; sparsemax acts per feature block per row."""
     X = relaxed.data.copy()
-    _normalize_inplace(X, relaxed.schema, norm)
+    _normalize_inplace(X, relaxed.schema)
     return RelaxedDataset(relaxed.schema, X)
 
 
-def random_init(
-    schema: Schema, n_rows: int, rng, norm: Normalization = Normalization()
-) -> RelaxedDataset:
+def random_init(schema: Schema, n_rows: int, rng) -> RelaxedDataset:
     """Seeded uniform(-1, 1) matrix followed by one normalization pass."""
     X = rng.uniform_signed((n_rows, schema.d_prime))
-    _normalize_inplace(X, schema, norm)
+    _normalize_inplace(X, schema)
     return RelaxedDataset(schema, X)
 
 
@@ -179,11 +151,12 @@ class ProjectionConfig:
     learning_rate: float = 0.001
     max_steps: int = 5000
     early_stop_rel: float = 1e-7
-    normalization: Normalization = field(default_factory=Normalization)
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
-    trace_path: str | None = None
+    # Where to write the per-step losses: an output of the run, so not one of
+    # the configuration's JSON keys (see engine.config_to_json).
+    trace_path: str | None = field(default=None, metadata={"json": False})
 
     def __post_init__(self):
         if not self.learning_rate > 0:
@@ -274,7 +247,7 @@ def relaxed_projection(
     schema = init.schema
     X = init.data.astype(np.float64, copy=True)
     t0 = perf_counter()
-    _normalize_inplace(X, schema, config.normalization)
+    _normalize_inplace(X, schema)
     t1 = perf_counter()
     normalize_s, adam_s = t1 - t0, 0.0
 
@@ -290,7 +263,7 @@ def relaxed_projection(
         t0 = perf_counter()
         adam.update(X, grad, config)
         t1 = perf_counter()
-        _normalize_inplace(X, schema, config.normalization)
+        _normalize_inplace(X, schema)
         t2 = perf_counter()
         new_loss, grad = evaluator.loss_and_gradient(X, targets)
         t3 = perf_counter()
@@ -314,31 +287,3 @@ def relaxed_projection(
 
     timing = {"gradient_s": gradient_s, "normalize_s": normalize_s, "adam_s": adam_s}
     return ProjectionResult(RelaxedDataset(schema, best_X), losses, best_loss, best_step, timing)
-
-
-def projection_config_json(config: ProjectionConfig) -> dict:
-    n = config.normalization
-    return {
-        "learning_rate": config.learning_rate,
-        "max_steps": config.max_steps,
-        "early_stop_rel": config.early_stop_rel,
-        "normalization": {"mode": n.mode, "lo": n.lo, "hi": n.hi},
-        "beta1": config.beta1,
-        "beta2": config.beta2,
-        "adam_eps": config.adam_eps,
-    }
-
-
-def projection_config_from_json(obj: dict) -> ProjectionConfig:
-    n = obj.get("normalization", {})
-    return ProjectionConfig(
-        learning_rate=obj.get("learning_rate", 0.001),
-        max_steps=obj.get("max_steps", 5000),
-        early_stop_rel=obj.get("early_stop_rel", 1e-7),
-        normalization=Normalization(
-            mode=n.get("mode", SPARSEMAX), lo=n.get("lo", -1.0), hi=n.get("hi", 1.0)
-        ),
-        beta1=obj.get("beta1", 0.9),
-        beta2=obj.get("beta2", 0.999),
-        adam_eps=obj.get("adam_eps", 1e-8),
-    )

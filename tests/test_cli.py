@@ -161,6 +161,79 @@ class TestFitCommand:
         assert file_hash(out_dir / "relaxed.csv") == file_hash(out2 / "relaxed.csv")
 
 
+class TestConfigFile:
+    def fit_with_config(self, fitted, tmp_path, config, name="cfg"):
+        toy_csv, wpath, _ = fitted
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(config))
+        out_dir = tmp_path / name
+        code = run(["fit", "--data", toy_csv, "--workload", wpath, "--config", cfg,
+                    "--out-dir", out_dir])
+        return code, out_dir
+
+    def test_result_config_round_trips(self, fitted, tmp_path):
+        _, _, out_dir = fitted
+        config = json.loads((out_dir / "result.json").read_text())["config"]
+        code, again = self.fit_with_config(fitted, tmp_path, config)
+        assert code == 0
+        first, second = (json.loads((d / "result.json").read_text()) for d in (out_dir, again))
+        assert second["config"] == config
+        assert second["ledger"] == first["ledger"]
+        assert file_hash(again / "relaxed.csv") == file_hash(out_dir / "relaxed.csv")
+
+    @pytest.mark.parametrize("config, key", [
+        ({"max_step": 3}, "max_step"),
+        ({"projection": {"max_step": 3}}, "projection.max_step"),
+        ({"projection": {"normalization": {"mode": "clip"}}}, "projection.normalization"),
+    ])
+    def test_unknown_key_is_usage_error(self, fitted, tmp_path, capsys, config, key):
+        capsys.readouterr()
+        assert self.fit_with_config(fitted, tmp_path, config)[0] == 2
+        err = capsys.readouterr().err
+        assert f"unknown config key {key!r}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("config, key", [
+        ({"rounds": "3"}, "rounds"),
+        ({"epsilon": True}, "epsilon"),
+        ({"no_noise": 1}, "no_noise"),
+        ({"delta": "soon"}, "delta"),
+        ({"projection": 5}, "projection"),
+        ({"projection": {"max_steps": 2.5}}, "projection.max_steps"),
+    ])
+    def test_wrong_type_is_usage_error(self, fitted, tmp_path, capsys, config, key):
+        capsys.readouterr()
+        assert self.fit_with_config(fitted, tmp_path, config)[0] == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
+    def test_delta_auto_accepted(self, fitted, tmp_path, capsys):
+        config = {"delta": "auto", "n_synth": 8, "projection": {"max_steps": 5}}
+        code, out_dir = self.fit_with_config(fitted, tmp_path, config)
+        assert code == 0
+        assert f"delta={1.0 / 200**2} " in capsys.readouterr().out
+        assert json.loads((out_dir / "result.json").read_text())["config"]["delta"] == 1.0 / 200**2
+
+    def test_flags_override_file(self, fitted, tmp_path, capsys):
+        toy_csv, wpath, _ = fitted
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_synth": 8, "projection": {"max_steps": 5}}))
+        code = run(["fit", "--data", toy_csv, "--workload", wpath, "--config", cfg,
+                    "--max-steps", 3, "--out-dir", tmp_path / "o"])
+        assert code == 0
+        assert "n_prime=8 seed=0 no_noise=False max_steps=3 learning_rate=0.001" in (
+            capsys.readouterr().out
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--workload", "w.json", "--normalization", "clip"],
+        ["sweep", "--axis", "epsilon", "--values", "1", "--trace", "t.csv"],
+    ])
+    def test_removed_flags_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run([argv[0], "--data", "d.csv", *argv[1:]])
+        assert exc.value.code == 2
+
+
 class TestRoundAndEvalCommands:
     def test_round_row_count(self, fitted, tmp_path):
         _, _, out_dir = fitted

@@ -49,7 +49,7 @@ class TestSingleRoundBranch:
         config = FitConfig(no_noise=True, rounds=1, n_synth=30, seed=7, projection=SMALL_PROJ)
         result = fit(data, workload, config)
 
-        start = random_init(schema, 30, NoiseSource(7, "init"), SMALL_PROJ.normalization)
+        start = random_init(schema, 30, NoiseSource(7, "init"))
         exact = eval_discrete(workload, data)
         reference = relaxed_projection(workload.queries, exact, start, SMALL_PROJ)
         np.testing.assert_array_equal(result.relaxed.data, reference.dataset.data)

@@ -10,7 +10,6 @@ from privsynth import (
     AdamState,
     FitConfig,
     NoiseSource,
-    Normalization,
     ProjectionConfig,
     RelaxedDataset,
     Workload,
@@ -89,28 +88,13 @@ class TestNormalizeRows:
         s = schema_from_cardinalities((2, 3))
         d = random_dataset(s, 10, np.random.default_rng(1))
         relaxed = one_hot(d).as_relaxed()
-        out = normalize_rows(relaxed, Normalization("sparsemax"))
+        out = normalize_rows(relaxed)
         np.testing.assert_array_equal(out.data, relaxed.data)
 
     def test_sparsemax_per_block(self):
         s = schema_from_cardinalities((2,))
         out = normalize_rows(RelaxedDataset(s, np.array([[0.3, 0.3]])))
         np.testing.assert_allclose(out.data, [[0.5, 0.5]], atol=1e-15)
-
-    def test_clip_mode(self):
-        s = schema_from_cardinalities((2,))
-        out = normalize_rows(
-            RelaxedDataset(s, np.array([[1.7, -1.4]])), Normalization("clip", -1.0, 1.0)
-        )
-        np.testing.assert_array_equal(out.data, [[1.0, -1.0]])
-
-    def test_clip_then_sparsemax(self):
-        s = schema_from_cardinalities((3,))
-        out = normalize_rows(
-            RelaxedDataset(s, np.array([[5.0, 0.0, -3.0]])),
-            Normalization("clip+sparsemax", -1.0, 1.0),
-        )
-        np.testing.assert_allclose(out.data, [[1.0, 0.0, 0.0]], atol=1e-12)
 
     def test_blocks_sum_to_one(self):
         rng = np.random.default_rng(2)
@@ -203,12 +187,9 @@ def reference_sparsemax_rows(Z):
     return np.maximum(Z - tau[:, None], 0.0)
 
 
-def reference_normalize(X, schema, norm):
-    if norm.mode in ("clip", "clip+sparsemax"):
-        np.clip(X, norm.lo, norm.hi, out=X)
-    if norm.mode in ("sparsemax", "clip+sparsemax"):
-        for off, t in zip(schema.offsets, schema.cardinalities):
-            X[:, off : off + t] = reference_sparsemax_rows(X[:, off : off + t])
+def reference_normalize(X, schema):
+    for off, t in zip(schema.offsets, schema.cardinalities):
+        X[:, off : off + t] = reference_sparsemax_rows(X[:, off : off + t])
 
 
 def reference_adam_update(self, X, grad, config):
@@ -229,7 +210,7 @@ def _normalization_inputs(schema, rng):
     ties[::3] = 0.25
     hot = one_hot(random_dataset(schema, n, rng)).as_relaxed().data
     projected = random.copy()
-    reference_normalize(projected, schema, Normalization())
+    reference_normalize(projected, schema)
     return np.vstack([random, ties, hot, projected])
 
 
@@ -240,18 +221,14 @@ class TestBitIdentity:
         (3, 9, 3, 16, 1, 8, 8),
     ]
 
-    @pytest.mark.parametrize("mode", ["sparsemax", "clip+sparsemax"])
-    def test_normalization_matches_sort_kernel(self, mode):
+    def test_normalization_matches_sort_kernel(self):
         rng = np.random.default_rng(41)
-        norm = Normalization(mode)
         for cards in self.SCHEMAS:
             s = schema_from_cardinalities(cards)
             X = _normalization_inputs(s, rng)
-            if mode == "clip+sparsemax":
-                X = np.vstack([X, rng.uniform(-5.0, 5.0, X.shape)])
             expected = X.copy()
-            reference_normalize(expected, s, norm)
-            got = normalize_rows(RelaxedDataset(s, X), norm).data
+            reference_normalize(expected, s)
+            got = normalize_rows(RelaxedDataset(s, X)).data
             assert np.array_equal(got, expected), cards
 
     def test_sparsemax_rows_matches_sort_kernel(self):
