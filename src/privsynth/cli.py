@@ -41,11 +41,10 @@ def _load_data(args) -> schema.DiscreteDataset:
     return data
 
 
-def _add_data_args(p, schema_required=False):
-    p.add_argument("--data", required=True, help="input CSV (header row, categorical cells)")
+def _add_data_args(p, data_help="input CSV (header row, categorical cells)"):
+    p.add_argument("--data", required=True, help=data_help)
     p.add_argument(
         "--schema",
-        required=schema_required,
         help="public schema JSON; omit to infer categories from the data (not private)",
     )
 
@@ -114,13 +113,14 @@ def _echo_config(config: engine.FitConfig, delta: float) -> None:
 
 
 def cmd_workload(args) -> int:
-    data = _load_data(args)
+    # A workload depends only on the schema and the flags, so a given schema spares reading --data.
+    sch = schema.Schema.load(args.schema) if args.schema else _load_data(args).schema
     kind = args.kind.replace("-", "_")
     print(f"config: k={args.k} marginals={args.marginals} seed={args.seed} kind={kind}")
-    wl = queries.random_workload(data.schema, args.k, args.marginals, args.seed, kind=kind)
+    wl = queries.random_workload(sch, args.k, args.marginals, args.seed, kind=kind)
     out = Path(args.out)
     wl.save(out)
-    data.schema.save(out.with_suffix(".schema.json"))
+    sch.save(out.with_suffix(".schema.json"))
     if args.dump_compiled:
         out.with_suffix(".compiled.json").write_text(
             json.dumps(wl.compiled_json_dict()) + "\n", encoding="utf-8"
@@ -190,7 +190,7 @@ def cmd_sweep(args) -> int:
     spec = evaluation.SweepSpec(
         axis=axis,
         values=tuple(values),
-        seeds=tuple(range(args.seeds)),
+        seeds=tuple(range(config.seed, config.seed + args.seeds)),
         workload_k=args.k,
         workload_marginals=args.marginals,
         workload_seed=args.workload_seed,
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("workload", help="sample a marginal workload and write it as JSON")
-    _add_data_args(p)
+    _add_data_args(p, data_help="input CSV; not read when --schema is given")
     p.add_argument("--k", type=int, required=True, help="marginal arity")
     p.add_argument("--marginals", type=int, required=True, help="number of feature subsets")
     p.add_argument("--seed", type=int, default=0)
@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     p.add_argument("--workload", required=True)
     _add_fit_args(p)
-    p.add_argument("--trace", default=None, help="write per-step loss CSV here")
+    p.add_argument("--trace", default=None, help="write a round,step,loss CSV here")
     p.add_argument("--out-dir", default="fit_out")
     p.set_defaults(func=cmd_fit)
 
@@ -260,7 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--axis", choices=["epsilon", "workload", "n-prime", "oversample"], required=True
     )
     p.add_argument("--values", required=True, help="comma-separated axis values")
-    p.add_argument("--seeds", type=int, default=5, help="number of seeds (0..seeds-1)")
+    p.add_argument(
+        "--seeds", type=int, default=5, help="number of fit seeds: --seed .. --seed+seeds-1"
+    )
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--marginals", type=int, default=8)
     p.add_argument("--workload-seed", type=int, default=0)

@@ -31,11 +31,12 @@ component), so rerunning a fit reproduces its result byte for byte.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import time
 import typing
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -119,20 +120,16 @@ def conjectured_answers(
 ) -> np.ndarray:
     """Relaxed answers for the pool's queries, in pool order.
 
-    `evaluator`, when given, is a QueryEvaluator over workload.queries for
-    relaxed.n rows, and the pool's entries are read off its answers to the
-    whole workload; without one only the pool's queries are evaluated. A
-    query's answer comes from its marginal's full answer tensor either way,
-    so the two agree bit for bit.
+    `evaluator`, when given, is a QueryEvaluator over the whole workload for
+    relaxed.n rows, and the pool's entries are read off its answers; without
+    one only the pool's queries are evaluated. A query's answer comes from its
+    marginal's full answer tensor either way, so the two agree bit for bit.
+    An index outside the workload raises IndexError.
     """
-    m = workload.m
-    idx = np.asarray(pool, dtype=np.int64)
-    bad = (idx < 0) | (idx >= m)
-    if bad.any():
-        raise IndexError(f"query index {idx[bad][0]} out of range for workload of size {m}")
+    selection = workload.select(pool)
     if evaluator is None:
-        return eval_compiled([workload.queries[i] for i in idx], relaxed)
-    return evaluator.answers(relaxed.data)[idx]
+        return eval_compiled(selection, relaxed)
+    return evaluator.answers(relaxed.data)[selection.indices]
 
 
 def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResult:
@@ -169,14 +166,18 @@ def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResu
     round_datasets: list[RelaxedDataset] = []
     proj_seconds = 0.0
     phases = {"gradient_s": 0.0, "normalize_s": 0.0, "adam_s": 0.0}
+    # The fit writes one trace over all rounds; a projection would rewrite it.
+    proj_config = replace(config.projection, trace_path=None)
+    losses: list[tuple[int, list[float]]] = []
 
-    def project(queries, targets, start):
+    def project(t, queries, targets, start):
         nonlocal proj_seconds
         t0 = time.perf_counter()
-        proj = relaxed_projection(queries, targets, start, config.projection)
+        proj = relaxed_projection(queries, targets, start, proj_config)
         proj_seconds += time.perf_counter() - t0
         for key, seconds in proj.timing.items():
             phases[key] += seconds
+        losses.append((t, proj.losses))
         return proj
 
     if t_rounds == 1:
@@ -186,7 +187,7 @@ def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResu
             budget.spend(f"gaussian[q={i}]", 0.0 if config.no_noise else share)
         selected = list(range(workload.m))
         noisy = [float(a) for a in np.atleast_1d(answers)]
-        proj = project(workload.queries, answers, current)
+        proj = project(1, workload.select(), answers, current)
         current = proj.dataset
         round_trace.append(_round_record(1, proj, selected))
         if config.keep_round_datasets:
@@ -194,7 +195,7 @@ def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResu
     else:
         share = math.inf if config.no_noise else rho / (2.0 * t_rounds * k_per)
         ledger_share = 0.0 if config.no_noise else share
-        full = QueryEvaluator(workload.queries, workload.schema, config.n_synth)
+        full = QueryEvaluator(workload.select(), workload.schema, config.n_synth)
         pool = list(range(workload.m))
         for t in range(1, t_rounds + 1):
             if not pool:
@@ -213,12 +214,14 @@ def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResu
                 budget.spend(f"gaussian[q={qidx}]", ledger_share)
                 selected.append(qidx)
                 noisy.append(float(answer))
-            proj = project([workload.queries[i] for i in selected], np.asarray(noisy), current)
+            proj = project(t, workload.select(selected), np.asarray(noisy), current)
             current = proj.dataset
             round_trace.append(_round_record(t, proj, selected))
             if config.keep_round_datasets:
                 round_datasets.append(current)
 
+    if config.projection.trace_path is not None:
+        _write_trace(config.projection.trace_path, losses)
     result = FitResult(
         relaxed=current,
         selected=selected,
@@ -245,6 +248,15 @@ def _round_record(t, proj, selected) -> dict:
         "projection_loss": proj.best_loss,
         "projection_steps": proj.steps,
     }
+
+
+def _write_trace(path, losses) -> None:
+    """One `round,step,loss` CSV over every projection of a fit."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["round", "step", "loss"])
+        for t, round_losses in losses:
+            writer.writerows((t, i, f"{l!r}") for i, l in enumerate(round_losses))
 
 
 def save_relaxed_csv(relaxed: RelaxedDataset, path) -> None:

@@ -154,8 +154,9 @@ class ProjectionConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
-    # Where to write the per-step losses: an output of the run, so not one of
-    # the configuration's JSON keys (see engine.config_to_json).
+    # Where to write the per-step losses (engine.fit writes one file over all
+    # rounds): an output of the run, so not one of the configuration's JSON
+    # keys (see engine.config_to_json).
     trace_path: str | None = field(default=None, metadata={"json": False})
 
     def __post_init__(self):
@@ -229,6 +230,7 @@ def relaxed_projection(
 ) -> ProjectionResult:
     """Fit a relaxed dataset whose query answers are close to `targets`.
 
+    `queries` is a list of compiled queries or a queries.Selection.
     The input is normalized once on entry (a no-op for inputs already in
     normal form, which is everything the engine produces), then Adam runs for
     at most max_steps, renormalizing after every step. Stops early when the

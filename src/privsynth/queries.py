@@ -8,12 +8,17 @@ threshold variant is q_T(x) = 1 - prod_{c in T} (1 - x_c).
 
 The marginal is the unit of work. All prod_{i in S} t_i queries of a
 marginal are the cells of one answer tensor: the row sum of the row-wise
-Khatri-Rao product of S's feature blocks. Evaluation is built on that:
+Khatri-Rao product of S's feature blocks. A Workload stores only its
+marginals and the offset of each one's first query; its list of compiled
+queries is built on demand, for callers that want one. Evaluation is built on
+the marginals:
 
-* Relaxed answers group the query list by (kind, feature set). For each
-  marginal the Khatri-Rao product of the first k-1 blocks is multiplied by
-  the last block (one matmul), and the requested cells are gathered. The
-  threshold kind runs the same computation on 1 - X.
+* Relaxed answers group the query list by (kind, feature set); a Selection
+  of workload queries by index is grouped from the workload's marginals, an
+  explicit list of compiled queries from its columns. For each marginal the
+  Khatri-Rao product of the first k-1 blocks is multiplied by the last block
+  (one matmul), and the requested cells are gathered. The threshold kind runs
+  the same computation on 1 - X.
 * The gradient applies the same contractions to the residual tensor, a
   bincount of 2/n * residual over the cells, for marginals the query list
   covers densely. Marginals with only a few selected cells (as in adaptive
@@ -22,8 +27,9 @@ Khatri-Rao product of S's feature blocks. Evaluation is built on that:
   products and scatters them with one-hot matmuls, at a cost in proportion
   to the cells instead of the tensor size.
 * Exact answers on discrete data count each marginal's joint cells with one
-  bincount; the threshold kind follows by integer inclusion-exclusion. On
-  one-hot rows relaxed and exact answers agree bit for bit (count/n).
+  bincount over cell codes built column-wise from the rows; the threshold
+  kind follows by integer inclusion-exclusion. On one-hot rows relaxed and
+  exact answers agree bit for bit (count/n).
 
 Tensor work runs over row chunks, and per-cell work over query batches, both
 sized under one fixed cell budget, so memory stays bounded as the rows and the
@@ -38,6 +44,7 @@ byte.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -109,11 +116,13 @@ def compile_marginal(query: MarginalQuery, schema: Schema, kind: str = PRODUCT) 
 
 
 class Workload:
-    """An ordered list of compiled queries generated from marginal sets.
+    """An ordered list of marginal query cells, stored as its marginals.
 
     For each marginal S (in the stored order) every category assignment
     y in prod_i [0, t_i) is enumerated odometer-style, keeping each
-    marginal's queries contiguous.
+    marginal's queries contiguous. Construction keeps only the marginals and
+    the offset of each one's first query; `queries`, the list of compiled
+    queries, is built on first access.
     """
 
     def __init__(self, schema: Schema, marginals, kind: str = PRODUCT, seed: int | None = None):
@@ -124,21 +133,30 @@ class Workload:
         self.seed = seed
         self.marginals = [tuple(int(i) for i in s) for s in marginals]
         t = schema.cardinalities
-        queries: list[CompiledQuery] = []
-        slices: list[tuple[int, int]] = []
+        starts = [0]
         for s in self.marginals:
             if len(set(s)) != len(s):
                 raise WorkloadError(f"marginal {s} has repeated features")
-            start = len(queries)
-            for y in itertools.product(*(range(t[i]) for i in s)):
-                queries.append(compile_marginal(MarginalQuery(s, y), schema, kind))
-            slices.append((start, len(queries)))
-        self.queries = queries
-        self._slices = slices
+            if not s:
+                raise WorkloadError("query must touch at least one column")
+            for i in s:
+                if not 0 <= i < schema.d:
+                    raise WorkloadError(f"feature index {i} out of range")
+            starts.append(starts[-1] + math.prod(t[i] for i in s))
+        self._starts = starts
+
+    @functools.cached_property
+    def queries(self) -> list[CompiledQuery]:
+        t = self.schema.cardinalities
+        return [
+            compile_marginal(MarginalQuery(s, y), self.schema, self.kind)
+            for s in self.marginals
+            for y in itertools.product(*(range(t[i]) for i in s))
+        ]
 
     @property
     def m(self) -> int:
-        return len(self.queries)
+        return self._starts[-1]
 
     @property
     def k(self) -> int | None:
@@ -147,7 +165,11 @@ class Workload:
         return sizes.pop() if len(sizes) == 1 else None
 
     def marginal_sizes(self) -> list[int]:
-        return [b - a for a, b in self._slices]
+        return [b - a for a, b in zip(self._starts, self._starts[1:])]
+
+    def select(self, indices=None) -> "Selection":
+        """The queries at `indices` (all of them by default) as a query list."""
+        return Selection(self, range(self.m) if indices is None else indices)
 
     def to_json_dict(self) -> dict:
         return {
@@ -173,6 +195,28 @@ class Workload:
     def compiled_json_dict(self) -> list[list[int]]:
         """Dump of the compiled column index sets, one array per query."""
         return [list(q.columns) for q in self.queries]
+
+
+class Selection:
+    """Queries of a workload picked by index, in the given order.
+
+    It stands in for the list [workload.queries[i] for i in indices] wherever
+    a query list is taken: the evaluator groups it by marginal straight from
+    the workload's marginals, without compiling a query.
+    """
+
+    def __init__(self, workload: Workload, indices):
+        self.workload = workload
+        self.indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+        m = workload.m
+        bad = (self.indices < 0) | (self.indices >= m)
+        if bad.any():
+            raise IndexError(
+                f"query index {self.indices[bad][0]} out of range for workload of size {m}"
+            )
+
+    def __len__(self) -> int:
+        return self.indices.size
 
 
 def random_workload(
@@ -221,11 +265,13 @@ def eval_discrete(workload: Workload, dataset: DiscreteDataset) -> np.ndarray:
     """Exact answers on discrete data, as match fractions count/n.
 
     Each marginal's joint cells are counted with one bincount over the rows'
-    flat cell indices, in the marginal's stored (odometer) order. For the
-    threshold kind, the number of rows matching none of an assignment's pairs
-    follows from the joint counts by inclusion-exclusion on every axis (the
-    total along the axis minus the cell). All counts are integers, so every
-    answer is an exactly representable integer divided by n.
+    flat cell codes, in the marginal's stored (odometer) order. The codes are
+    built by Horner's rule on whole columns of one transposed copy of the
+    rows, in int32 when every marginal's largest code fits. For the threshold
+    kind, the number of rows matching none of an assignment's pairs follows
+    from the joint counts by inclusion-exclusion on every axis (the total
+    along the axis minus the cell). All counts are integers, so every answer
+    is an exactly representable integer divided by n.
     """
     if dataset.schema != workload.schema:
         raise SchemaError("workload and dataset schemas differ")
@@ -234,18 +280,26 @@ def eval_discrete(workload: Workload, dataset: DiscreteDataset) -> np.ndarray:
     n = dataset.n
     t = workload.schema.cardinalities
     out = np.zeros(workload.m, dtype=np.float64)
-    if n == 0:
+    if n == 0 or workload.m == 0:
         return out
-    for s, (a, b) in zip(workload.marginals, workload._slices):
-        dims = tuple(t[i] for i in s)
-        cells = np.ravel_multi_index(tuple(dataset.rows[:, i] for i in s), dims)
-        counts = np.bincount(cells, minlength=b - a).reshape(dims)
+    sizes = workload.marginal_sizes()
+    # Every used category is below the size of a marginal holding its feature.
+    dtype = np.int32 if max(sizes) - 1 <= np.iinfo(np.int32).max else np.intp
+    columns = np.ascontiguousarray(dataset.rows.T, dtype=dtype)
+    code = np.empty(n, dtype=dtype)
+    for s, a, size in zip(workload.marginals, workload._starts, sizes):
+        np.copyto(code, columns[s[0]])
+        for i in s[1:]:
+            code *= t[i]
+            code += columns[i]
+        counts = np.bincount(code, minlength=size)
         if workload.kind == PRODUCT:
-            out[a:b] = counts.ravel() / n
+            out[a : a + size] = counts / n
         else:
-            for axis in range(len(dims)):
+            counts = counts.reshape(tuple(t[i] for i in s))
+            for axis in range(len(s)):
                 counts = counts.sum(axis=axis, keepdims=True) - counts
-            out[a:b] = 1.0 - counts.ravel() / n
+            out[a : a + size] = 1.0 - counts.ravel() / n
     return out
 
 
@@ -314,6 +368,48 @@ def _group_by_marginal(queries, schema: Schema) -> list[_Marginal]:
             dims = tuple(card[f] for f in fs)
             cells = np.ravel_multi_index(tuple(values[sel].T), dims)
             groups.append(_Marginal(kind, tuple(int(f) for f in fs), dims, cells, idx[sel]))
+    return groups
+
+
+def _marginal_groups(workload: Workload, indices) -> list[_Marginal]:
+    """_group_by_marginal([workload.queries[i] for i in indices], schema), from the marginals.
+
+    The same groups in the same order: by arity in order of first appearance
+    in `indices`, then by ascending feature set; within a group, positions
+    ascend. A query's cell is its odometer offset within its marginal, with
+    the axes reordered to ascending features when the marginal's stored order
+    differs. Python work runs per marginal, numpy work per query.
+    """
+    indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+    card = workload.schema.cardinalities
+    marginals = workload.marginals
+    starts = np.asarray(workload._starts, dtype=np.int64)
+    which = np.searchsorted(starts, indices, side="right") - 1  # marginal of each query
+    cells = indices - starts[which]
+    keys = [tuple(sorted(s)) for s in marginals]
+    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+    key_rank = np.array([rank[key] for key in keys], dtype=np.int64)
+    for r in np.unique(which).tolist():
+        s = marginals[r]
+        if list(s) != sorted(s):
+            # stored-order offset -> ascending-feature offset
+            stored = np.arange(math.prod(card[i] for i in s)).reshape([card[i] for i in s])
+            remap = np.empty(stored.size, dtype=np.int64)
+            remap[stored.transpose(np.argsort(s)).ravel()] = np.arange(stored.size)
+            here = which == r
+            cells[here] = remap[cells[here]]
+    arity = np.array([len(s) for s in marginals], dtype=np.int64)[which]
+    _, first = np.unique(arity, return_index=True)
+    groups = []
+    for k in arity[np.sort(first)].tolist():
+        _check_arity(k)
+        pos = np.flatnonzero(arity == k)
+        pos = pos[np.argsort(key_rank[which[pos]], kind="stable")]
+        ranks = key_rank[which[pos]]
+        for sel in np.split(pos, np.flatnonzero(ranks[1:] != ranks[:-1]) + 1):
+            fs = keys[which[sel[0]]]
+            dims = tuple(card[f] for f in fs)
+            groups.append(_Marginal(workload.kind, fs, dims, cells[sel], sel))
     return groups
 
 
@@ -480,7 +576,9 @@ def _one_hot(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class QueryEvaluator:
     """A fixed query list grouped into marginals, built once per use.
 
-    Each query is a cell of the answer tensor of its (kind, feature set).
+    `queries` is a list of compiled queries or a Selection of workload
+    queries; both give the same groups. Each query is a cell of the answer
+    tensor of its (kind, feature set).
     Answers always come from the full tensors; the gradient uses the tensors
     for marginals the list covers densely and the per-cell path for the rest.
     """
@@ -488,7 +586,10 @@ class QueryEvaluator:
     def __init__(self, queries, schema: Schema, n_rows: int):
         self.m = len(queries)
         self._offsets = schema.offsets
-        self._marginals = _group_by_marginal(queries, schema)
+        if isinstance(queries, Selection):
+            self._marginals = _marginal_groups(queries.workload, queries.indices)
+        else:
+            self._marginals = _group_by_marginal(queries, schema)
         self._tensor, sparse = [], []
         for mg in self._marginals:
             covered = np.unique(mg.cells).size >= _TENSOR_MIN_COVERAGE * math.prod(mg.dims)
@@ -565,7 +666,7 @@ def eval_relaxed(workload: Workload, relaxed: RelaxedDataset) -> np.ndarray:
         raise SchemaError("workload and relaxed dataset schemas differ")
     if relaxed.n == 0:
         return np.zeros(workload.m, dtype=np.float64)
-    ev = QueryEvaluator(workload.queries, workload.schema, relaxed.n)
+    ev = QueryEvaluator(workload.select(), workload.schema, relaxed.n)
     return ev.answers(relaxed.data)
 
 

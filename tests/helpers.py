@@ -43,3 +43,30 @@ def all_k_way_workload(schema: Schema, ks, kind="product") -> Workload:
     for k in ks:
         marginals.extend(itertools.combinations(range(schema.d), k))
     return Workload(schema, marginals, kind=kind)
+
+
+def reference_eval_discrete(workload: Workload, dataset: DiscreteDataset) -> np.ndarray:
+    """Exact answers by np.ravel_multi_index on the rows' strided columns.
+
+    The formula eval_discrete used before it built cell codes column-wise; the
+    two must agree bit for bit.
+    """
+    n = dataset.n
+    t = workload.schema.cardinalities
+    out = np.zeros(workload.m, dtype=np.float64)
+    if n == 0:
+        return out
+    a = 0
+    for s, size in zip(workload.marginals, workload.marginal_sizes()):
+        b = a + size
+        dims = tuple(t[i] for i in s)
+        cells = np.ravel_multi_index(tuple(dataset.rows[:, i] for i in s), dims)
+        counts = np.bincount(cells, minlength=b - a).reshape(dims)
+        if workload.kind == "product":
+            out[a:b] = counts.ravel() / n
+        else:
+            for axis in range(len(dims)):
+                counts = counts.sum(axis=axis, keepdims=True) - counts
+            out[a:b] = 1.0 - counts.ravel() / n
+        a = b
+    return out

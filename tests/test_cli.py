@@ -56,6 +56,25 @@ class TestWorkloadCommand:
         err = capsys.readouterr().err
         assert "bad.csv" in err and "not valid UTF-8" in err and "Traceback" not in err
 
+    def test_given_schema_does_not_read_data(self, toy_csv, tmp_path, capsys):
+        ref = tmp_path / "ref.json"
+        assert run(["workload", "--data", toy_csv, "--k", 2, "--marginals", 2, "--seed", 3,
+                    "--out", ref]) == 0
+        sch = ref.with_suffix(".schema.json")
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\xfe,not,a table\n")
+        outputs = []
+        for data in (toy_csv, bad):
+            out = tmp_path / data.stem / "w.json"
+            out.parent.mkdir()
+            capsys.readouterr()
+            assert run(["workload", "--data", data, "--schema", sch, "--k", 2,
+                        "--marginals", 2, "--seed", 3, "--out", out]) == 0
+            assert capsys.readouterr().err == ""
+            outputs.append([out.read_bytes(), out.with_suffix(".schema.json").read_bytes()])
+        assert outputs[0] == outputs[1]
+        assert outputs[0] == [ref.read_bytes(), sch.read_bytes()]
+
     def test_compiled_dump(self, toy_csv, tmp_path):
         out = tmp_path / "w.json"
         run(["workload", "--data", toy_csv, "--k", 1, "--marginals", 1, "--seed", 0,
@@ -159,6 +178,28 @@ class TestFitCommand:
         }
         assert strip(out_dir) == strip(out2)
         assert file_hash(out_dir / "relaxed.csv") == file_hash(out2 / "relaxed.csv")
+
+
+    def test_adaptive_trace_keeps_every_round(self, toy_csv, tmp_path):
+        wpath = tmp_path / "w.json"
+        run(["workload", "--data", toy_csv, "--k", 2, "--marginals", 3, "--seed", 0,
+             "--out", wpath])
+        trace, out_dir = tmp_path / "trace.csv", tmp_path / "adapt"
+        assert run(["fit", "--data", toy_csv, "--workload", wpath, "--T", 3, "--K", 2,
+                    "--n-prime", 10, "--max-steps", 4, "--trace", trace,
+                    "--out-dir", out_dir]) == 0
+        with trace.open() as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["round", "step", "loss"]
+        rounds = json.loads((out_dir / "result.json").read_text())["rounds"]
+        assert [r["round"] for r in rounds] == [1, 2, 3]
+        for record in rounds:
+            mine = [row for row in rows[1:] if int(row[0]) == record["round"]]
+            assert [int(row[1]) for row in mine] == list(range(record["projection_steps"] + 1))
+            losses = [float(row[2]) for row in mine]
+            assert losses[0] == record["projection_initial_loss"]
+            assert min(losses) == record["projection_loss"]
+        assert len(rows) == 1 + sum(r["projection_steps"] + 1 for r in rounds)
 
 
 class TestConfigFile:
@@ -279,6 +320,25 @@ class TestSweepCommand:
         assert all(r["status"] == "ok" for r in rows)
         best = tmp_path / "sweep.best.csv"
         assert best.exists()
+
+
+    def _rows(self, toy_csv, tmp_path, name, *extra):
+        out = tmp_path / f"{name}.csv"
+        assert run(["sweep", "--data", toy_csv, "--axis", "epsilon", "--values", "1",
+                    "--seeds", 2, "--k", 2, "--marginals", 2, "--n-prime", 10,
+                    "--max-steps", 10, "--out", out, *extra]) == 0
+        with out.open() as fh:
+            return [{k: v for k, v in row.items() if k != "wall_ms"} for row in csv.DictReader(fh)]
+
+    def test_seed_offsets_the_seed_range(self, toy_csv, tmp_path):
+        default = self._rows(toy_csv, tmp_path, "default")
+        assert [r["seed"] for r in default] == ["0", "1"]
+        assert self._rows(toy_csv, tmp_path, "zero", "--seed", 0) == default
+        five = self._rows(toy_csv, tmp_path, "five", "--seed", 5)
+        nine = self._rows(toy_csv, tmp_path, "nine", "--seed", 9)
+        assert [r["seed"] for r in five] == ["5", "6"]
+        assert [r["seed"] for r in nine] == ["9", "10"]
+        assert [r["max_error"] for r in five] != [r["max_error"] for r in nine]
 
 
 class TestSchemaSource:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privsynth import (
     ONE_OUT_OF_K,
@@ -27,7 +29,7 @@ from privsynth import (
 import privsynth.queries as queries_mod
 from privsynth.queries import QueryEvaluator, eval_compiled
 
-from helpers import random_dataset
+from helpers import random_dataset, reference_eval_discrete
 
 
 class TestWorkloadGeneration:
@@ -459,3 +461,129 @@ class TestCellBudget:
         ref_loss, ref_grad = QueryEvaluator(queries, s, 1).loss_and_gradient(X, targets)
         assert abs(loss - ref_loss) <= 1e-12 * ref_loss
         assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+
+
+class TestLazyWorkload:
+    """Workload stores marginals; the compiled query list is built on first access."""
+
+    @pytest.mark.parametrize(
+        "marginals, kind, match",
+        [
+            ([(0, 1), (1, 1)], PRODUCT, "repeated features"),
+            ([(0, 3)], PRODUCT, "feature index 3 out of range"),
+            ([(-1,)], PRODUCT, "feature index -1 out of range"),
+            ([()], PRODUCT, "at least one column"),
+            ([(0,)], "neither", "unknown query kind"),
+        ],
+    )
+    def test_errors_raised_without_compiling(self, marginals, kind, match, monkeypatch):
+        def no_compile(*args, **kwargs):
+            raise AssertionError("a query was compiled")
+
+        monkeypatch.setattr(queries_mod, "compile_marginal", no_compile)
+        s = schema_from_cardinalities((2, 3, 4))
+        with pytest.raises(WorkloadError, match=match):
+            Workload(s, marginals, kind=kind)
+
+    def test_queries_compiled_on_first_access(self):
+        s = schema_from_cardinalities((2, 3, 4))
+        w = Workload(s, [(2, 0), (1,)])
+        assert "queries" not in vars(w)
+        assert w.m == 11 and w.marginal_sizes() == [8, 3]
+        expected = [
+            compile_marginal(MarginalQuery((2, 0), (a, b)), s)
+            for a in range(4)
+            for b in range(2)
+        ] + [compile_marginal(MarginalQuery((1,), (c,)), s) for c in range(3)]
+        assert w.queries == expected
+        assert w.queries is w.queries
+
+    def test_selection_rejects_index_outside_workload(self):
+        w = Workload(schema_from_cardinalities((2, 3)), [(0, 1)])
+        for bad in ([6], [-1], [0, 7]):
+            with pytest.raises(IndexError, match="out of range"):
+                w.select(bad)
+        assert len(w.select()) == 6 and len(w.select([5, 0, 5])) == 3
+
+
+@st.composite
+def workload_selections(draw):
+    """A schema, a workload of mixed arities and one kind, and indices into it.
+
+    Marginals may list their features in any order and may repeat; the
+    indices come in any order and may repeat.
+    """
+    cards = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    d = len(cards)
+    feature_sets = st.integers(1, min(4, d)).flatmap(
+        lambda k: st.permutations(range(d)).map(lambda p: tuple(p[:k]))
+    )
+    marginals = draw(st.lists(feature_sets, min_size=1, max_size=6))
+    marginals += draw(st.lists(st.sampled_from(marginals), max_size=2))
+    marginals = draw(st.permutations(marginals))
+    kind = draw(st.sampled_from(queries_mod.QUERY_KINDS))
+    w = Workload(schema_from_cardinalities(tuple(cards)), marginals, kind=kind)
+    indices = draw(
+        st.one_of(
+            st.just(list(range(w.m))),
+            st.lists(st.integers(0, w.m - 1), max_size=3 * w.m),
+            st.permutations(range(w.m)),
+        )
+    )
+    return w, indices
+
+
+
+class TestMarginalGroups:
+    @settings(max_examples=300, deadline=None)
+    @given(case=workload_selections())
+    def test_matches_grouping_of_compiled_queries(self, case):
+        w, indices = case
+        expected = queries_mod._group_by_marginal([w.queries[i] for i in indices], w.schema)
+        got = queries_mod._marginal_groups(w, indices)
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert (a.kind, a.features, a.dims) == (b.kind, b.features, b.dims)
+            for name in ("cells", "pos"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+
+    def test_selection_evaluator_matches_query_list(self):
+        rng = np.random.default_rng(38)
+        s = schema_from_cardinalities((2, 3, 4, 3))
+        w = Workload(s, [(3, 1), (0, 1, 2), (1, 3), (2,)], kind=ONE_OUT_OF_K)
+        idx = rng.permutation(w.m)[: w.m // 3]
+        X = rng.random((7, s.d_prime))
+        targets = rng.random(idx.size)
+        ev_sel = QueryEvaluator(w.select(idx), s, 7)
+        ev_list = QueryEvaluator([w.queries[i] for i in idx], s, 7)
+        assert ev_sel.m == ev_list.m == idx.size
+        assert np.array_equal(ev_sel.answers(X), ev_list.answers(X))
+        loss, grad = ev_sel.loss_and_gradient(X, targets)
+        ref_loss, ref_grad = ev_list.loss_and_gradient(X, targets)
+        assert loss == ref_loss and np.array_equal(grad, ref_grad)
+
+
+class TestEvalDiscreteColumnCodes:
+    """eval_discrete against the ravel_multi_index formula it replaced."""
+
+    @pytest.mark.parametrize("kind", [PRODUCT, ONE_OUT_OF_K])
+    @pytest.mark.parametrize("n", [0, 1, 57])
+    def test_matches_reference(self, kind, n):
+        rng = np.random.default_rng(39 + n)
+        s = schema_from_cardinalities((2, 3, 4, 1, 5))
+        w = Workload(s, [(0,), (4, 1), (1, 2, 3), (3, 0, 4, 2), (2, 1)], kind=kind)
+        data = random_dataset(s, n, rng)
+        assert np.array_equal(eval_discrete(w, data), reference_eval_discrete(w, data))
+
+    @pytest.mark.parametrize("kind", [PRODUCT, ONE_OUT_OF_K])
+    def test_non_contiguous_rows(self, kind):
+        rng = np.random.default_rng(40)
+        s = schema_from_cardinalities((3, 4, 2, 5))
+        w = random_workload(s, 3, 3, seed=2, kind=kind)
+        base = random_dataset(s, 40, rng).rows
+        for rows in (np.asfortranarray(base), np.repeat(base, 2, axis=0)[::2]):
+            assert not rows.flags.c_contiguous
+            data = DiscreteDataset(s, rows)
+            assert not data.rows.flags.c_contiguous
+            assert np.array_equal(eval_discrete(w, data), reference_eval_discrete(w, data))
