@@ -41,8 +41,8 @@ def _load_data(args) -> schema.DiscreteDataset:
     return data
 
 
-def _add_data_args(p, data_help="input CSV (header row, categorical cells)"):
-    p.add_argument("--data", required=True, help=data_help)
+def _add_data_args(p, data_help="input CSV (header row, categorical cells)", required=True):
+    p.add_argument("--data", required=required, help=data_help)
     p.add_argument(
         "--schema",
         help="public schema JSON; omit to infer categories from the data (not private)",
@@ -114,6 +114,10 @@ def _echo_config(config: engine.FitConfig, delta: float) -> None:
 
 def cmd_workload(args) -> int:
     # A workload depends only on the schema and the flags, so a given schema spares reading --data.
+    if not (args.schema or args.data):
+        print("error: workload needs --schema (public schema JSON) or --data (input CSV)",
+              file=sys.stderr)
+        return EXIT_USAGE
     sch = schema.Schema.load(args.schema) if args.schema else _load_data(args).schema
     kind = args.kind.replace("-", "_")
     print(f"config: k={args.k} marginals={args.marginals} seed={args.seed} kind={kind}")
@@ -218,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("workload", help="sample a marginal workload and write it as JSON")
-    _add_data_args(p, data_help="input CSV; not read when --schema is given")
+    _add_data_args(p, data_help="input CSV; not needed, and not read, when --schema is given",
+                   required=False)
     p.add_argument("--k", type=int, required=True, help="marginal arity")
     p.add_argument("--marginals", type=int, required=True, help="number of feature subsets")
     p.add_argument("--seed", type=int, default=0)

@@ -10,6 +10,12 @@ distributions and is what randomized rounding consumes downstream.
 One projection step is built to allocate little and to avoid per-row numpy
 calls, with results bit-identical to the plain per-block formulas:
 
+* The iterate is kept in Fortran order, so X.T is a C-contiguous (d', rows)
+  array with one contiguous row per one-hot column. The query evaluator runs
+  its marginal kernels on that free feature-major view and returns the
+  gradient in the same order, and the normalization gathers whole rows of
+  it. The Adam moments, scratch buffers and best-iterate copy share that
+  order; the returned dataset is C-ordered again (one copy per projection).
 * The normalization stacks all feature blocks of one cardinality t into one
   (t, blocks * rows) array and projects it in one sparsemax_rows call, so a
   step costs one call per distinct cardinality, not one per feature.
@@ -21,9 +27,6 @@ calls, with results bit-identical to the plain per-block formulas:
 * AdamState.update works in place on its moments and on X, through two
   scratch buffers allocated with the state, in the operation order of the
   textbook formula.
-* The query gradient's per-cell path gathers, multiplies and scatters in a
-  workspace owned by the evaluator, sized once per row count (see
-  queries._CellPath).
 
 relaxed_projection reports the seconds spent in the gradient, the
 normalization and the Adam update in ProjectionResult.timing.
@@ -173,7 +176,8 @@ class AdamState:
     """First/second moment accumulators shaped like the data matrix.
 
     update() works in place on m, v and X, through two scratch buffers
-    allocated with the state.
+    allocated with the state in the memory order of m. Elementwise steps run
+    fastest when m, v, X and the gradient all share one order.
     """
 
     step: int
@@ -240,6 +244,8 @@ def relaxed_projection(
     the (normalized) starting point even though Adam is non-monotone.
     The result's timing holds the seconds spent in the gradient, the
     normalization and the Adam update, the entry pass included.
+    init.data is not modified, and the result's data is C-ordered whatever
+    the order of init.data.
     """
     if len(queries) == 0:
         raise ValueError("cannot project onto an empty query list")
@@ -247,7 +253,12 @@ def relaxed_projection(
     if len(queries) != targets.shape[0]:
         raise ValueError(f"{len(queries)} queries but {targets.shape[0]} targets")
     schema = init.schema
-    X = init.data.astype(np.float64, copy=True)
+    # The C-ordered result, allocated before the step buffers: allocated after
+    # them, it sat above their freed memory, and the peak RSS of repeated fits
+    # in one process (the cli-large-n bench workload) rose by 3-5 MB.
+    result = np.empty(init.data.shape)
+    # Fortran order: X.T is the evaluator's feature-major (d', rows) array, with no copy.
+    X = np.array(init.data, dtype=np.float64, order="F")
     t0 = perf_counter()
     _normalize_inplace(X, schema)
     t1 = perf_counter()
@@ -258,8 +269,8 @@ def relaxed_projection(
     loss, grad = evaluator.loss_and_gradient(X, targets)
     gradient_s = perf_counter() - t0
     losses = [loss]
-    best_loss, best_X, best_step = loss, X.copy(), 0
-    adam = AdamState.zeros(X.shape)
+    best_loss, best_X, best_step = loss, X.copy(order="F"), 0
+    adam = AdamState(0, np.zeros_like(X), np.zeros_like(X))
 
     for step in range(1, config.max_steps + 1):
         t0 = perf_counter()
@@ -288,4 +299,5 @@ def relaxed_projection(
             writer.writerows((i, f"{l!r}") for i, l in enumerate(losses))
 
     timing = {"gradient_s": gradient_s, "normalize_s": normalize_s, "adam_s": adam_s}
-    return ProjectionResult(RelaxedDataset(schema, best_X), losses, best_loss, best_step, timing)
+    np.copyto(result, best_X)
+    return ProjectionResult(RelaxedDataset(schema, result), losses, best_loss, best_step, timing)

@@ -31,6 +31,12 @@ the marginals:
   kind follows by integer inclusion-exclusion. On one-hot rows relaxed and
   exact answers agree bit for bit (count/n).
 
+The relaxed kernels run feature-major, on X.T as a C-contiguous (d', rows)
+array: a feature block is a run of contiguous rows, one per category, so the
+Khatri-Rao products, contractions and gradient updates all loop along the
+rows rather than across a block's few columns. The projection keeps its
+iterate in Fortran order, for which that array is a free view.
+
 Tensor work runs over row chunks, and per-cell work over query batches, both
 sized under one fixed cell budget, so memory stays bounded as the rows and the
 selected cells grow.
@@ -414,41 +420,43 @@ def _marginal_groups(workload: Workload, indices) -> list[_Marginal]:
 
 
 def _prefix_products(blocks) -> list:
-    """pre[i] = row-wise Khatri-Rao product of blocks[:i]; pre[0] is None (ones)."""
+    """pre[i] = Khatri-Rao product of blocks[:i], one (cells, rows) row per cell; pre[0] is None."""
     pre = [None]
     for b in blocks[:-1]:
         p = pre[-1]
-        pre.append(b if p is None else (p[:, :, None] * b[:, None, :]).reshape(b.shape[0], -1))
+        pre.append(b if p is None else (p[:, None, :] * b[None, :, :]).reshape(-1, b.shape[1]))
     return pre
 
 
 def _tensor_sums(blocks, pre) -> np.ndarray:
     """Row sums of the Khatri-Rao product of all blocks: (prefix cells, t_last)."""
     if pre[-1] is None:
-        return blocks[-1].sum(axis=0, keepdims=True)
-    return pre[-1].T @ blocks[-1]
+        return blocks[-1].sum(axis=1)[None, :]
+    return pre[-1] @ blocks[-1].T
 
 
 def _block_gradients(blocks, pre, coef) -> list:
-    """Per-row gradient of sum_c coef[c] * prod_i blocks[i][r, c_i] in each block.
+    """Gradient of sum_c coef[c] * prod_i blocks[i][c_i, r] in each (t_i, rows) block.
 
-    coef is the residual tensor shaped (prefix cells, t_last). The last block
-    takes one matmul with the prefix product; the suffix contraction then
-    peels the other blocks off one at a time, last to first.
+    Blocks are feature-major: one contiguous row per category. coef is the
+    residual tensor shaped (prefix cells, t_last). The last block takes one
+    matmul with the prefix product; the suffix contraction then peels the
+    other blocks off one at a time, last to first; its two contractions sum
+    over the short cell axes, so every inner loop runs along the rows.
     """
     if pre[-1] is None:
-        return [coef]  # arity 1: one row of weights, the same for every row
-    rows = blocks[0].shape[0]
+        return [coef.T]  # arity 1: one column of weights, the same for every row
+    rows = blocks[0].shape[1]
     grads = [None] * len(blocks)
-    grads[-1] = pre[-1] @ coef
-    suffix = blocks[-1] @ coef.T
+    grads[-1] = coef.T @ pre[-1]
+    suffix = coef @ blocks[-1]
     for i in range(len(blocks) - 2, -1, -1):
-        suffix = suffix.reshape(rows, -1, blocks[i].shape[1])
+        suffix = suffix.reshape(-1, blocks[i].shape[0], rows)
         if pre[i] is None:
-            grads[i] = suffix[:, 0, :]
+            grads[i] = suffix[0]
         else:
-            grads[i] = np.einsum("rp,rpv->rv", pre[i], suffix)
-            suffix = np.einsum("rpv,rv->rp", suffix, blocks[i])
+            grads[i] = np.einsum("pr,pvr->vr", pre[i], suffix)
+            suffix = np.einsum("pvr,vr->pr", suffix, blocks[i])
     return grads
 
 
@@ -466,7 +474,7 @@ def _chunked_sums(blocks, spans):
     """
     sums, pre = 0.0, None
     for span in spans:
-        chunk = [b[span] for b in blocks]
+        chunk = [b[:, span] for b in blocks]
         pre = _prefix_products(chunk)
         sums = sums + _tensor_sums(chunk, pre)
     return sums, (pre if len(spans) == 1 else None)
@@ -478,22 +486,20 @@ class _CellPath:
     Marginals of one (kind, arity k) form a batch whose q queries are the
     columns of a (k, q) matrix of one-hot column indices: slot p holds the
     category column of the marginal's p-th feature. One np.take gathers all
-    k*q slot rows of the transposed data (of 1 - X for the threshold kind).
-    A suffix pass into a workspace and a prefix pass in place over the slots
-    give each slot's leave-one-out product, which one matmul per slot with a
-    one-hot matrix over the slot's distinct columns, scaled by the residuals,
-    scatters into the gradient. A batch holds at most
-    _TENSOR_CELL_BUDGET // (k * max(n_rows, d')) queries, so neither its slot
-    buffers nor its one-hot matrices exceed the budget.
+    k*q slot rows straight from the feature-major data Xt (from 1 - Xt for
+    the threshold kind). A suffix pass into a workspace and a prefix pass in
+    place over the slots give each slot's leave-one-out product, which one
+    matmul per slot with a one-hot matrix over the slot's distinct columns,
+    scaled by the residuals, scatters into rows of the (d', rows) gradient. A
+    batch holds at most _TENSOR_CELL_BUDGET // (k * max(n_rows, d')) queries,
+    so neither its slot buffers nor its one-hot matrices exceed the budget.
 
-    The transposed data, its complement, the gradient and the slot buffers
-    live in a workspace allocated on the first call for a row count and
-    rewritten in place on every later call; the returned gradient is a fresh
-    array.
+    The slot buffers live in a workspace allocated on the first call for a
+    row count and rewritten in place on every later call; the gradient is a
+    fresh array.
     """
 
     def __init__(self, marginals, offsets, d_prime: int, n_rows: int):
-        self.d_prime = d_prime
         offsets = np.asarray(offsets, dtype=np.int64)
         by_shape: dict[tuple[str, int], list[_Marginal]] = {}
         for mg in marginals:
@@ -515,30 +521,26 @@ class _CellPath:
         self._rows = None  # row count the workspace is allocated for
 
     def _allocate(self, n: int) -> None:
-        """Workspace for n rows, sized for the largest batch."""
+        """Slot buffers for n rows, sized for the largest batch."""
         shapes = [cols.shape for _, cols, _, _ in self._batches]
-        self._Xt = np.empty((self.d_prime, n))
-        threshold = any(kind == ONE_OUT_OF_K for kind, _, _, _ in self._batches)
-        self._Xc = np.empty_like(self._Xt) if threshold else None
-        self._grad_t = np.empty_like(self._Xt)
         self._slots = np.empty(max(k * q for k, q in shapes) * n)
         self._suffix = np.empty(max((k - 1) * q for k, q in shapes) * n)
         self._ones = np.ones((max(q for _, q in shapes), n))
         self._rows = n
 
-    def loss_and_gradient(self, X: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-        n = X.shape[0]
+    def loss_and_gradient(self, Xt: np.ndarray, Xc, targets) -> tuple[float, np.ndarray]:
+        """Loss and (d', rows) gradient of the batched queries on feature-major Xt.
+
+        Xc is 1 - Xt, needed only when a batch holds the threshold kind.
+        """
+        n = Xt.shape[1]
         if self._rows != n:
             self._allocate(n)
-        grad_t = self._grad_t
-        np.copyto(self._Xt, X.T)
-        if self._Xc is not None:
-            np.subtract(1.0, self._Xt, out=self._Xc)
-        grad_t.fill(0.0)
+        grad_t = np.zeros_like(Xt)
         loss = 0.0
         for kind, cols, pos, scatter in self._batches:
             k, q = cols.shape
-            base = self._Xt if kind == PRODUCT else self._Xc
+            base = Xt if kind == PRODUCT else Xc
             # Column indices were validated when the evaluator was built.
             slots = self._slots[: k * q * n].reshape(k, q, n)
             np.take(base, cols, axis=0, out=slots, mode="clip")
@@ -562,7 +564,7 @@ class _CellPath:
                 else:
                     loo = np.multiply(suffix[p], slots[p - 1], out=suffix[p])
                 grad_t[distinct] += (onehot * coef) @ loo
-        return loss, grad_t.T.copy()
+        return loss, grad_t
 
 
 def _one_hot(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -581,6 +583,13 @@ class QueryEvaluator:
     tensor of its (kind, feature set).
     Answers always come from the full tensors; the gradient uses the tensors
     for marginals the list covers densely and the per-cell path for the rest.
+
+    The kernels run feature-major, on Xt = X.T as a C-contiguous (d', rows)
+    array: a feature block is a run of contiguous rows, one per category, so
+    every elementwise loop runs along the rows. Xt is a free view of a
+    Fortran-ordered X (the projection's iterate) and one copy of any other.
+    The gradient is accumulated in that layout and returned as its transpose,
+    a fresh Fortran-ordered (rows, d') array.
     """
 
     def __init__(self, queries, schema: Schema, n_rows: int):
@@ -595,16 +604,18 @@ class QueryEvaluator:
             covered = np.unique(mg.cells).size >= _TENSOR_MIN_COVERAGE * math.prod(mg.dims)
             (self._tensor if covered else sparse).append(mg)
         self._cells = _CellPath(sparse, schema.offsets, schema.d_prime, n_rows) if sparse else None
+        self._threshold = any(mg.kind == ONE_OUT_OF_K for mg in self._marginals)
 
-    def _blocks(self, X: np.ndarray, X_comp, mg: _Marginal) -> list:
-        """The marginal's feature blocks of X, or of 1 - X for the threshold kind."""
-        base = X if mg.kind == PRODUCT else X_comp
+    def _feature_major(self, X: np.ndarray):
+        """Xt = X.T as a C-contiguous array, and 1 - Xt when a threshold query needs it."""
+        Xt = np.ascontiguousarray(X.T)
+        return Xt, (1.0 - Xt if self._threshold else None)
+
+    def _blocks(self, Xt: np.ndarray, Xc, mg: _Marginal) -> list:
+        """The marginal's (t, rows) feature blocks of Xt, or of 1 - Xt for the threshold kind."""
+        base = Xt if mg.kind == PRODUCT else Xc
         offsets = self._offsets
-        return [base[:, offsets[f] : offsets[f] + t] for f, t in zip(mg.features, mg.dims)]
-
-    @staticmethod
-    def _complement(X: np.ndarray, marginals):
-        return 1.0 - X if any(mg.kind == ONE_OUT_OF_K for mg in marginals) else None
+        return [base[offsets[f] : offsets[f] + t] for f, t in zip(mg.features, mg.dims)]
 
     @staticmethod
     def _cell_values(sums: np.ndarray, mg: _Marginal, n: int) -> np.ndarray:
@@ -614,10 +625,10 @@ class QueryEvaluator:
     def answers(self, X: np.ndarray) -> np.ndarray:
         """Query values averaged over the rows of X."""
         n = X.shape[0]
-        X_comp = self._complement(X, self._marginals)
+        Xt, Xc = self._feature_major(X)
         out = np.empty(self.m, dtype=np.float64)
         for mg in self._marginals:
-            sums, _ = _chunked_sums(self._blocks(X, X_comp, mg), _row_spans(n, mg))
+            sums, _ = _chunked_sums(self._blocks(Xt, Xc, mg), _row_spans(n, mg))
             out[mg.pos] = self._cell_values(sums, mg, n)
         return out
 
@@ -634,14 +645,14 @@ class QueryEvaluator:
         first, so duplicate queries add up.
         """
         n = X.shape[0]
-        X_comp = self._complement(X, self._tensor)
+        Xt, Xc = self._feature_major(X)
         offsets = self._offsets
         if self._cells is not None:
-            loss, grad = self._cells.loss_and_gradient(X, targets)
+            loss, grad_t = self._cells.loss_and_gradient(Xt, Xc, targets)
         else:
-            loss, grad = 0.0, np.zeros_like(X)
+            loss, grad_t = 0.0, np.zeros_like(Xt)
         for mg in self._tensor:
-            blocks = self._blocks(X, X_comp, mg)
+            blocks = self._blocks(Xt, Xc, mg)
             spans = _row_spans(n, mg)
             sums, kept = _chunked_sums(blocks, spans)
             res = self._cell_values(sums, mg, n) - targets[mg.pos]
@@ -649,11 +660,11 @@ class QueryEvaluator:
             coef = np.bincount(mg.cells, weights=(2.0 / n) * res, minlength=sums.size)
             coef = coef.reshape(sums.shape)
             for span in spans:
-                chunk = [b[span] for b in blocks]
+                chunk = [b[:, span] for b in blocks]
                 pre = kept if kept is not None else _prefix_products(chunk)
                 for f, t, g in zip(mg.features, mg.dims, _block_gradients(chunk, pre, coef)):
-                    grad[span, offsets[f] : offsets[f] + t] += g
-        return loss, grad
+                    grad_t[offsets[f] : offsets[f] + t, span] += g
+        return loss, grad_t.T
 
 
 def eval_relaxed(workload: Workload, relaxed: RelaxedDataset) -> np.ndarray:

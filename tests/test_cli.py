@@ -75,6 +75,34 @@ class TestWorkloadCommand:
         assert outputs[0] == outputs[1]
         assert outputs[0] == [ref.read_bytes(), sch.read_bytes()]
 
+    def test_schema_without_data(self, toy_csv, tmp_path, capsys):
+        ref = tmp_path / "ref.json"
+        assert run(["workload", "--data", toy_csv, "--k", 2, "--marginals", 2, "--seed", 3,
+                    "--out", ref]) == 0
+        sch = ref.with_suffix(".schema.json")
+        out = tmp_path / "alone" / "w.json"
+        out.parent.mkdir()
+        capsys.readouterr()
+        assert run(["workload", "--schema", sch, "--k", 2, "--marginals", 2, "--seed", 3,
+                    "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_bytes() == ref.read_bytes()
+        assert out.with_suffix(".schema.json").read_bytes() == sch.read_bytes()
+
+    def test_neither_schema_nor_data_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "w.json"
+        assert run(["workload", "--k", 2, "--marginals", 2, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "--schema" in err and "--data" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "eval", "sweep"])
+    def test_other_commands_still_require_data(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run([command])
+        assert exc.value.code == 2
+        assert "--data" in capsys.readouterr().err
+
     def test_compiled_dump(self, toy_csv, tmp_path):
         out = tmp_path / "w.json"
         run(["workload", "--data", toy_csv, "--k", 1, "--marginals", 1, "--seed", 0,

@@ -157,6 +157,24 @@ class TestRelaxedProjection:
         np.testing.assert_array_equal(r1.dataset.data, r2.dataset.data)
         assert r1.losses == r2.losses
 
+    @pytest.mark.parametrize("kind", [PRODUCT, ONE_OUT_OF_K])
+    def test_memory_order_of_init(self, kind):
+        """The iterate runs in Fortran order; the input stays put and the output is C-ordered."""
+        s, data, _ = self._toy(seed=12)
+        w = Workload(s, list(itertools.combinations(range(s.d), 2)), kind=kind)
+        targets = eval_relaxed(w, one_hot(data).as_relaxed())
+        start = random_init(s, 15, NoiseSource(2, "init"))
+        start.data[0, :] += 0.5  # off the simplex, so the entry normalization changes it
+        config = ProjectionConfig(max_steps=20)
+        outputs = []
+        for data_in in (start.data, np.asfortranarray(start.data)):
+            before = data_in.copy()
+            result = relaxed_projection(w.select(), targets, RelaxedDataset(s, data_in), config)
+            assert np.array_equal(data_in, before)
+            assert result.dataset.data.flags.c_contiguous
+            outputs.append((result.dataset.data.tobytes(), result.losses))
+        assert outputs[0] == outputs[1]
+
     def test_empty_queries_rejected(self):
         s = schema_from_cardinalities((2,))
         with pytest.raises(ValueError):

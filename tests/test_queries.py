@@ -372,6 +372,37 @@ class TestCellWorkspace:
             assert ev.loss_and_gradient(X1, targets)[0] == loss1
 
 
+class TestFeatureMajorLayout:
+    """The kernels read X.T feature-major; the memory order of X must not change a bit."""
+
+    MARGINALS = {1: [(0,), (3,)], 2: [(0, 1), (2, 3)], 3: [(0, 1, 2), (1, 2, 3)], 4: [(0, 1, 2, 3)]}
+
+    @pytest.mark.parametrize("coverage", [0.0, math.inf])  # tensor path only, per-cell path only
+    @pytest.mark.parametrize("kind", [PRODUCT, ONE_OUT_OF_K])
+    @pytest.mark.parametrize("arity", sorted(MARGINALS))
+    def test_orders_agree_and_gradients_survive(self, arity, kind, coverage, monkeypatch):
+        monkeypatch.setattr(queries_mod, "_TENSOR_MIN_COVERAGE", coverage)
+        monkeypatch.setattr(queries_mod, "_TENSOR_CELL_BUDGET", 24)  # row chunks of 1 to 12
+        rng = np.random.default_rng(38 + arity)
+        s = schema_from_cardinalities((2, 3, 4, 3))
+        w = Workload(s, self.MARGINALS[arity], kind=kind)
+        queries = [w.queries[i] for i in rng.permutation(w.m)]
+        targets = rng.random(len(queries))
+        ev = QueryEvaluator(queries, s, 11)
+        assert (ev._cells is None) == (coverage == 0.0)
+        X1, X2 = rng.random((11, s.d_prime)), rng.random((11, s.d_prime))
+        F1 = np.asfortranarray(X1)
+        assert X1.flags.c_contiguous and F1.flags.f_contiguous and not F1.flags.c_contiguous
+        assert ev.answers(X1).tobytes() == ev.answers(F1).tobytes()
+        loss, grad = ev.loss_and_gradient(X1, targets)
+        f_loss, f_grad = ev.loss_and_gradient(F1, targets)
+        assert loss == f_loss and grad.tobytes() == f_grad.tobytes()
+        kept = grad.copy()
+        later = ev.loss_and_gradient(X2, targets)[1]
+        assert not np.shares_memory(grad, later) and not np.shares_memory(grad, f_grad)
+        assert np.array_equal(grad, kept)
+
+
 def reference_cell_loss_and_gradient(path, X, targets):
     """The per-cell kernel on the path's batches, with fresh arrays throughout."""
     n = X.shape[0]
@@ -428,7 +459,9 @@ class TestCellPathBitIdentity:
                 assert len(shapes) > len(set(shapes))  # some (kind, arity) group was split
             for rows in (9, 9, 5):  # reuse the workspace, then reallocate it
                 X = rng.random((rows, s.d_prime))
-                loss, grad = ev._cells.loss_and_gradient(X, targets)
+                Xt = np.ascontiguousarray(X.T)
+                loss, grad_t = ev._cells.loss_and_gradient(Xt, 1.0 - Xt, targets)
+                grad = grad_t.T
                 ref_loss, ref_grad = reference_cell_loss_and_gradient(ev._cells, X, targets)
                 assert loss == ref_loss
                 assert np.array_equal(grad, ref_grad)
