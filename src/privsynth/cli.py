@@ -23,6 +23,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import engine, evaluation, queries, rounding, schema
 from .privacy import BudgetError
 
@@ -39,6 +41,18 @@ def _load_data(args) -> schema.DiscreteDataset:
     print("warning: no --schema given: the category domain was inferred from the private data "
           "and is not differentially private", file=sys.stderr)
     return data
+
+
+def _load_relaxed(path, sch: schema.Schema) -> schema.RelaxedDataset:
+    """A relaxed matrix from a CSV file; a NaN or infinite value in it is a SchemaError."""
+    relaxed = engine.load_relaxed_csv(path, sch)
+    bad = np.argwhere(~np.isfinite(relaxed.data))
+    if bad.size:
+        row, col = bad[0].tolist()
+        raise schema.SchemaError(
+            f"{path}: non-finite value {relaxed.data[row, col]} at row {row}, column {col}"
+        )
+    return relaxed
 
 
 def _add_data_args(p, data_help="input CSV (header row, categorical cells)", required=True):
@@ -159,7 +173,7 @@ def cmd_fit(args) -> int:
 def cmd_round(args) -> int:
     print(f"config: oversample={args.oversample} seed={args.seed}")
     sch = schema.Schema.load(args.schema)
-    relaxed = engine.load_relaxed_csv(args.relaxed, sch)
+    relaxed = _load_relaxed(args.relaxed, sch)
     synth = rounding.randomized_round(
         relaxed, rounding.RoundingConfig(oversample=args.oversample, seed=args.seed)
     )
@@ -172,7 +186,7 @@ def cmd_eval(args) -> int:
     data = _load_data(args)
     wl = queries.Workload.load(data.schema, args.workload)
     if args.synth_format == "relaxed":
-        synth = engine.load_relaxed_csv(args.synth, data.schema)
+        synth = _load_relaxed(args.synth, data.schema)
     else:
         synth = schema.load_csv(args.synth, data.schema)
     report = evaluation.max_error(wl, data, synth)

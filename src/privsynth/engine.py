@@ -183,8 +183,8 @@ def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResu
     if t_rounds == 1:
         share = math.inf if config.no_noise else rho / workload.m
         answers = gaussian_mechanism(true_answers, n, share, gauss_rng)
-        for i in range(workload.m):
-            budget.spend(f"gaussian[q={i}]", 0.0 if config.no_noise else share)
+        budget.spend([f"gaussian[q={i}]" for i in range(workload.m)],
+                     0.0 if config.no_noise else share)
         selected = list(range(workload.m))
         noisy = [float(a) for a in np.atleast_1d(answers)]
         proj = project(1, workload.select(), answers, current)

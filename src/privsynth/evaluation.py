@@ -76,15 +76,19 @@ def max_error(workload: Workload, data: DiscreteDataset, synth) -> ErrorReport:
 
     `synth` may be a relaxed matrix (evaluated differentiably) or a discrete
     dataset (evaluated exactly); the two agree when the relaxed input is
-    one-hot.
+    one-hot. A table without rows answers no query, so either one empty is
+    a SchemaError.
     """
+    if not isinstance(synth, (RelaxedDataset, DiscreteDataset)):
+        raise TypeError(f"synth must be a relaxed or discrete dataset, got {type(synth)!r}")
+    for table, name in ((data, "private"), (synth, "synthetic")):
+        if table.n == 0:
+            raise SchemaError(f"the {name} table has no rows")
     truth = eval_discrete(workload, data)
     if isinstance(synth, RelaxedDataset):
         approx = eval_relaxed(workload, synth)
-    elif isinstance(synth, DiscreteDataset):
-        approx = eval_discrete(workload, synth)
     else:
-        raise TypeError(f"synth must be a relaxed or discrete dataset, got {type(synth)!r}")
+        approx = eval_discrete(workload, synth)
     errors = np.abs(approx - truth)
     return ErrorReport(
         max_error=float(errors.max()),

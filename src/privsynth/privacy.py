@@ -224,17 +224,29 @@ class PrivacyBudget:
         """Noiseless sentinel budget for test runs; spends are recorded as 0."""
         return cls(math.inf, 0.0, math.inf, private=False)
 
-    def spend(self, label: str, rho: float) -> None:
+    def spend(self, label: str | list[str], rho: float) -> None:
+        """Book rho under `label`, or under each of a list of m labels (m equal spends).
+
+        The cap is checked once, before anything is booked, so a batch that
+        would overspend books nothing. A batch adds m * rho to the partials
+        exactly, as one rho * 2**k per set bit k of m, so spent() is the same
+        as after m single spends.
+        """
         if not 0.0 <= rho < math.inf:
             raise BudgetError(f"ledger spend must be finite and >= 0, got {rho}")
-        new_total = self.spent() + rho
+        labels = [label] if isinstance(label, str) else label
+        m = len(labels)
+        new_total = self.spent() + m * rho
         if self.private and new_total > self.rho_total * (1.0 + _CAP_SLACK) + 1e-15:
+            more = f" and {m - 1} more labels" if m > 1 else ""
             raise BudgetError(
-                f"spend {rho} for {label!r} would exceed budget: "
+                f"spend {rho} for {labels[0]!r}{more} would exceed budget: "
                 f"{new_total} > {self.rho_total}"
             )
-        self.ledger.append((label, rho))
-        _add_partial(self._partials, rho)
+        self.ledger.extend((lab, rho) for lab in labels)
+        for k in range(m.bit_length()):
+            if m >> k & 1:
+                _add_partial(self._partials, math.ldexp(rho, k))
 
     def spent(self) -> float:
         """math.fsum of the ledger's spends, from the running partials."""

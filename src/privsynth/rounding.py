@@ -18,7 +18,7 @@ from .schema import DiscreteDataset, RelaxedDataset
 
 
 class RoundingError(ValueError):
-    """Input rows are not normalized (zero or negative block mass)."""
+    """Input rows are not normalized (zero or negative block mass, or a non-finite value)."""
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,10 @@ def randomized_round(relaxed: RelaxedDataset, config: RoundingConfig = RoundingC
 
     Block values are renormalized by their sum before sampling, which absorbs
     the ~1e-9 drift simplex projection can leave; a block with zero or
-    negative mass is an error, as it signals unnormalized input. Sampling is
-    inverse-CDF over each block in category order, and all replicas of a
-    source row are emitted adjacently, so output is deterministic given the
-    seed.
+    negative mass, or with a NaN or infinite value, is an error, as it signals
+    unnormalized input. Sampling is inverse-CDF over each block in category
+    order, and all replicas of a source row are emitted adjacently, so output
+    is deterministic given the seed.
     """
     schema = relaxed.schema
     X = relaxed.data
@@ -49,6 +49,8 @@ def randomized_round(relaxed: RelaxedDataset, config: RoundingConfig = RoundingC
     rows = np.empty((n * r, schema.d), dtype=np.int64)
     for i, (off, t) in enumerate(zip(schema.offsets, schema.cardinalities)):
         block = X[:, off : off + t]
+        if not np.isfinite(block).all():
+            raise RoundingError(f"feature {i} has a non-finite value")
         if (block < -1e-9).any():
             raise RoundingError(f"feature {i} has negative mass; normalize the input first")
         mass = np.clip(block, 0.0, None).sum(axis=1)

@@ -204,10 +204,13 @@ def decode(encoded: OneHotDataset) -> DiscreteDataset:
     return DiscreteDataset(encoded.schema, rows)
 
 
-# Rows per chunk of the byte path; bounds its separator and key arrays.
+# Rows per chunk of the byte path; bounds its separator, key and slot arrays.
 _CHUNK_ROWS = 1 << 11
 # _MASKS[w] keeps the first w bytes of a big-endian 8-byte window.
 _MASKS = np.array([((1 << 8 * w) - 1) << (64 - 8 * w) for w in range(9)], np.uint64)
+# Odd multipliers a column's hash table picks from: the first that gives its
+# labels the fewest shared home slots, so that most lookups need no probing.
+_MULTIPLIERS = np.random.default_rng(0x5EED).integers(0, 1 << 64, 16, np.uint64) | 1
 
 
 def load_csv(path, schema: Schema | None = None) -> DiscreteDataset:
@@ -226,8 +229,10 @@ def load_csv(path, schema: Schema | None = None) -> DiscreteDataset:
 
     The bytes are parsed with numpy when they hold no `"`, no NUL and no `\\r`
     outside a `\\r\\n`, the header line is not empty, and every label in the
-    file and the schema is at most 8 bytes long. Any other file, and any
-    fault past the UTF-8 check, goes to `csv.reader`, which alone reports it.
+    file and the schema is at most 8 bytes long; each chunk of rows is then
+    mapped to category ids with one lookup in per-column hash tables. Any
+    other file, and any fault past the UTF-8 check, goes to `csv.reader`,
+    which alone reports it.
     """
     path = Path(path)
     if not path.exists():
@@ -239,9 +244,11 @@ def load_csv(path, schema: Schema | None = None) -> DiscreteDataset:
 def _load_bytes(path: Path, schema: Schema | None) -> DiscreteDataset | None:
     """Check the file is UTF-8 and parse it with numpy, or return None for csv.reader.
 
-    A cell's key is its bytes, zero padded to 8 and read big-endian (unique, as
-    no cell holds a NUL). Per chunk, searchsorted maps each column's keys to ids
-    of its known labels: the schema's, or else those seen so far, ranked at the end.
+    A cell's key is its bytes, zero padded to 8 and read big-endian (unique and
+    never 0, as no cell is empty or holds a NUL). Per chunk, one lookup in the
+    columns' hash tables (`_LabelTable`) maps the (rows, d) key block to ids of
+    each column's known labels: the schema's, or else those seen so far, with
+    a chunk's new labels added to the tables and the ids ranked at the end.
     """
     data = path.read_bytes()
     try:
@@ -275,6 +282,8 @@ def _load_bytes(path: Path, schema: Schema | None) -> DiscreteDataset | None:
             return None
         known = [np.array([int.from_bytes(lab.ljust(8, b"\0"), "big") for lab in col], np.uint64)
                  for col in labels]
+    columns = [_LabelTable(labels) for labels in known]
+    tables = _layout(columns)
 
     windows = np.ndarray((buf.size - 7,), ">u8", buf, strides=(1,))  # one at every byte
     rows = np.empty((n, d), np.int64)
@@ -293,21 +302,21 @@ def _load_bytes(path: Path, schema: Schema | None) -> DiscreteDataset | None:
             return None
         keys = windows[starts].astype(np.uint64).reshape(b - a, d)
         keys &= _MASKS[width.reshape(b - a, d)]
-        for c in range(d):
-            if not known[c].size:
-                known[c] = np.unique(keys[:, c])
-            ids, hit = _match(known[c], keys[:, c])
-            if not hit.all():
-                if schema is not None:
-                    return None  # an unknown label
-                known[c] = np.concatenate((known[c], np.unique(keys[~hit, c])))
-                ids, _ = _match(known[c], keys[:, c])
-            rows[a:b, c] = ids
+        unknown = _lookup(tables, keys, rows[a:b])
+        if unknown.size:
+            if schema is not None:
+                return None  # an unknown label
+            col = unknown % d
+            for c in np.unique(col).tolist():
+                columns[c].add(np.unique(keys.flat[unknown[col == c]]))
+            tables = _layout(columns)
+            _lookup(tables, keys, rows[a:b])
 
     if schema is None:
         feats = []
         for c, name in enumerate(header):
-            labels = [k.to_bytes(8, "big").rstrip(b"\0").decode("utf-8") for k in known[c].tolist()]
+            keys = columns[c].labels.tolist()
+            labels = [k.to_bytes(8, "big").rstrip(b"\0").decode("utf-8") for k in keys]
             cats = sorted(labels) or ["0"]  # ["0"]: placeholder for a file with no rows
             rank = {lab: i for i, lab in enumerate(cats)}
             ids = np.array([rank[lab] for lab in labels], np.int64)
@@ -318,11 +327,102 @@ def _load_bytes(path: Path, schema: Schema | None) -> DiscreteDataset | None:
     return DiscreteDataset(schema, rows)
 
 
-def _match(known: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index in `known` of each key, and whether the key is there at all."""
-    order = np.argsort(known)
-    ids = order[np.minimum(np.searchsorted(known[order], keys), known.size - 1)]
-    return ids, known[ids] == keys
+class _LabelTable:
+    """A linear-probing hash table of one column's label keys.
+
+    The id stored beside a key is its index in `labels`. There are 2**bits >=
+    2 * len(labels) home slots, so at most half are full, and key k's home slot
+    is k * mult mod 2**64 >> (64 - bits). Behind the home slots is room for the
+    longest probe run plus an empty slot, so every probe ends inside the table.
+    A slot key of 0 marks an empty slot; the empty label has key 0 and no slot,
+    as no cell on the byte path is empty.
+    """
+
+    def __init__(self, labels: np.ndarray):
+        self._build(labels)
+
+    def add(self, new: np.ndarray) -> None:
+        """Append labels the table lacks; the ids of the others stay."""
+        labels = np.concatenate((self.labels, new))
+        if 2 * labels.size > 1 << self.bits:
+            self._build(labels)
+        else:
+            self.labels = labels
+            self._place(labels.size - new.size)
+
+    def _build(self, labels: np.ndarray) -> None:
+        self.labels = labels
+        self.bits = max(1, (2 * labels.size - 1).bit_length())
+        most = -1
+        for mult in _MULTIPLIERS:
+            home = labels * mult >> np.uint64(64 - self.bits)
+            distinct = np.count_nonzero(np.bincount(home.astype(np.intp)))
+            if distinct > most:
+                most, self.mult = distinct, mult
+            if distinct == labels.size:
+                break
+        self.keys = np.zeros(3 << (self.bits - 1), np.uint64)
+        self.ids = np.zeros(self.keys.size, np.int64)
+        self._place(0)
+
+    def _place(self, first: int) -> None:
+        """Insert labels[first:], one vectorized round per slot of their probe runs."""
+        todo = np.arange(first, self.labels.size)[self.labels[first:] != 0]
+        at = (self.labels[todo] * self.mult >> np.uint64(64 - self.bits)).astype(np.intp)
+        while todo.size:
+            free = self.keys[at] == 0
+            slots, first_claim = np.unique(at[free], return_index=True)
+            won = todo[free][first_claim]
+            self.keys[slots], self.ids[slots] = self.labels[won], won
+            left = self.keys[at] != self.labels[todo]
+            todo, at = todo[left], at[left] + 1
+
+
+def _layout(columns: list[_LabelTable]) -> tuple[np.ndarray, ...]:
+    """The columns' tables laid end to end, as `_lookup` reads them.
+
+    Returns (mult, shift, base, slot_keys, slot_ids): column c's key k has its
+    home slot at base[c] + (k * mult[c] mod 2**64 >> shift[c]).
+    """
+    sizes = [t.keys.size for t in columns]
+    return (
+        np.array([t.mult for t in columns], np.uint64),
+        np.array([64 - t.bits for t in columns], np.uint64),
+        np.cumsum([0] + sizes[:-1], dtype=np.uint64),
+        np.concatenate([t.keys for t in columns]),
+        np.concatenate([t.ids for t in columns]),
+    )
+
+
+def _lookup(tables: tuple[np.ndarray, ...], keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Write into `ids` the id of each key of the (rows, d) block `keys`.
+
+    `ids` is a C-contiguous (rows, d) int64 array. Returns the flat positions
+    of the keys their column does not know; their ids are left unset. Every
+    cell reads its home slot; only cells whose slot holds another label probe
+    on, in one vectorized round per further slot.
+    """
+    mult, shift, base, slot_keys, slot_ids = tables
+    slot = keys * mult
+    slot >>= shift
+    slot += base
+    slot = slot.view(np.intp).reshape(-1)
+    keys, ids = keys.reshape(-1), ids.reshape(-1)
+    np.take(slot_ids, slot, out=ids, mode="clip")  # every slot is in range; "raise" buffers out
+    seen = np.take(slot_keys, slot)
+    cells = np.flatnonzero(seen != keys)
+    unknown = [np.empty(0, np.intp)]
+    while cells.size:
+        empty = seen[cells] == 0
+        unknown.append(cells[empty])
+        cells = cells[~empty]
+        at = slot[cells] + 1
+        slot[cells] = at
+        seen[cells] = np.take(slot_keys, at)
+        hit = seen[cells] == keys[cells]
+        ids[cells[hit]] = np.take(slot_ids, at[hit])
+        cells = cells[~hit]
+    return np.concatenate(unknown)
 
 
 def _load_text(path: Path, schema: Schema | None) -> DiscreteDataset:

@@ -195,6 +195,21 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "no rows" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("empty_arg", ["--data", "--synth"])
+    def test_eval_empty_table_exit_code(self, fitted, tmp_path, capsys, empty_arg):
+        toy_csv, wpath, _ = fitted
+        empty = tmp_path / "empty.csv"
+        empty.write_text(toy_csv.read_text().splitlines()[0] + "\n")
+        files = {"--data": toy_csv, "--synth": toy_csv, empty_arg: empty}
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        code = run(["eval", "--schema", wpath.with_suffix(".schema.json"), "--workload", wpath,
+                    *(arg for pair in files.items() for arg in pair), "--out", report])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "has no rows" in err and "Traceback" not in err
+        assert not report.exists()
+
     def test_rerun_byte_identical_without_timing(self, fitted, tmp_path):
         toy_csv, wpath, out_dir = fitted
         out2 = tmp_path / "fit2"
@@ -333,6 +348,26 @@ class TestRoundAndEvalCommands:
                     "--out", report])
         assert code == 0
         assert json.loads(report.read_text())["m"] == 26
+
+    @pytest.mark.parametrize("command", ["round", "eval"])
+    def test_non_finite_relaxed_input_exit_code(self, fitted, tmp_path, capsys, command):
+        toy_csv, wpath, out_dir = fitted
+        lines = (out_dir / "relaxed.csv").read_text().splitlines()
+        lines[3] = ",".join(["nan"] + lines[3].split(",")[1:])
+        bad = tmp_path / "nan.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        argv = {
+            "round": ["round", "--relaxed", bad, "--schema", out_dir / "schema.json",
+                      "--out", out],
+            "eval": ["eval", "--data", toy_csv, "--workload", wpath, "--synth", bad,
+                     "--synth-format", "relaxed", "--out", out],
+        }[command]
+        capsys.readouterr()
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert "non-finite value nan at row 3, column 0" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestSweepCommand:

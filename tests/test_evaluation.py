@@ -6,6 +6,7 @@ from privsynth import (
     FitConfig,
     ProjectionConfig,
     RelaxedDataset,
+    SchemaError,
     SweepSpec,
     Workload,
     WorkloadError,
@@ -63,6 +64,20 @@ class TestMaxError:
         via_relaxed = max_error(w, data, one_hot(synth).as_relaxed())
         assert via_discrete.max_error == via_relaxed.max_error
         assert np.array_equal(via_discrete.per_query, via_relaxed.per_query)
+
+    @pytest.mark.parametrize("empty", ["data", "synth", "relaxed synth"])
+    def test_empty_table_rejected(self, empty):
+        s = schema_from_cardinalities((2, 3))
+        rows = DiscreteDataset(s, np.array([[0, 1], [1, 2]]))
+        tables = {
+            "data": (DiscreteDataset(s, np.zeros((0, 2), np.int64)), rows),
+            "synth": (rows, DiscreteDataset(s, np.zeros((0, 2), np.int64))),
+            "relaxed synth": (rows, RelaxedDataset(s, np.zeros((0, s.d_prime)))),
+        }
+        data, synth = tables[empty]
+        which = "private" if empty == "data" else "synthetic"
+        with pytest.raises(SchemaError, match=f"the {which} table has no rows"):
+            max_error(Workload(s, [(0, 1)]), data, synth)
 
     def test_rejects_unknown_synth_type(self):
         s = schema_from_cardinalities((2,))

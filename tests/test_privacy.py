@@ -253,6 +253,46 @@ class TestPrivacyBudget:
             assert b.spent() == math.fsum(accepted)
         assert [r for _, r in b.ledger] == accepted
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
+        | st.sampled_from([0.0, 0.1, 1e-300, 5e-324, 1.0 / 3.0, 2.0**-52]),
+        st.integers(min_value=0, max_value=7000),
+        SPENDS,
+    )
+    def test_batch_spend_matches_single_spends(self, rho, m, before):
+        single, batch = PrivacyBudget.non_private(), PrivacyBudget.non_private()
+        for i, r in enumerate(before):
+            single.spend(f"before{i}", r)
+            batch.spend(f"before{i}", r)
+        labels = [f"gaussian[q={i}]" for i in range(m)]
+        for label in labels:
+            single.spend(label, rho)
+        batch.spend(labels, rho)
+        assert batch.ledger == single.ledger
+        assert batch.spent().hex() == single.spent().hex()
+
+    @pytest.mark.parametrize("m", [1, 7, 6144])
+    def test_batch_of_equal_shares_spends_the_budget(self, m):
+        single = PrivacyBudget.from_eps_delta(1.0, 1e-6)
+        batch = PrivacyBudget.from_eps_delta(1.0, 1e-6)
+        share = single.rho_total / m
+        labels = [f"gaussian[q={i}]" for i in range(m)]
+        for label in labels:
+            single.spend(label, share)
+        batch.spend(labels, share)
+        assert batch.ledger == single.ledger
+        assert batch.spent().hex() == single.spent().hex()
+
+    def test_overspending_batch_books_nothing(self):
+        b = PrivacyBudget.from_eps_delta(1.0, 1e-6)
+        b.spend("a", b.rho_total / 2)
+        ledger, spent = list(b.ledger), b.spent()
+        with pytest.raises(BudgetError, match="'q0' and 9 more labels"):
+            b.spend([f"q{i}" for i in range(10)], b.rho_total / 10)
+        assert b.ledger == ledger
+        assert b.spent().hex() == spent.hex()
+
     def test_nan_spend_rejected(self):
         b = PrivacyBudget.from_eps_delta(1.0, 1e-6)
         with pytest.raises(BudgetError):

@@ -61,6 +61,13 @@ class TestRandomizedRound:
         with pytest.raises(RoundingError, match="feature 1"):
             randomized_round(relaxed)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_block_rejected(self, bad):
+        s = schema_from_cardinalities((2, 2))
+        relaxed = RelaxedDataset(s, np.array([[0.5, 0.5, 0.5, 0.5], [0.5, 0.5, bad, 0.5]]))
+        with pytest.raises(RoundingError, match="feature 1 has a non-finite value"):
+            randomized_round(relaxed)
+
     def test_negative_mass_rejected(self):
         s = schema_from_cardinalities((2,))
         relaxed = RelaxedDataset(s, np.array([[1.2, -0.2]]))

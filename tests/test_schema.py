@@ -378,6 +378,109 @@ class TestBytePath:
         assert load_csv(p).rows.tolist() == [[0, 0]]
         assert len(calls) == 1
 
+    @staticmethod
+    def check_byte_path(path, schema):
+        """load_csv parses `path` without csv.reader and agrees with the reference."""
+        want = reference_load_csv(path, schema)
+        with mock.patch.object(csv, "reader", no_reader):
+            got = load_csv(path, schema)
+        assert got.schema == want.schema
+        assert np.array_equal(got.rows, want.rows)
+
+    @staticmethod
+    def home_and_slot(labels):
+        keys = np.array([int.from_bytes(lab.encode().ljust(8, b"\0"), "big") for lab in labels],
+                        np.uint64)
+        table = schema_module._LabelTable(keys)
+        assert 2 * len(labels) <= 1 << table.bits  # at most half the home slots full
+        home = (keys * table.mult >> np.uint64(64 - table.bits)).astype(np.intp)
+        slot = np.array([np.flatnonzero(table.keys == key)[0] for key in keys])
+        assert np.array_equal(table.ids[slot], np.arange(len(labels)))
+        return home, slot
+
+    def test_bench_size_columns_need_no_probing(self):
+        for k in range(1, 8):
+            home, slot = self.home_and_slot([str(v) for v in range(k)])
+            assert np.array_equal(home, slot)
+
+    def test_300_labels_need_probe_rounds(self, tmp_path):
+        labels = [str(v) for v in range(300)]
+        home, slot = self.home_and_slot(labels)
+        assert (slot > home).any()  # some labels sit past their home slot
+        rows = np.random.default_rng(0).permutation(np.repeat(np.arange(300), 3))
+        p = write(tmp_path, "many.csv", "u,v\n" + "".join(
+            f"{labels[a]},{labels[b]}\n" for a, b in zip(rows, rows[::-1])))
+        self.check_byte_path(p, None)
+        self.check_byte_path(p, Schema((FeatureSpec("u", tuple(labels)),
+                                        FeatureSpec("v", tuple(labels[::-1])))))
+
+    @pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_columns_of_1_to_300_labels(self, tmp_path_factory, chunk_rows, data):
+        k = data.draw(st.integers(1, 300), label="k")
+        labels = data.draw(st.lists(st.integers(0, 10**8 - 1).map(str), min_size=k,
+                                    max_size=k, unique=True), label="labels")
+        order = data.draw(st.permutations(range(k)), label="order")
+        rng = np.random.default_rng(k)
+        cells = [labels[i] for i in order] + [labels[i] for i in rng.integers(0, k, 50)]
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        path.write_text("u,v\n" + "".join(f"{c},{c[::-1]}\n" for c in cells), encoding="utf-8")
+        schema = Schema((FeatureSpec("u", tuple(labels)),
+                         FeatureSpec("v", tuple(lab[::-1] for lab in labels))))
+        with mock.patch.object(schema_module, "_CHUNK_ROWS", chunk_rows):
+            self.check_byte_path(path, None)
+            self.check_byte_path(path, schema)
+
+    @pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_lookalike_labels(self, tmp_path_factory, chunk_rows, data):
+        # Prefixes of one another, 7 shared bytes, 8 bytes, multi-byte UTF-8.
+        pool = ["1", "10", "100", "1000", "10000000", "abcdefg", "abcdefgh", "abcdefgi",
+                "abcdefgz", "é", "éé", "éééé", "€", "€€", "a€€", "ab€€", "é€", "€é"]
+        d = data.draw(st.integers(1, 3), label="d")
+        cols = [data.draw(st.lists(st.sampled_from(pool), min_size=1, unique=True), label="col")
+                for _ in range(d)]
+        rows = data.draw(st.lists(st.tuples(*(st.sampled_from(c) for c in cols)), max_size=12))
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        path.write_text("".join(",".join(r) + "\n" for r in [NAMES[:d]] + rows), encoding="utf-8")
+        schema = Schema(tuple(FeatureSpec(NAMES[c], tuple(data.draw(st.permutations(cols[c]))))
+                              for c in range(d)))
+        with mock.patch.object(schema_module, "_CHUNK_ROWS", chunk_rows):
+            self.check_byte_path(path, None)
+            self.check_byte_path(path, schema)
+
+    @pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
+    def test_inferred_labels_first_seen_in_late_chunks(self, tmp_path, chunk_rows):
+        # Past two default chunks; "u" gains labels all along, "v" only in its last row.
+        n = 2 * schema_module._CHUNK_ROWS + 700
+        rng = np.random.default_rng(chunk_rows)
+        first = np.arange(n) * 300 // n  # label i of "u" first appears at row ceil(i * n / 300)
+        u = rng.integers(0, first + 1)
+        u[np.searchsorted(first, np.arange(300))] = np.arange(300)
+        v = ["x"] * (n - 1) + ["y"]
+        p = write(tmp_path, "late.csv", "u,v,w\n" + "".join(
+            f"{a * 7919},{b},{'pq'[a % 2]}\n" for a, b in zip(u.tolist(), v)))
+        with mock.patch.object(schema_module, "_CHUNK_ROWS", chunk_rows):
+            self.check_byte_path(p, None)
+
+    def test_bench_table_parity(self, tmp_path, monkeypatch):
+        # The benchmark's 10^5-row table, LF and CRLF, with and without its schema.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+
+        paths = workloads.write_inputs(workloads.WORKLOADS["cli-large-n"], 11, tmp_path)
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(paths.private.read_bytes().replace(b"\n", b"\r\n"))
+        for given in (Schema.load(paths.schema), None):
+            want = schema_module._load_text(paths.private, given)
+            assert want.rows.shape == (100_000, 15)
+            for path in (paths.private, crlf):
+                with mock.patch.object(csv, "reader", no_reader):
+                    got = load_csv(path, given)
+                assert got.schema == want.schema and np.array_equal(got.rows, want.rows)
+
 
 class TestWriters:
     def test_save_csv_matches_reference_bytes(self, tmp_path):
