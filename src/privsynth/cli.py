@@ -18,6 +18,7 @@ if _threads:
         os.environ.setdefault(_var, _threads)
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import replace
@@ -100,7 +101,7 @@ def _given(args, keys) -> dict:
     return {key: value for key in keys if (value := getattr(args, key)) is not None}
 
 
-def _fit_config(args, trace_path: str | None = None) -> engine.FitConfig:
+def _fit_config(args) -> engine.FitConfig:
     obj = {}
     if args.config:
         obj = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -112,9 +113,7 @@ def _fit_config(args, trace_path: str | None = None) -> engine.FitConfig:
     if args.delta is not None:
         flags["delta"] = _parse_delta(args.delta)
     proj = _given(args, ("max_steps", "learning_rate"))
-    return replace(
-        base, **flags, projection=replace(base.projection, trace_path=trace_path, **proj)
-    )
+    return replace(base, **flags, projection=replace(base.projection, **proj))
 
 
 def _echo_config(config: engine.FitConfig, delta: float) -> None:
@@ -152,7 +151,7 @@ def cmd_workload(args) -> int:
 def cmd_fit(args) -> int:
     data = _load_data(args)
     wl = queries.Workload.load(data.schema, args.workload)
-    config = _fit_config(args, args.trace)
+    config = _fit_config(args)
     _echo_config(config, engine.resolve_delta(config, data.n))
     result = engine.fit(data, wl, config)
     out_dir = Path(args.out_dir)
@@ -162,6 +161,12 @@ def cmd_fit(args) -> int:
     (out_dir / "result.json").write_text(record + "\n", encoding="utf-8")
     engine.save_relaxed_csv(result.relaxed, out_dir / "relaxed.csv")
     data.schema.save(out_dir / "schema.json")
+    if args.trace:
+        with Path(args.trace).open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["round", "step", "loss"])
+            for t, losses in enumerate(result.losses, 1):
+                writer.writerows((t, i, f"{l!r}") for i, l in enumerate(losses))
     summary = result.budget.summary()
     print(
         f"fit: selected={len(result.selected)} rho_spent={summary['rho_spent']:.6g} "
@@ -172,11 +177,13 @@ def cmd_fit(args) -> int:
 
 def cmd_round(args) -> int:
     print(f"config: oversample={args.oversample} seed={args.seed}")
+    config = rounding.RoundingConfig(oversample=args.oversample, seed=args.seed)
     sch = schema.Schema.load(args.schema)
     relaxed = _load_relaxed(args.relaxed, sch)
-    synth = rounding.randomized_round(
-        relaxed, rounding.RoundingConfig(oversample=args.oversample, seed=args.seed)
-    )
+    try:
+        synth = rounding.randomized_round(relaxed, config)
+    except rounding.RoundingError as exc:  # unnormalized input: a data error, not a usage one
+        raise schema.SchemaError(f"{args.relaxed}: {exc}") from None
     schema.save_csv(synth, args.out)
     print(f"round: {relaxed.n} rows x {args.oversample} -> {synth.n} rows -> {args.out}")
     return EXIT_OK

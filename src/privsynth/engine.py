@@ -23,7 +23,8 @@ empties early, remaining rounds are skipped and unspent budget stays unspent.
 The per-round records hold only what the mechanism released or derived from
 released values (selection counts and projection losses against the noisy
 answers). Error against the private data is an evaluation, not part of the
-fit: see evaluation.max_error.
+fit: see evaluation.max_error. Everything after the noisy measurements is
+post-processing of the record, and replay rebuilds it from the record alone.
 
 Everything is deterministic given the seed (noise streams are derived per
 component), so rerunning a fit reproduces its result byte for byte.
@@ -31,12 +32,12 @@ component), so rerunning a fit reproduces its result byte for byte.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import time
 import typing
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+import warnings
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -62,9 +63,6 @@ class FitConfig:
     no_noise: bool = False
     crypto_noise: bool = False
     projection: ProjectionConfig = field(default_factory=ProjectionConfig)
-    # Diagnostics: snapshot the relaxed dataset after every round. Off by
-    # default; the copies are pure overhead outside of tests.
-    keep_round_datasets: bool = field(default=False, metadata={"json": False})
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -85,7 +83,7 @@ class FitResult:
     config: FitConfig
     resolved_delta: float
     timing: dict = field(default_factory=dict)
-    round_datasets: list[RelaxedDataset] = field(default_factory=list)
+    losses: list[list[float]] = field(default_factory=list)  # per round; not in the JSON
 
     def to_json_dict(self, include_timing: bool = True) -> dict:
         out = {
@@ -163,21 +161,18 @@ def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResu
     selected: list[int] = []
     noisy: list[float] = []
     round_trace: list[dict] = []
-    round_datasets: list[RelaxedDataset] = []
     proj_seconds = 0.0
     phases = {"gradient_s": 0.0, "normalize_s": 0.0, "adam_s": 0.0}
-    # The fit writes one trace over all rounds; a projection would rewrite it.
-    proj_config = replace(config.projection, trace_path=None)
-    losses: list[tuple[int, list[float]]] = []
+    losses: list[list[float]] = []
 
-    def project(t, queries, targets, start):
+    def project(queries, targets, start):
         nonlocal proj_seconds
         t0 = time.perf_counter()
-        proj = relaxed_projection(queries, targets, start, proj_config)
+        proj = relaxed_projection(queries, targets, start, config.projection)
         proj_seconds += time.perf_counter() - t0
         for key, seconds in proj.timing.items():
             phases[key] += seconds
-        losses.append((t, proj.losses))
+        losses.append(proj.losses)
         return proj
 
     if t_rounds == 1:
@@ -187,11 +182,9 @@ def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResu
                      0.0 if config.no_noise else share)
         selected = list(range(workload.m))
         noisy = [float(a) for a in np.atleast_1d(answers)]
-        proj = project(1, workload.select(), answers, current)
+        proj = project(workload.select(), answers, current)
         current = proj.dataset
         round_trace.append(_round_record(1, proj, selected))
-        if config.keep_round_datasets:
-            round_datasets.append(current)
     else:
         share = math.inf if config.no_noise else rho / (2.0 * t_rounds * k_per)
         ledger_share = 0.0 if config.no_noise else share
@@ -214,15 +207,11 @@ def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResu
                 budget.spend(f"gaussian[q={qidx}]", ledger_share)
                 selected.append(qidx)
                 noisy.append(float(answer))
-            proj = project(t, workload.select(selected), np.asarray(noisy), current)
+            proj = project(workload.select(selected), np.asarray(noisy), current)
             current = proj.dataset
             round_trace.append(_round_record(t, proj, selected))
-            if config.keep_round_datasets:
-                round_datasets.append(current)
 
-    if config.projection.trace_path is not None:
-        _write_trace(config.projection.trace_path, losses)
-    result = FitResult(
+    return FitResult(
         relaxed=current,
         selected=selected,
         noisy_answers=noisy,
@@ -231,13 +220,12 @@ def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResu
         config=config,
         resolved_delta=delta,
         timing={
-            "wall_ms": (time.perf_counter() - started) * 1000.0,
-            "projection_ms": proj_seconds * 1000.0,
+            "wall_s": time.perf_counter() - started,
+            "projection_s": proj_seconds,
             **phases,
         },
-        round_datasets=round_datasets,
+        losses=losses,
     )
-    return result
 
 
 def _round_record(t, proj, selected) -> dict:
@@ -250,13 +238,22 @@ def _round_record(t, proj, selected) -> dict:
     }
 
 
-def _write_trace(path, losses) -> None:
-    """One `round,step,loss` CSV over every projection of a fit."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "step", "loss"])
-        for t, round_losses in losses:
-            writer.writerows((t, i, f"{l!r}") for i, l in enumerate(round_losses))
+def replay(record: dict, workload: Workload) -> list[RelaxedDataset]:
+    """Every round's relaxed dataset, rebuilt bit for bit from a fit's record alone.
+
+    `record` is FitResult.to_json_dict() or the parsed result.json. No private
+    data enters: the release is post-processing of the recorded noisy answers.
+    """
+    config = config_from_json(FitConfig, record["config"])
+    current = random_init(workload.schema, config.n_synth, NoiseSource(config.seed, "init"))
+    datasets = []
+    for round_record in record["rounds"]:
+        upto = round_record["selected_total"]
+        targets = np.asarray(record["noisy_answers"][:upto], dtype=np.float64)
+        queries = workload.select(record["selected"][:upto])
+        current = relaxed_projection(queries, targets, current, config.projection).dataset
+        datasets.append(current)
+    return datasets
 
 
 def save_relaxed_csv(relaxed: RelaxedDataset, path) -> None:
@@ -266,22 +263,20 @@ def save_relaxed_csv(relaxed: RelaxedDataset, path) -> None:
 
 
 def load_relaxed_csv(path, schema) -> RelaxedDataset:
-    data = np.loadtxt(Path(path), delimiter=",", ndmin=2, dtype=np.float64)
+    """Read a save_relaxed_csv file; one without rows is a SchemaError."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(Path(path), delimiter=",", ndmin=2, dtype=np.float64)
+    if data.size == 0:
+        raise SchemaError(f"{path}: no rows")
     return RelaxedDataset(schema, data)
 
 
-def _json_fields(config_type) -> list:
-    return [f for f in fields(config_type) if f.metadata.get("json", True)]
-
-
 def config_to_json(config) -> dict:
-    """A config dataclass as a JSON object, nested configs as nested objects.
-
-    One key per field; fields marked metadata={"json": False} are left out.
-    """
+    """A config dataclass as a JSON object, one key per field, nested configs as nested objects."""
     return {
         f.name: config_to_json(value) if is_dataclass(value := getattr(config, f.name)) else value
-        for f in _json_fields(config)
+        for f in fields(config)
     }
 
 
@@ -295,7 +290,7 @@ def config_from_json(config_type, obj, where: str = ""):
     if not isinstance(obj, dict):
         raise ValueError(f"config {where.rstrip('.') or 'file'} must be a JSON object")
     hints = typing.get_type_hints(config_type)
-    known = {f.name: hints[f.name] for f in _json_fields(config_type)}
+    known = {f.name: hints[f.name] for f in fields(config_type)}
     kwargs = {}
     for key, value in obj.items():
         name = where + key

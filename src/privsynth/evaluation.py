@@ -110,7 +110,6 @@ class SweepSpec:
     kind: str = PRODUCT
     grid_rounds: tuple[int, ...] | None = None  # None: take rounds from the base config
     grid_queries_per_round: tuple[int, ...] | None = None
-    oversample_seed: int = 0
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
@@ -177,8 +176,7 @@ def run_sweep(data: DiscreteDataset, spec: SweepSpec, base: FitConfig) -> list[d
                     row["delta"] = result.resolved_delta
                     if spec.axis == AXIS_OVERSAMPLE:
                         synth = randomized_round(
-                            result.relaxed,
-                            RoundingConfig(oversample=int(value), seed=spec.oversample_seed),
+                            result.relaxed, RoundingConfig(oversample=int(value))
                         )
                         report = max_error(workload, data, synth)
                     else:

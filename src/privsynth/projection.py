@@ -34,10 +34,8 @@ normalization and the Adam update in ProjectionResult.timing.
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass, field
-from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -149,26 +147,23 @@ def random_init(schema: Schema, n_rows: int, rng) -> RelaxedDataset:
     return RelaxedDataset(schema, X)
 
 
+# Adam's defaults (Kingma & Ba, arXiv 1412.6980), and the relative stop tolerance.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+EARLY_STOP_REL = 1e-7
+
+
 @dataclass(frozen=True)
 class ProjectionConfig:
     learning_rate: float = 0.001
     max_steps: int = 5000
-    early_stop_rel: float = 1e-7
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    # Where to write the per-step losses (engine.fit writes one file over all
-    # rounds): an output of the run, so not one of the configuration's JSON
-    # keys (see engine.config_to_json).
-    trace_path: str | None = field(default=None, metadata={"json": False})
 
     def __post_init__(self):
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be > 0")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.early_stop_rel < 0:
-            raise ValueError("early_stop_rel must be >= 0")
 
 
 @dataclass
@@ -198,7 +193,7 @@ class AdamState:
         X -= (lr*m_hat) / (sqrt(v_hat) + eps), evaluated in that order.
         """
         self.step += 1
-        b1, b2 = config.beta1, config.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         s1, s2 = self._scratch
         self.m *= b1
         self.m += np.multiply(grad, 1.0 - b1, out=s1)
@@ -209,7 +204,7 @@ class AdamState:
         s1 *= config.learning_rate
         np.divide(self.v, 1.0 - b2 ** self.step, out=s2)
         np.sqrt(s2, out=s2)
-        s2 += config.adam_eps
+        s2 += ADAM_EPS
         X -= np.divide(s1, s2, out=s1)
 
 
@@ -239,7 +234,7 @@ def relaxed_projection(
     normal form, which is everything the engine produces), then Adam runs for
     at most max_steps, renormalizing after every step. Stops early when the
     relative loss improvement between consecutive steps is nonnegative and
-    below early_stop_rel; a loss increase never triggers the stop. The
+    below EARLY_STOP_REL; a loss increase never triggers the stop. The
     best-loss iterate observed is returned, so the result is never worse than
     the (normalized) starting point even though Adam is non-monotone.
     The result's timing holds the seconds spent in the gradient, the
@@ -289,14 +284,8 @@ def relaxed_projection(
             np.copyto(best_X, X)
         improvement = loss - new_loss
         loss = new_loss
-        if improvement >= 0.0 and improvement / max(losses[-2], 1e-30) < config.early_stop_rel:
+        if improvement >= 0.0 and improvement / max(losses[-2], 1e-30) < EARLY_STOP_REL:
             break
-
-    if config.trace_path is not None:
-        with Path(config.trace_path).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "loss"])
-            writer.writerows((i, f"{l!r}") for i, l in enumerate(losses))
 
     timing = {"gradient_s": gradient_s, "normalize_s": normalize_s, "adam_s": adam_s}
     np.copyto(result, best_X)

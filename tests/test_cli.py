@@ -1,10 +1,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from privsynth import save_csv
+import privsynth
+from privsynth import Schema, Workload, replay, save_csv, save_relaxed_csv
 from privsynth.cli import main
 
 from helpers import skewed_dataset
@@ -244,6 +249,19 @@ class TestFitCommand:
             assert min(losses) == record["projection_loss"]
         assert len(rows) == 1 + sum(r["projection_steps"] + 1 for r in rounds)
 
+    @pytest.mark.parametrize("rounds", [[], ["--T", 3, "--K", 2]])
+    def test_replay_rebuilds_relaxed_csv(self, toy_csv, tmp_path, rounds):
+        wpath, out_dir = tmp_path / "w.json", tmp_path / "fit"
+        run(["workload", "--data", toy_csv, "--k", 2, "--marginals", 3, "--seed", 0,
+             "--out", wpath])
+        assert run(["fit", "--data", toy_csv, "--workload", wpath, *rounds, "--n-prime", 10,
+                    "--max-steps", 6, "--seed", 2, "--out-dir", out_dir]) == 0
+        # Only released files: the record, the workload and the schema.
+        record = json.loads((out_dir / "result.json").read_text())
+        workload = Workload.load(Schema.load(out_dir / "schema.json"), wpath)
+        save_relaxed_csv(replay(record, workload)[-1], tmp_path / "replayed.csv")
+        assert (tmp_path / "replayed.csv").read_bytes() == (out_dir / "relaxed.csv").read_bytes()
+
 
 class TestConfigFile:
     def fit_with_config(self, fitted, tmp_path, config, name="cfg"):
@@ -368,6 +386,47 @@ class TestRoundAndEvalCommands:
         err = capsys.readouterr().err
         assert "non-finite value nan at row 3, column 0" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_zero_mass_block_exit_code(self, fitted, tmp_path, capsys):
+        _, _, out_dir = fitted
+        lines = (out_dir / "relaxed.csv").read_text().splitlines()
+        lines[0] = ",".join(["0.0", "0.0"] + lines[0].split(",")[2:])  # feature 0 has 2 categories
+        bad = tmp_path / "zero.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        assert run(["round", "--relaxed", bad, "--schema", out_dir / "schema.json",
+                    "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert "feature 0 has a zero-mass block" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_zero_oversample_is_usage_error(self, fitted, tmp_path):
+        _, _, out_dir = fitted
+        assert run(["round", "--relaxed", out_dir / "relaxed.csv",
+                    "--schema", out_dir / "schema.json", "--oversample", 0,
+                    "--out", tmp_path / "out.csv"]) == 2
+
+    @pytest.mark.parametrize("command", ["round", "eval"])
+    def test_empty_relaxed_file_exit_code(self, fitted, tmp_path, command):
+        toy_csv, wpath, out_dir = fitted
+        empty = tmp_path / "empty.csv"
+        empty.write_bytes(b"")
+        argv = {
+            "round": ["round", "--relaxed", empty, "--schema", out_dir / "schema.json"],
+            "eval": ["eval", "--data", toy_csv, "--workload", wpath, "--synth", empty,
+                     "--synth-format", "relaxed"],
+        }[command]
+        # A child process, so that a numpy warning would reach its stderr.
+        env = {**os.environ, "PYTHONPATH": str(Path(privsynth.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "privsynth.cli", *map(str, argv), "--out", tmp_path / "out"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert f"{empty}: no rows" in proc.stderr
+        assert "UserWarning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweepCommand:

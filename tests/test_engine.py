@@ -9,6 +9,8 @@ from privsynth import (
     DiscreteDataset,
     InfeasibleConfigError,
     NoiseSource,
+    ONE_OUT_OF_K,
+    PRODUCT,
     ProjectionConfig,
     RelaxedDataset,
     Workload,
@@ -22,6 +24,7 @@ from privsynth import (
     random_init,
     random_workload,
     relaxed_projection,
+    replay,
     SchemaError,
     save_relaxed_csv,
     schema_from_cardinalities,
@@ -119,11 +122,12 @@ class TestAdaptiveBranch:
         schema, data, workload = toy_instance(seed=6, marginals=3)
         config = FitConfig(
             no_noise=True, rounds=2, queries_per_round=3, n_synth=12, seed=3,
-            projection=ProjectionConfig(max_steps=5), keep_round_datasets=True,
+            projection=ProjectionConfig(max_steps=5),
         )
         result = fit(data, workload, config)
+        round_datasets = replay(result.to_json_dict(), workload)
 
-        # replay: the k-th pick of round t must be the max-error query in the
+        # the k-th pick of round t must be the max-error query in the
         # remaining pool, scored against the previous round's dataset
         truth = eval_discrete(workload, data)
         current = random_init(schema, 12, NoiseSource(3, "init"))
@@ -137,7 +141,7 @@ class TestAdaptiveBranch:
                 replayed.append(pool[win])
                 pool.pop(win)
                 scores = np.delete(scores, win)
-            current = result.round_datasets[t]
+            current = round_datasets[t]
         assert replayed == result.selected
 
     def test_noiseless_answers_are_exact(self):
@@ -155,14 +159,15 @@ class TestAdaptiveBranch:
         _, data, workload = toy_instance(seed=8)
         config = FitConfig(
             epsilon=0.4, rounds=3, queries_per_round=5, n_synth=14, seed=5,
-            projection=ProjectionConfig(max_steps=8), keep_round_datasets=True,
+            projection=ProjectionConfig(max_steps=8),
         )
         result = fit(data, workload, config)
+        round_datasets = replay(result.to_json_dict(), workload)
         for t in range(1, 3):
             upto = result.rounds[t]["selected_total"]
             queries = [workload.queries[i] for i in result.selected[:upto]]
             targets = np.asarray(result.noisy_answers[:upto])
-            loss, _ = loss_and_gradient(queries, targets, result.round_datasets[t - 1])
+            loss, _ = loss_and_gradient(queries, targets, round_datasets[t - 1])
             assert result.rounds[t]["projection_initial_loss"] == pytest.approx(loss, rel=1e-12)
 
     def test_infeasible_rounds_rejected(self):
@@ -304,7 +309,9 @@ class TestReproducibility:
         assert doc["budget"]["private"] is False
         assert doc["config"]["delta"] == 1.0 / data.n**2
         assert len(doc["ledger"]) == workload.m
-        assert "timing" in doc
+        assert set(doc["config"]["projection"]) == {"learning_rate", "max_steps"}
+        timing = {"wall_s", "projection_s", "gradient_s", "normalize_s", "adam_s"}
+        assert set(doc["timing"]) == timing
         assert doc["rounds"][0]["selected_total"] == workload.m
 
     def test_round_record_keys(self):
@@ -325,6 +332,32 @@ class TestReproducibility:
             doc = json.loads(fit(data, workload, config).to_json())
             assert len(doc["rounds"]) == rounds
             assert all(set(r) == keys for r in doc["rounds"])
+
+
+class TestReplay:
+    """The release is post-processing of the record: replay rebuilds it without the data."""
+
+    @pytest.mark.parametrize("no_noise", [False, True])
+    @pytest.mark.parametrize("kind", [PRODUCT, ONE_OUT_OF_K])
+    @pytest.mark.parametrize("rounds, per_round", [(1, None), (3, 4)])
+    def test_rebuilds_every_round(self, rounds, per_round, kind, no_noise):
+        schema = schema_from_cardinalities((3, 4, 2, 3))
+        data = random_dataset(schema, 150, np.random.default_rng(21))
+        workload = random_workload(schema, 2, 4, seed=21, kind=kind)
+        config = FitConfig(
+            epsilon=0.6, rounds=rounds, queries_per_round=per_round, n_synth=15, seed=8,
+            no_noise=no_noise, projection=ProjectionConfig(max_steps=12),
+        )
+        result = fit(data, workload, config)
+        record = json.loads(result.to_json())
+        datasets = replay(record, workload)
+        assert len(datasets) == rounds
+        assert datasets[-1].data.tobytes() == result.relaxed.data.tobytes()
+        for relaxed, r in zip(datasets, record["rounds"]):
+            upto = r["selected_total"]
+            queries = workload.select(record["selected"][:upto])
+            loss, _ = loss_and_gradient(queries, record["noisy_answers"][:upto], relaxed)
+            assert loss == pytest.approx(r["projection_loss"], rel=1e-12)
 
 
 class TestRelaxedCsv:

@@ -620,3 +620,36 @@ class TestEvalDiscreteColumnCodes:
             data = DiscreteDataset(s, rows)
             assert not data.rows.flags.c_contiguous
             assert np.array_equal(eval_discrete(w, data), reference_eval_discrete(w, data))
+
+
+@st.composite
+def neighbouring_tables(draw):
+    """A workload of one kind and one arity in 1-4, and two tables that differ in one row."""
+    cards = draw(st.lists(st.integers(1, 4), min_size=4, max_size=6))
+    k = draw(st.integers(1, 4))
+    subsets = st.permutations(range(len(cards))).map(lambda p: tuple(sorted(p[:k])))
+    marginals = draw(st.lists(subsets, min_size=1, max_size=4, unique=True))
+    kind = draw(st.sampled_from(queries_mod.QUERY_KINDS))
+    w = Workload(schema_from_cardinalities(tuple(cards)), marginals, kind=kind)
+    row = st.tuples(*(st.integers(0, t - 1) for t in cards))
+    rows = draw(st.lists(row, min_size=1, max_size=20))
+    neighbour = list(rows)
+    neighbour[draw(st.integers(0, len(rows) - 1))] = draw(row)
+    return w, *(DiscreteDataset(w.schema, np.array(r)) for r in (rows, neighbour))
+
+
+class TestSensitivity:
+    """Replacing one row moves each answer by at most 1/n, as gaussian_mechanism assumes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=neighbouring_tables())
+    def test_replace_one_row(self, case):
+        w, data, neighbour = case
+        n = data.n
+        diff = eval_discrete(w, neighbour) - eval_discrete(w, data)
+        assert np.abs(diff).max() <= (1.0 + 1e-12) / n
+        if w.kind == PRODUCT:
+            # The two rows' cells are the only ones to move, so a whole
+            # marginal's answer vector moves by at most sqrt(2)/n in L2.
+            for part in np.split(diff, np.cumsum(w.marginal_sizes())[:-1]):
+                assert np.linalg.norm(part) <= (1.0 + 1e-12) * math.sqrt(2.0) / n
