@@ -1,9 +1,9 @@
 """Command-line front end: workload generation, fitting, rounding, eval, sweeps.
 
 Exit codes: 0 success, 2 usage error, 3 data/schema error, 4 infeasible
-configuration. All randomness derives from --seed via named sub-streams, so
-reruns with identical flags reproduce outputs byte for byte (timing fields
-aside).
+configuration. fit draws its noise from OS entropy unless --seed is given;
+with it, reruns reproduce outputs byte for byte (timing fields aside), and
+fit warns that the noise is removable. Other commands default to seed 0.
 """
 
 from __future__ import annotations
@@ -85,13 +85,9 @@ def _add_fit_args(p) -> None:
         "--K", dest="queries_per_round", type=int, help="queries selected per round when T > 1"
     )
     p.add_argument("--n-prime", dest="n_synth", type=int, help="synthetic rows")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="reproducible noise (NOT private; sweep default 0)")
     p.add_argument(
         "--no-noise", action="store_true", default=None, help="noiseless test mode (NOT private)"
-    )
-    p.add_argument(
-        "--crypto-noise", action="store_true", default=None,
-        help="OS-entropy noise source (not reproducible)",
     )
     p.add_argument("--max-steps", type=int)
     p.add_argument("--learning-rate", type=float)
@@ -108,8 +104,7 @@ def _fit_config(args) -> engine.FitConfig:
         if isinstance(obj, dict) and isinstance(obj.get("delta"), str):
             obj["delta"] = _parse_delta(obj["delta"])
     base = engine.config_from_json(engine.FitConfig, obj)
-    flags = _given(args, ("epsilon", "rounds", "queries_per_round", "n_synth", "seed",
-                          "no_noise", "crypto_noise"))
+    flags = _given(args, ("epsilon", "rounds", "queries_per_round", "n_synth", "seed", "no_noise"))
     if args.delta is not None:
         flags["delta"] = _parse_delta(args.delta)
     proj = _given(args, ("max_steps", "learning_rate"))
@@ -153,6 +148,9 @@ def cmd_fit(args) -> int:
     wl = queries.Workload.load(data.schema, args.workload)
     config = _fit_config(args)
     _echo_config(config, engine.resolve_delta(config, data.n))
+    if engine.noise_label(config) == "seeded-reproducible-non-private":
+        print("warning: --seed makes the noise reproducible: anyone who knows the seed can "
+              "remove it, so the output is not differentially private", file=sys.stderr)
     result = engine.fit(data, wl, config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -215,7 +213,7 @@ def cmd_sweep(args) -> int:
     spec = evaluation.SweepSpec(
         axis=axis,
         values=tuple(values),
-        seeds=tuple(range(config.seed, config.seed + args.seeds)),
+        seeds=tuple(range(config.seed or 0, (config.seed or 0) + args.seeds)),
         workload_k=args.k,
         workload_marginals=args.marginals,
         workload_seed=args.workload_seed,

@@ -26,8 +26,8 @@ answers). Error against the private data is an evaluation, not part of the
 fit: see evaluation.max_error. Everything after the noisy measurements is
 post-processing of the record, and replay rebuilds it from the record alone.
 
-Everything is deterministic given the seed (noise streams are derived per
-component), so rerunning a fit reproduces its result byte for byte.
+Without a seed the noise comes from OS entropy that no output records. A
+seed makes a rerun byte-identical and the noise removable (see noise_label).
 """
 
 from __future__ import annotations
@@ -59,9 +59,8 @@ class FitConfig:
     rounds: int = 1
     queries_per_round: int | None = None  # required when rounds > 1
     n_synth: int = 1000
-    seed: int = 0
+    seed: int | None = None  # None: secret noise from OS entropy; an int makes it reproducible
     no_noise: bool = False
-    crypto_noise: bool = False
     projection: ProjectionConfig = field(default_factory=ProjectionConfig)
 
     def __post_init__(self):
@@ -88,6 +87,7 @@ class FitResult:
     def to_json_dict(self, include_timing: bool = True) -> dict:
         out = {
             "config": dict(config_to_json(self.config), delta=self.resolved_delta),
+            "noise": noise_label(self.config),
             "budget": self.budget.summary(),
             "ledger": self.budget.ledger_json(),
             "selected": list(self.selected),
@@ -101,6 +101,13 @@ class FitResult:
 
     def to_json(self, include_timing: bool = True) -> str:
         return json.dumps(self.to_json_dict(include_timing), sort_keys=True, indent=2) + "\n"
+
+
+def noise_label(config: FitConfig) -> str:
+    """result.json's "noise": a seeded fit's noise can be regenerated and subtracted."""
+    if config.no_noise:
+        return "none"
+    return "os-entropy" if config.seed is None else "seeded-reproducible-non-private"
 
 
 def resolve_delta(config: FitConfig, n: int) -> float:
@@ -152,9 +159,9 @@ def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResu
         budget = PrivacyBudget.from_eps_delta(config.epsilon, delta)
         rho = budget.rho_total
 
-    init_rng = NoiseSource(config.seed, "init")
-    gauss_rng = NoiseSource(config.seed, "gaussian", crypto=config.crypto_noise)
-    gumbel_rng = NoiseSource(config.seed, "gumbel", crypto=config.crypto_noise)
+    init_rng = NoiseSource(config.seed or 0, "init")  # public: replay rebuilds it from the record
+    gauss_rng = NoiseSource(config.seed, "gaussian")
+    gumbel_rng = NoiseSource(config.seed, "gumbel")
 
     true_answers = eval_discrete(workload, data)
     current = random_init(workload.schema, config.n_synth, init_rng)
@@ -245,7 +252,7 @@ def replay(record: dict, workload: Workload) -> list[RelaxedDataset]:
     data enters: the release is post-processing of the recorded noisy answers.
     """
     config = config_from_json(FitConfig, record["config"])
-    current = random_init(workload.schema, config.n_synth, NoiseSource(config.seed, "init"))
+    current = random_init(workload.schema, config.n_synth, NoiseSource(config.seed or 0, "init"))
     datasets = []
     for round_record in record["rounds"]:
         upto = round_record["selected_total"]
@@ -263,10 +270,13 @@ def save_relaxed_csv(relaxed: RelaxedDataset, path) -> None:
 
 
 def load_relaxed_csv(path, schema) -> RelaxedDataset:
-    """Read a save_relaxed_csv file; one without rows is a SchemaError."""
+    """Read a save_relaxed_csv file; one without rows, or not numeric CSV, is a SchemaError."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        data = np.loadtxt(Path(path), delimiter=",", ndmin=2, dtype=np.float64)
+        try:
+            data = np.loadtxt(Path(path), delimiter=",", ndmin=2, dtype=np.float64)
+        except ValueError as exc:  # a non-numeric cell or a ragged row
+            raise SchemaError(f"{path}: {exc}") from None
     if data.size == 0:
         raise SchemaError(f"{path}: no rows")
     return RelaxedDataset(schema, data)

@@ -12,14 +12,16 @@ when they have the same n and differ in one row. Sensitivity 1/n and the
 default delta = 1/n^2 both treat n as public.
 
 All randomness flows through explicit NoiseSource streams; there is no global
-RNG state. A rho of +inf is the sentinel for noiseless test runs: mechanisms
+RNG state. The mechanisms' streams are private only while their noise is
+secret: unseeded, a stream draws its seed from OS entropy and nothing records
+it; seeded, it is reproducible and its noise can be undone by anyone who
+holds the seed. A rho of +inf is the sentinel for noiseless test runs: mechanisms
 become identity/argmax and the ledger records zero spend.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import zlib
 from dataclasses import dataclass, field
 
@@ -57,51 +59,35 @@ _STREAM_SALT = {"init": 0, "gaussian": 1, "gumbel": 2, "rounding": 3}
 
 
 class NoiseSource:
-    """A named, deterministic pseudo-random stream.
+    """A named PCG64 stream: secret by default, reproducible when seeded.
 
-    Streams are derived from (seed, label) so that a single run seed fans out
-    into independent sub-streams (init, gaussian, gumbel, rounding) and each
-    component is reproducible on its own. With crypto=True the stream is
-    backed by the OS entropy pool instead (random.SystemRandom) and is not
-    reproducible; see README for the caveat on floating-point noise sampling.
+    With seed=None the stream is seeded from 128 bits of OS entropy
+    (np.random.SeedSequence()), which no output records, so the noise cannot
+    be regenerated from a release. An integer seed derives the stream from
+    (seed, label), so one run seed fans out into independent sub-streams
+    (init, gaussian, gumbel, rounding) and each is reproducible on its own;
+    noise drawn that way can be subtracted by anyone who knows the seed.
+    PCG64 is a statistical generator, not a secure one (see README).
     """
 
-    def __init__(self, seed: int = 0, label: str = "", crypto: bool = False):
-        self.seed = seed
-        self.label = label
-        self.crypto = crypto
-        if crypto:
-            self._sys = random.SystemRandom()
-            self._rng = None
-        else:
-            salt = _STREAM_SALT.get(label, zlib.crc32(label.encode("utf-8")))
-            self._rng = np.random.default_rng(np.random.SeedSequence((int(seed), salt)))
-            self._sys = None
+    def __init__(self, seed: int | None = None, label: str = ""):
+        salt = _STREAM_SALT.get(label, zlib.crc32(label.encode("utf-8")))
+        entropy = None if seed is None else (int(seed), salt)
+        self._rng = np.random.default_rng(np.random.SeedSequence(entropy))
 
     def uniform(self, size: int | None = None):
         """Uniform draws on the open interval (0, 1)."""
-        if self._rng is not None:
-            u = self._rng.random(size)
-            tiny = np.finfo(np.float64).tiny
-            return float(max(u, tiny)) if size is None else np.maximum(u, tiny)
-        if size is None:
-            return self._sys.random() or math.ulp(0.0)
-        return np.array([self._sys.random() or math.ulp(0.0) for _ in range(size)])
+        u = self._rng.random(size)
+        tiny = np.finfo(np.float64).tiny
+        return float(max(u, tiny)) if size is None else np.maximum(u, tiny)
 
     def normal(self, scale: float, size: int | None = None):
         """Centered Gaussian draws with standard deviation `scale`."""
-        if self._rng is not None:
-            return self._rng.normal(0.0, scale, size)
-        if size is None:
-            return self._sys.gauss(0.0, scale)
-        return np.array([self._sys.gauss(0.0, scale) for _ in range(size)])
+        return self._rng.normal(0.0, scale, size)
 
     def uniform_signed(self, shape):
         """Uniform draws on [-1, 1); used for dataset initialization."""
-        if self._rng is not None:
-            return self._rng.uniform(-1.0, 1.0, shape)
-        flat = np.array([self._sys.uniform(-1.0, 1.0) for _ in range(int(np.prod(shape)))])
-        return flat.reshape(shape)
+        return self._rng.uniform(-1.0, 1.0, shape)
 
 
 def gaussian_noise_sigma(n: int, rho: float) -> float:

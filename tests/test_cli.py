@@ -6,11 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import privsynth
-from privsynth import Schema, Workload, replay, save_csv, save_relaxed_csv
+from privsynth import (
+    NoiseSource, Schema, Workload, eval_discrete, load_csv, replay, save_csv, save_relaxed_csv
+)
 from privsynth.cli import main
+from privsynth.privacy import gaussian_noise_sigma
 
 from helpers import skewed_dataset
 
@@ -159,6 +163,7 @@ class TestFitCommand:
         doc = json.loads((out_dir / "result.json").read_text())
         assert doc["budget"]["private"] is False
         assert doc["budget"]["rho_spent"] == 0.0
+        assert doc["noise"] == "none"
 
     def test_adaptive_ledger_split(self, toy_csv, tmp_path):
         wpath = tmp_path / "w.json"
@@ -322,7 +327,7 @@ class TestConfigFile:
         code = run(["fit", "--data", toy_csv, "--workload", wpath, "--config", cfg,
                     "--max-steps", 3, "--out-dir", tmp_path / "o"])
         assert code == 0
-        assert "n_prime=8 seed=0 no_noise=False max_steps=3 learning_rate=0.001" in (
+        assert "n_prime=8 seed=None no_noise=False max_steps=3 learning_rate=0.001" in (
             capsys.readouterr().out
         )
 
@@ -409,24 +414,33 @@ class TestRoundAndEvalCommands:
 
     @pytest.mark.parametrize("command", ["round", "eval"])
     def test_empty_relaxed_file_exit_code(self, fitted, tmp_path, command):
+        """An empty or malformed relaxed file is a data error that names the file."""
         toy_csv, wpath, out_dir = fitted
-        empty = tmp_path / "empty.csv"
-        empty.write_bytes(b"")
-        argv = {
-            "round": ["round", "--relaxed", empty, "--schema", out_dir / "schema.json"],
-            "eval": ["eval", "--data", toy_csv, "--workload", wpath, "--synth", empty,
-                     "--synth-format", "relaxed"],
-        }[command]
+        first, second, *rest = (out_dir / "relaxed.csv").read_text().splitlines(keepends=True)
+        cells = second.split(",")
+        contents = {
+            "empty.csv": ("", "no rows"),
+            "cell.csv": ("".join([first, ",".join(["abc", *cells[1:]]), *rest]), "'abc'"),
+            "short.csv": ("".join([first, ",".join(cells[:-1]) + "\n", *rest]), "columns"),
+        }
         # A child process, so that a numpy warning would reach its stderr.
         env = {**os.environ, "PYTHONPATH": str(Path(privsynth.__file__).parents[1])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "privsynth.cli", *map(str, argv), "--out", tmp_path / "out"],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 3
-        assert f"{empty}: no rows" in proc.stderr
-        assert "UserWarning" not in proc.stderr and "Traceback" not in proc.stderr
-        assert not (tmp_path / "out").exists()
+        for name, (text, message) in contents.items():
+            bad = tmp_path / name
+            bad.write_text(text)
+            argv = {
+                "round": ["round", "--relaxed", bad, "--schema", out_dir / "schema.json"],
+                "eval": ["eval", "--data", toy_csv, "--workload", wpath, "--synth", bad,
+                         "--synth-format", "relaxed"],
+            }[command]
+            proc = subprocess.run(
+                [sys.executable, "-m", "privsynth.cli", *map(str, argv), "--out", tmp_path / "out"],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 3, (name, proc.stderr)
+            assert f"schema error: {bad}: " in proc.stderr and message in proc.stderr
+            assert "UserWarning" not in proc.stderr and "Traceback" not in proc.stderr
+            assert not (tmp_path / "out").exists()
 
 
 class TestSweepCommand:
@@ -461,6 +475,52 @@ class TestSweepCommand:
         assert [r["seed"] for r in five] == ["5", "6"]
         assert [r["seed"] for r in nine] == ["9", "10"]
         assert [r["max_error"] for r in five] != [r["max_error"] for r in nine]
+
+
+class TestNoiseSecrecy:
+    """A default fit's record cannot regenerate its noise; a seeded fit's is labelled as able to."""
+
+    @pytest.fixture(autouse=True)
+    def workload(self, toy_csv, tmp_path, capsys):
+        run(["workload", "--data", toy_csv, "--k", 2, "--marginals", 3, "--seed", 0,
+             "--out", tmp_path / "w.json"])
+        capsys.readouterr()  # the inferred-domain warning; fits below pass --schema
+
+    def fit(self, toy_csv, tmp_path, name, *extra):
+        wpath = tmp_path / "w.json"
+        out_dir = tmp_path / name
+        assert run(["fit", "--data", toy_csv, "--schema", wpath.with_suffix(".schema.json"),
+                    "--workload", wpath, "--n-prime", 10, "--max-steps", 3, *extra,
+                    "--out-dir", out_dir]) == 0
+        return json.loads((out_dir / "result.json").read_text())
+
+    @staticmethod
+    def recovery_error(toy_csv, tmp_path, record):
+        """Recovered minus true answers, regenerating the noise as seed 0 would have drawn it."""
+        sch = Schema.load(tmp_path / "w.schema.json")
+        truth = eval_discrete(Workload.load(sch, tmp_path / "w.json"), load_csv(toy_csv, sch))
+        sigma = gaussian_noise_sigma(200, record["ledger"][0]["rho"])
+        noise = NoiseSource(0, "gaussian").normal(sigma, size=len(truth))
+        return np.asarray(record["noisy_answers"]) - noise - truth, sigma
+
+    def test_default_fit_draws_fresh_noise(self, toy_csv, tmp_path, capsys):
+        first = self.fit(toy_csv, tmp_path, "a")
+        second = self.fit(toy_csv, tmp_path, "b")
+        assert capsys.readouterr().err == ""
+        assert first["config"]["seed"] is None and first["noise"] == "os-entropy"
+        assert first["noisy_answers"] != second["noisy_answers"]
+        error, sigma = self.recovery_error(toy_csv, tmp_path, first)
+        assert float(np.std(error)) > 0.5 * sigma  # the gap of two independent draws: ~1.4 sigma
+
+    def test_seeded_fit_is_labelled_and_warned(self, toy_csv, tmp_path, capsys):
+        record = self.fit(toy_csv, tmp_path, "seeded", "--seed", 0)
+        warning = capsys.readouterr().err.splitlines()
+        assert len(warning) == 1 and "--seed" in warning[0]
+        assert "not differentially private" in warning[0]
+        assert record["config"]["seed"] == 0
+        assert record["noise"] == "seeded-reproducible-non-private"
+        error, _ = self.recovery_error(toy_csv, tmp_path, record)
+        assert float(np.abs(error).max()) < 1e-12  # what the label warns of
 
 
 class TestSchemaSource:

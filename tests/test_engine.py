@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -30,9 +31,10 @@ from privsynth import (
     schema_from_cardinalities,
 )
 
+from privsynth.privacy import gaussian_noise_sigma
 from privsynth.queries import QueryEvaluator, eval_compiled
 
-from helpers import random_dataset, skewed_dataset
+from helpers import all_k_way_workload, random_dataset, skewed_dataset
 
 
 def toy_instance(seed=0, cards=(4, 4, 4, 4), n=120, k=2, marginals=6):
@@ -337,15 +339,19 @@ class TestReproducibility:
 class TestReplay:
     """The release is post-processing of the record: replay rebuilds it without the data."""
 
-    @pytest.mark.parametrize("no_noise", [False, True])
+    @pytest.mark.parametrize("no_noise, seed", [
+        pytest.param(False, 8, id="False"),
+        pytest.param(True, 8, id="True"),
+        pytest.param(False, None, id="unseeded"),  # noise from OS entropy, init from seed 0
+    ])
     @pytest.mark.parametrize("kind", [PRODUCT, ONE_OUT_OF_K])
     @pytest.mark.parametrize("rounds, per_round", [(1, None), (3, 4)])
-    def test_rebuilds_every_round(self, rounds, per_round, kind, no_noise):
+    def test_rebuilds_every_round(self, rounds, per_round, kind, no_noise, seed):
         schema = schema_from_cardinalities((3, 4, 2, 3))
         data = random_dataset(schema, 150, np.random.default_rng(21))
         workload = random_workload(schema, 2, 4, seed=21, kind=kind)
         config = FitConfig(
-            epsilon=0.6, rounds=rounds, queries_per_round=per_round, n_synth=15, seed=8,
+            epsilon=0.6, rounds=rounds, queries_per_round=per_round, n_synth=15, seed=seed,
             no_noise=no_noise, projection=ProjectionConfig(max_steps=12),
         )
         result = fit(data, workload, config)
@@ -358,6 +364,41 @@ class TestReplay:
             queries = workload.select(record["selected"][:upto])
             loss, _ = loss_and_gradient(queries, record["noisy_answers"][:upto], relaxed)
             assert loss == pytest.approx(r["projection_loss"], rel=1e-12)
+
+
+def ks_statistic_vs_standard_normal(samples) -> float:
+    """Kolmogorov-Smirnov distance between the samples' empirical CDF and N(0, 1)'s."""
+    x = np.sort(np.asarray(samples, dtype=np.float64))
+    cdf = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x])
+    k = np.arange(1, x.size + 1)
+    return float(max((k / x.size - cdf).max(), (cdf - (k - 1) / x.size).max()))
+
+
+class TestNoiseAudit:
+    """Each released answer's noise has the sigma its ledger entry books."""
+
+    @pytest.mark.parametrize("rounds, per_round", [(1, None), (4, 300)])
+    def test_standardized_residuals_are_standard_normal(self, rounds, per_round):
+        schema = schema_from_cardinalities((4, 4, 4, 4, 4, 4))
+        data = random_dataset(schema, 300, np.random.default_rng(31))
+        workload = all_k_way_workload(schema, (3,))  # C(6,3) * 4^3 = 1280 cells
+        config = FitConfig(
+            epsilon=1.0, rounds=rounds, queries_per_round=per_round, n_synth=8, seed=11,
+            projection=ProjectionConfig(max_steps=1),
+        )
+        result = fit(data, workload, config)
+        rho = {
+            int(label[len("gaussian[q="):-1]): r
+            for label, r in result.budget.ledger if label.startswith("gaussian[")
+        }
+        assert sorted(rho) == sorted(result.selected) and len(rho) >= 1000
+        truth = eval_discrete(workload, data)
+        residuals = [
+            (noisy - truth[q]) / gaussian_noise_sigma(data.n, rho[q])
+            for q, noisy in zip(result.selected, result.noisy_answers)
+        ]
+        critical = math.sqrt(-0.5 * math.log(0.01 / 2)) / math.sqrt(len(residuals))  # alpha 0.01
+        assert ks_statistic_vs_standard_normal(residuals) < critical
 
 
 class TestRelaxedCsv:

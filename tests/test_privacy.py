@@ -180,10 +180,11 @@ class TestNoiseSource:
         u = NoiseSource(0, "rounding").uniform(size=1000)
         assert (u > 0).all() and (u < 1).all()
 
-    def test_crypto_source_draws(self):
-        src = NoiseSource(crypto=True)
-        assert 0 < src.uniform() < 1
-        assert src.normal(1.0, size=4).shape == (4,)
+    def test_unseeded_streams_differ(self):
+        """Without a seed each stream starts from fresh OS entropy."""
+        a = NoiseSource(None, "gaussian").normal(1.0, size=10)
+        b = NoiseSource(None, "gaussian").normal(1.0, size=10)
+        assert not np.array_equal(a, b)
 
 
 class TestPrivacyBudget:
