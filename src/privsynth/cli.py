@@ -168,7 +168,7 @@ def cmd_fit(args) -> int:
     summary = result.budget.summary()
     print(
         f"fit: selected={len(result.selected)} rho_spent={summary['rho_spent']:.6g} "
-        f"private={summary['private']} -> {out_dir}"
+        f"noise={engine.noise_label(config)} -> {out_dir}"
     )
     return EXIT_OK
 

@@ -1,8 +1,8 @@
 """End-to-end synthetic data fitting: budget split, selection, projection.
 
-Two branches, chosen by the `rounds` parameter:
+One loop of `rounds` rounds, each measuring queries and then fitting:
 
-* rounds == 1: every workload query is answered once with the Gaussian
+* rounds == 1: the one round answers every workload query with the Gaussian
   mechanism at rho/m, and a single projection fits a relaxed dataset to the
   full noisy answer vector from a seeded random start.
 
@@ -15,10 +15,12 @@ Two branches, chosen by the `rounds` parameter:
   the previous round's dataset. Selection and answering each consume
   rho/(2*T*K), so T*K full rounds spend exactly rho.
 
-Within a round the relaxed dataset is fixed, so conjectured pool answers are
-computed once, at the start of the round, and the K selections index into
-them; one evaluator over the whole workload serves every round. If the pool
-empties early, remaining rounds are skipped and unspent budget stays unspent.
+Only _Measurements reaches the private table: it holds the true answers, the
+ledger and the secret noise streams, and books each spend where it draws the
+noise. Within a round the relaxed dataset is fixed, so conjectured pool
+answers are computed once, at the start of the round, and the K selections
+index into them; one evaluator over the whole workload serves every round.
+T*K may not exceed m, so the pool never runs dry.
 
 The per-round records hold only what the mechanism released or derived from
 released values (selection counts and projection losses against the noisy
@@ -33,7 +35,6 @@ seed makes a rerun byte-identical and the noise removable (see noise_label).
 from __future__ import annotations
 
 import json
-import math
 import time
 import typing
 import warnings
@@ -137,10 +138,44 @@ def conjectured_answers(
     return evaluator.answers(relaxed.data)[selection.indices]
 
 
+class _Measurements:
+    """The fit's one way to the private table: noisy-max selection and Gaussian measurement.
+
+    It alone holds the true answers, the ledger and the secret gaussian and
+    gumbel streams. Each call books its spend before it draws, so every draw
+    follows its own ledger entries and an overspend raises BudgetError with
+    no noise drawn. A non-private budget books 0 and hands the mechanisms its
+    infinite share, which they answer without noise.
+    """
+
+    def __init__(self, data: DiscreteDataset, workload: Workload, config: FitConfig, delta: float):
+        self.n = data.n
+        if config.no_noise:
+            self.budget = PrivacyBudget.non_private()
+        else:
+            self.budget = PrivacyBudget.from_eps_delta(config.epsilon, delta)
+        self._true = eval_discrete(workload, data)
+        self._gaussian = NoiseSource(config.seed, "gaussian")
+        self._gumbel = NoiseSource(config.seed, "gumbel")
+
+    def _book(self, label, share: float) -> float:
+        self.budget.spend(label, share if self.budget.private else 0.0)
+        return share
+
+    def measure(self, indices: list[int], share: float) -> np.ndarray:
+        """Noisy answers to the queries at `indices`, one Gaussian draw each, in order."""
+        rho = self._book([f"gaussian[q={i}]" for i in indices], share)
+        return gaussian_mechanism(self._true[indices], self.n, rho, self._gaussian)
+
+    def select(self, pool: np.ndarray, conjectured, share: float, label: str) -> int:
+        """Position in `pool` of the noisy-max gap between true and conjectured answers."""
+        rho = self._book(label, share)
+        return report_noisy_max(self._true[pool], conjectured, self.n, rho, self._gumbel)
+
+
 def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResult:
     """Run the full mechanism and return the fitted relaxed dataset."""
-    n = data.n
-    delta = resolve_delta(config, n)
+    delta = resolve_delta(config, data.n)
     if workload.m == 0:
         raise InfeasibleConfigError("workload is empty")
     if data.schema != workload.schema:
@@ -152,97 +187,60 @@ def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResu
         )
 
     started = time.perf_counter()
-    if config.no_noise:
-        budget = PrivacyBudget.non_private()
-        rho = math.inf
-    else:
-        budget = PrivacyBudget.from_eps_delta(config.epsilon, delta)
-        rho = budget.rho_total
-
+    private = _Measurements(data, workload, config, delta)
     init_rng = NoiseSource(config.seed or 0, "init")  # public: replay rebuilds it from the record
-    gauss_rng = NoiseSource(config.seed, "gaussian")
-    gumbel_rng = NoiseSource(config.seed, "gumbel")
-
-    true_answers = eval_discrete(workload, data)
     current = random_init(workload.schema, config.n_synth, init_rng)
+    if t_rounds == 1:
+        share = private.budget.rho_total / workload.m
+    else:
+        share = private.budget.rho_total / (2.0 * t_rounds * k_per)
+        full = QueryEvaluator(workload.select(), workload.schema, config.n_synth)
+        pool = np.arange(workload.m)  # the queries not yet selected
     selected: list[int] = []
     noisy: list[float] = []
     round_trace: list[dict] = []
-    proj_seconds = 0.0
-    phases = {"gradient_s": 0.0, "normalize_s": 0.0, "adam_s": 0.0}
     losses: list[list[float]] = []
+    timing = {"projection_s": 0.0, "gradient_s": 0.0, "normalize_s": 0.0, "adam_s": 0.0}
 
-    def project(queries, targets, start):
-        nonlocal proj_seconds
-        t0 = time.perf_counter()
-        proj = relaxed_projection(queries, targets, start, config.projection)
-        proj_seconds += time.perf_counter() - t0
-        for key, seconds in proj.timing.items():
-            phases[key] += seconds
-        losses.append(proj.losses)
-        return proj
-
-    if t_rounds == 1:
-        share = math.inf if config.no_noise else rho / workload.m
-        answers = gaussian_mechanism(true_answers, n, share, gauss_rng)
-        budget.spend([f"gaussian[q={i}]" for i in range(workload.m)],
-                     0.0 if config.no_noise else share)
-        selected = list(range(workload.m))
-        noisy = [float(a) for a in np.atleast_1d(answers)]
-        proj = project(workload.select(), answers, current)
-        current = proj.dataset
-        round_trace.append(_round_record(1, proj, selected))
-    else:
-        share = math.inf if config.no_noise else rho / (2.0 * t_rounds * k_per)
-        ledger_share = 0.0 if config.no_noise else share
-        full = QueryEvaluator(workload.select(), workload.schema, config.n_synth)
-        pool = list(range(workload.m))
-        for t in range(1, t_rounds + 1):
-            if not pool:
-                break  # pool exhausted: skip remaining rounds, budget stays unspent
-            pool_true = true_answers[pool]
-            pool_conj = conjectured_answers(pool, workload, current, full)
+    for t in range(1, t_rounds + 1):
+        if t_rounds == 1:  # the one round measures every query
+            selected = list(range(workload.m))
+            noisy = private.measure(selected, share).tolist()
+        else:  # K sequential picks, each measured as soon as it is chosen
+            conj = conjectured_answers(pool, workload, current, full)
             for j in range(k_per):
-                if not pool:
-                    break
-                win = report_noisy_max(pool_true, pool_conj, n, share, gumbel_rng)
-                qidx = pool.pop(win)
-                pool_true = np.delete(pool_true, win)
-                pool_conj = np.delete(pool_conj, win)
-                budget.spend(f"noisy_max[round={t},pick={j}]", ledger_share)
-                answer = gaussian_mechanism(true_answers[qidx], n, share, gauss_rng)
-                budget.spend(f"gaussian[q={qidx}]", ledger_share)
-                selected.append(qidx)
-                noisy.append(float(answer))
-            proj = project(workload.select(selected), np.asarray(noisy), current)
-            current = proj.dataset
-            round_trace.append(_round_record(t, proj, selected))
+                win = private.select(pool, conj, share, f"noisy_max[round={t},pick={j}]")
+                selected.append(int(pool[win]))
+                pool, conj = np.delete(pool, win), np.delete(conj, win)
+                noisy += private.measure(selected[-1:], share).tolist()
+        t0 = time.perf_counter()
+        proj = relaxed_projection(
+            workload.select(selected), np.asarray(noisy), current, config.projection
+        )
+        timing["projection_s"] += time.perf_counter() - t0
+        for key, seconds in proj.timing.items():
+            timing[key] += seconds
+        losses.append(proj.losses)
+        current = proj.dataset
+        round_trace.append({
+            "round": t,
+            "selected_total": len(selected),
+            "projection_initial_loss": proj.losses[0],
+            "projection_loss": proj.best_loss,
+            "projection_steps": proj.steps,
+        })
 
     return FitResult(
         relaxed=current,
         selected=selected,
         noisy_answers=noisy,
         rounds=round_trace,
-        budget=budget,
+        budget=private.budget,
         config=config,
         resolved_delta=delta,
-        timing={
-            "wall_s": time.perf_counter() - started,
-            "projection_s": proj_seconds,
-            **phases,
-        },
+        timing={"wall_s": time.perf_counter() - started, **timing},
         losses=losses,
     )
-
-
-def _round_record(t, proj, selected) -> dict:
-    return {
-        "round": t,
-        "selected_total": len(selected),
-        "projection_initial_loss": proj.losses[0],
-        "projection_loss": proj.best_loss,
-        "projection_steps": proj.steps,
-    }
 
 
 def replay(record: dict, workload: Workload) -> list[RelaxedDataset]:

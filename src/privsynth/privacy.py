@@ -38,8 +38,8 @@ def rho_from_eps_delta(epsilon: float, delta: float) -> float:
     Closed form: rho = (sqrt(L + epsilon) - sqrt(L))^2. At delta = 1 the
     conversion collapses to rho = epsilon.
     """
-    if not epsilon > 0:
-        raise BudgetError(f"epsilon must be > 0, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise BudgetError(f"epsilon must be finite and > 0, got {epsilon}")
     if not 0 < delta <= 1:
         raise BudgetError(f"delta must be in (0, 1], got {delta}")
     big_l = math.log(1.0 / delta)

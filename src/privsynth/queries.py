@@ -236,6 +236,7 @@ def random_workload(
     d = schema.d
     if not 1 <= k <= d:
         raise WorkloadError(f"k={k} must be in [1, {d}]")
+    _check_arity(k)
     total = math.comb(d, k)
     if num_marginals > total:
         raise WorkloadError(f"requested {num_marginals} marginals but only {total} exist")

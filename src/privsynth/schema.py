@@ -116,8 +116,8 @@ class DiscreteDataset:
         object.__setattr__(self, "rows", rows)
         if rows.ndim != 2 or rows.shape[1] != self.schema.d:
             raise SchemaError(f"rows must be (n, {self.schema.d}), got {rows.shape}")
-        t = np.asarray(self.schema.cardinalities)
-        if rows.size and ((rows < 0).any() or (rows >= t[None, :]).any()):
+        t = np.asarray(self.schema.cardinalities, dtype=np.uint64)
+        if (rows.view(np.uint64) >= t).any():  # a negative index wraps above every cardinality
             raise SchemaError("category index out of range for its feature")
 
     @property

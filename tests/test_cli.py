@@ -55,6 +55,14 @@ class TestWorkloadCommand:
                     "--out", tmp_path / "w.json"])
         assert code == 2
 
+    def test_arity_above_eight_within_schema_is_usage_error(self, tmp_path, capsys):
+        sch = tmp_path / "wide.schema.json"
+        privsynth.schema_from_cardinalities((2,) * 10).save(sch)
+        out = tmp_path / "w.json"
+        assert run(["workload", "--schema", sch, "--k", 9, "--marginals", 1, "--out", out]) == 2
+        assert "marginal arity above 8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_utf8_data_exit_code(self, toy_csv, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(toy_csv.read_bytes() + b"\xff,0,0\n")
@@ -141,6 +149,25 @@ class TestFitCommand:
         run(["fit", "--data", toy_csv, "--workload", wpath, "--delta", "auto",
              "--n-prime", 8, "--max-steps", 5, "--out-dir", tmp_path / "d"])
         assert f"delta={1.0 / 200**2}" in capsys.readouterr().out
+
+    def test_seeded_summary_names_the_noise(self, toy_csv, tmp_path, capsys):
+        wpath = tmp_path / "w.json"
+        run(["workload", "--data", toy_csv, "--k", 2, "--marginals", 2, "--out", wpath])
+        capsys.readouterr()
+        assert run(["fit", "--data", toy_csv, "--workload", wpath, "--seed", 4, "--n-prime", 8,
+                    "--max-steps", 5, "--out-dir", tmp_path / "s"]) == 0
+        out = capsys.readouterr().out
+        assert "noise=seeded-reproducible-non-private" in out
+        assert "private=True" not in out
+
+    def test_infinite_epsilon_is_usage_error(self, toy_csv, tmp_path, capsys):
+        wpath = tmp_path / "w.json"
+        run(["workload", "--data", toy_csv, "--k", 2, "--marginals", 2, "--out", wpath])
+        capsys.readouterr()
+        assert run(["fit", "--data", toy_csv, "--workload", wpath, "--epsilon", "inf",
+                    "--out-dir", tmp_path / "inf"]) == 2
+        err = capsys.readouterr().err
+        assert "epsilon must be finite" in err and "ledger" not in err
 
     def test_writes_outputs_and_ledger(self, fitted):
         _, _, out_dir = fitted

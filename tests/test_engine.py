@@ -1,6 +1,8 @@
+import ast
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +33,8 @@ from privsynth import (
     schema_from_cardinalities,
 )
 
-from privsynth.privacy import gaussian_noise_sigma
+from privsynth import engine
+from privsynth.privacy import BudgetError, PrivacyBudget, gaussian_noise_sigma
 from privsynth.queries import QueryEvaluator, eval_compiled
 
 from helpers import all_k_way_workload, random_dataset, skewed_dataset
@@ -282,6 +285,90 @@ class TestConjecturedAnswers:
         relaxed = one_hot(data).as_relaxed()
         with pytest.raises(IndexError):
             conjectured_answers([workload.m], workload, relaxed)
+
+
+class TestMeasurementBoundary:
+    """Each draw of noise follows its own ledger entries, and only the boundary reaches the data."""
+
+    @pytest.mark.parametrize("rounds, per_round", [(1, None), (3, 4), (4, 8)])
+    @pytest.mark.parametrize("no_noise", [False, True])
+    def test_every_draw_follows_its_own_ledger_entries(self, monkeypatch, rounds, per_round,
+                                                       no_noise):
+        _, data, workload = toy_instance(seed=21, marginals=2)  # m = 32: (4, 8) selects every query
+        booked, draws = [], []  # draws: (mechanism, ledger length at the call, answers drawn for)
+        spend, gaussian, noisy_max = (
+            PrivacyBudget.spend, engine.gaussian_mechanism, engine.report_noisy_max
+        )
+
+        def recording_spend(budget, label, rho):
+            spend(budget, label, rho)
+            booked.extend([label] if isinstance(label, str) else label)
+
+        def recording_gaussian(true_answer, *args):
+            draws.append(("gaussian", len(booked), np.atleast_1d(true_answer).copy()))
+            return gaussian(true_answer, *args)
+
+        def recording_noisy_max(true_answers, *args):
+            draws.append(("noisy_max", len(booked), None))
+            return noisy_max(true_answers, *args)
+
+        monkeypatch.setattr(PrivacyBudget, "spend", recording_spend)
+        monkeypatch.setattr(engine, "gaussian_mechanism", recording_gaussian)
+        monkeypatch.setattr(engine, "report_noisy_max", recording_noisy_max)
+        config = FitConfig(epsilon=0.5, rounds=rounds, queries_per_round=per_round, n_synth=10,
+                           seed=3, no_noise=no_noise, projection=ProjectionConfig(max_steps=5))
+        result = fit(data, workload, config)
+
+        assert booked == [label for label, _ in result.budget.ledger]
+        truth = eval_discrete(workload, data)
+        start, measured = 0, []
+        for mechanism, length, answers in draws:
+            own = booked[start:length]
+            if mechanism == "noisy_max":
+                assert len(own) == 1 and own[0].startswith("noisy_max[")
+            else:
+                qs = [int(label[len("gaussian[q="):-1]) for label in own]
+                assert own == [f"gaussian[q={q}]" for q in qs] and len(qs) == answers.size
+                np.testing.assert_array_equal(answers, truth[qs])
+                measured += qs
+            start = length
+        assert start == len(booked) > 0
+        assert measured == result.selected
+
+    def test_overspend_raises_before_any_noise_is_drawn(self):
+        _, data, workload = toy_instance(seed=22)
+        private = engine._Measurements(data, workload, FitConfig(epsilon=1.0, seed=5), 1e-4)
+        rho = private.budget.rho_total
+        private.measure([0, 1], rho / 4)
+        private.select([2, 3], np.zeros(2), rho / 4, "noisy_max[round=1,pick=0]")
+        ledger = list(private.budget.ledger)
+        states = [src._rng.bit_generator.state for src in (private._gaussian, private._gumbel)]
+        with pytest.raises(BudgetError):
+            private.measure([4], rho)
+        with pytest.raises(BudgetError):
+            private.select([4, 5], np.zeros(2), rho, "noisy_max[round=1,pick=1]")
+        assert private.budget.ledger == ledger
+        assert [src._rng.bit_generator.state for src in (private._gaussian, private._gumbel)] \
+            == states
+
+    def test_only_the_boundary_names_the_private_calls(self):
+        tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+        guarded = {"eval_discrete", "gaussian_mechanism", "report_noisy_max"}
+
+        def private_calls(nodes):
+            return sorted(
+                f"{getattr(node, 'id', '.spend')}:{node.lineno}" for node in nodes
+                if isinstance(node, ast.Name) and node.id in guarded
+                or isinstance(node, ast.Attribute) and node.attr == "spend"
+            )
+
+        boundary = [node for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == "_Measurements"]
+        assert len(boundary) == 1
+        inside = list(ast.walk(boundary[0]))
+        assert {name.split(":")[0] for name in private_calls(inside)} == guarded | {".spend"}
+        outside = [node for node in ast.walk(tree) if not any(node is n for n in inside)]
+        assert private_calls(outside) == []
 
 
 class TestReproducibility:

@@ -77,6 +77,8 @@ class TestConversions:
     def test_invalid_arguments(self):
         with pytest.raises(BudgetError):
             rho_from_eps_delta(0.0, 0.5)
+        with pytest.raises(BudgetError, match="epsilon"):
+            rho_from_eps_delta(math.inf, 0.5)
         with pytest.raises(BudgetError):
             rho_from_eps_delta(1.0, 0.0)
         with pytest.raises(BudgetError):

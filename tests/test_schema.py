@@ -525,6 +525,36 @@ class TestSchemaLayout:
             a.features = ()
 
 
+@st.composite
+def category_tables(draw):
+    """(cardinalities, rows, dtype): cells drawn around each feature's bounds -1, 0, t-1, t."""
+    cards = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    n = draw(st.integers(0, 6))
+    rows = [[draw(st.sampled_from([-1, 0, t - 1, t, draw(st.integers(-3, t + 2))])) for t in cards]
+            for _ in range(n)]
+    return cards, rows, draw(st.sampled_from([np.int32, np.int64]))
+
+
+class TestDiscreteDatasetRange:
+    @staticmethod
+    def reference_in_range(cards, rows) -> bool:
+        """The range check as two comparisons: no negative index, none at or above its t."""
+        t = np.asarray(cards)
+        return not (rows.size and ((rows < 0).any() or (rows >= t[None, :]).any()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=category_tables())
+    def test_matches_two_comparison_reference(self, case):
+        cards, rows, dtype = case
+        rows = np.asarray(rows, dtype=dtype).reshape(len(rows), len(cards))
+        schema = schema_from_cardinalities(cards)
+        if self.reference_in_range(cards, rows):
+            assert DiscreteDataset(schema, rows).rows.tolist() == rows.tolist()
+        else:
+            with pytest.raises(SchemaError, match="category index out of range for its feature"):
+                DiscreteDataset(schema, rows)
+
+
 class TestBinNumeric:
     def test_midpoint_split(self):
         idx, spec = bin_numeric([0, 1, 2, 3], 2)
