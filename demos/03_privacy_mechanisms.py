@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 from privsynth import (
+    BudgetError,
     NoiseSource,
     PrivacyBudget,
     eps_from_rho_delta,
@@ -48,10 +49,15 @@ soft /= soft.sum()
 print("\nselection frequencies:", np.round(counts / counts.sum(), 3))
 print("softmax(scores):      ", np.round(soft, 3))
 
-# Every mechanism call is recorded on an append-only ledger; overspending
-# raises instead of silently leaking.
+# Every mechanism call is recorded on an append-only ledger, summed exactly;
+# share(k) is the largest equal spend of which k fit in rho, and a spend past
+# rho raises instead of silently leaking.
 budget = PrivacyBudget.from_eps_delta(epsilon, delta)
-for i in range(4):
-    budget.spend(f"demo[{i}]", rho / 4)
+for i in range(3):
+    budget.spend(f"demo[{i}]", budget.share(3))
 print("\nledger:", budget.ledger_json())
 print("summary:", budget.summary())
+try:
+    budget.spend("one more", budget.share(3))
+except BudgetError as exc:
+    print("refused:", exc)

@@ -8,15 +8,6 @@ fit warns that the noise is removable. Other commands default to seed 0.
 
 from __future__ import annotations
 
-import os
-
-# RAP_THREADS caps internal parallelism; it must land in the BLAS thread-count
-# variables before numpy is first imported, hence before the imports below.
-_threads = os.environ.get("RAP_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
 import csv
 import json
@@ -155,7 +146,9 @@ def cmd_fit(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     source = "given" if args.schema else "inferred-non-private"
-    record = json.dumps(dict(result.to_json_dict(), schema_source=source), sort_keys=True, indent=2)
+    record = json.dumps(
+        dict(result.to_json_dict(), schema_source=source), sort_keys=True, indent=2, allow_nan=False
+    )
     (out_dir / "result.json").write_text(record + "\n", encoding="utf-8")
     engine.save_relaxed_csv(result.relaxed, out_dir / "relaxed.csv")
     data.schema.save(out_dir / "schema.json")

@@ -3,17 +3,18 @@
 One loop of `rounds` rounds, each measuring queries and then fitting:
 
 * rounds == 1: the one round answers every workload query with the Gaussian
-  mechanism at rho/m, and a single projection fits a relaxed dataset to the
-  full noisy answer vector from a seeded random start.
+  mechanism at share(m), the largest float whose m-fold sum is at most rho,
+  and a single projection fits a relaxed dataset to the full noisy answer
+  vector from a seeded random start.
 
 * rounds > 1: per round, `queries_per_round` selections are made
   sequentially. Each selection scores the not-yet-answered pool by the gap
   between its true answers and the answers conjectured from the current
-  relaxed dataset, picks a winner by Gumbel noisy-max at rho/(2*T*K), and
+  relaxed dataset, picks a winner by Gumbel noisy-max at share(2*T*K), and
   answers the winner with the Gaussian mechanism at the same share. The round
   ends with one projection over everything selected so far, warm-started from
   the previous round's dataset. Selection and answering each consume
-  rho/(2*T*K), so T*K full rounds spend exactly rho.
+  share(2*T*K), so the ledger's 2*T*K spends total at most rho, exactly.
 
 Only _Measurements reaches the private table: it holds the true answers, the
 ledger and the secret noise streams, and books each spend where it draws the
@@ -101,7 +102,8 @@ class FitResult:
         return out
 
     def to_json(self, include_timing: bool = True) -> str:
-        return json.dumps(self.to_json_dict(include_timing), sort_keys=True, indent=2) + "\n"
+        record = self.to_json_dict(include_timing)
+        return json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def noise_label(config: FitConfig) -> str:
@@ -190,10 +192,8 @@ def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResu
     private = _Measurements(data, workload, config, delta)
     init_rng = NoiseSource(config.seed or 0, "init")  # public: replay rebuilds it from the record
     current = random_init(workload.schema, config.n_synth, init_rng)
-    if t_rounds == 1:
-        share = private.budget.rho_total / workload.m
-    else:
-        share = private.budget.rho_total / (2.0 * t_rounds * k_per)
+    share = private.budget.share(workload.m if t_rounds == 1 else 2 * t_rounds * k_per)
+    if t_rounds > 1:
         full = QueryEvaluator(workload.select(), workload.schema, config.n_synth)
         pool = np.arange(workload.m)  # the queries not yet selected
     selected: list[int] = []

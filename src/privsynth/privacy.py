@@ -2,10 +2,13 @@
 
 The accountant tracks a total budget rho derived from (epsilon, delta) via
 epsilon = rho + 2*sqrt(rho*ln(1/delta)); rho composes additively across
-mechanism calls and post-processing is free. The Gaussian mechanism perturbs
-a sensitivity-1/n answer with variance 1/(2*n^2*rho). Noisy-max selection
-adds i.i.d. Gumbel(1/(sqrt(2*rho)*n)) noise to error scores and reports the
-argmax, which matches exponential-mechanism selection probabilities.
+mechanism calls and post-processing is free. The ledger adds spends exactly
+and refuses one that would take the exact total past rho, with no tolerance;
+share(N) is the largest equal spend of which N fit. The Gaussian mechanism
+perturbs a sensitivity-1/n answer with variance 1/(2*n^2*rho). Noisy-max
+selection adds i.i.d. Gumbel(1/(sqrt(2*rho)*n)) noise to error scores and
+reports the argmax, which matches exponential-mechanism selection
+probabilities.
 
 The neighbour relation is replace-one (bounded DP): two tables are neighbours
 when they have the same n and differ in one row. Sensitivity 1/n and the
@@ -147,38 +150,29 @@ def report_noisy_max(
     return int(np.argmax(scores + gumbel_sample(scale, rng, size=t.shape[0])))
 
 
-# Relative slack on the budget cap: per-call shares are rounded floats, so a
-# full run's ledger can exceed rho_total by a few ulps without being a leak.
-_CAP_SLACK = 1e-9
+# The budget cap is exact (see PrivacyBudget). bench/run.py and
+# bench/test_smoke.py still import this as the ledger's relative cap slack.
+_CAP_SLACK = 0.0
+
+_UNIT = 2**1074  # spends are counted in units of 2**-1074, the smallest positive double
 
 
-def _add_partial(partials: list[float], x: float) -> None:
-    """Add x to a list of non-overlapping partial sums, exactly (Shewchuk).
-
-    The partials always sum exactly to the running total, so math.fsum of
-    them is that total correctly rounded, as math.fsum of every term is.
-    """
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
+def _units(x: float) -> int:
+    """Finite x >= 0 as an exact integer number of units of 2**-1074."""
+    num, den = x.as_integer_ratio()  # den = 2**k with k <= 1074
+    return num << (1075 - den.bit_length())
 
 
 @dataclass
 class PrivacyBudget:
     """Total budget plus an append-only ledger of per-call spends.
 
-    The exact running total of the ledger is kept as Shewchuk partials,
-    rebuilt from any ledger given at construction and updated on each spend,
-    so spent() costs O(1) amortized instead of a pass over the ledger.
-    Record spends through spend(), which keeps the two in step.
+    Every finite double is an integer multiple of 2**-1074, so the ledger's
+    running total is kept exactly as one int counting that unit, rebuilt
+    from any ledger given at construction and updated on each spend. The cap
+    check compares that int with rho_total in the same unit, with no
+    tolerance: a private ledger never totals more than rho_total. Record
+    spends through spend(), which keeps the two in step.
     """
 
     epsilon: float
@@ -186,7 +180,7 @@ class PrivacyBudget:
     rho_total: float
     private: bool = True
     ledger: list[tuple[str, float]] = field(default_factory=list)
-    _partials: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
+    _total: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.private:
@@ -196,8 +190,7 @@ class PrivacyBudget:
                     f"rho_total {self.rho_total} does not reproduce epsilon "
                     f"{self.epsilon} (got {back})"
                 )
-        for _, rho in self.ledger:
-            _add_partial(self._partials, rho)
+        self._total = sum(_units(rho) for _, rho in self.ledger)
 
     @classmethod
     def from_eps_delta(cls, epsilon: float, delta: float) -> "PrivacyBudget":
@@ -213,42 +206,45 @@ class PrivacyBudget:
     def spend(self, label: str | list[str], rho: float) -> None:
         """Book rho under `label`, or under each of a list of m labels (m equal spends).
 
-        The cap is checked once, before anything is booked, so a batch that
-        would overspend books nothing. A batch adds m * rho to the partials
-        exactly, as one rho * 2**k per set bit k of m, so spent() is the same
-        as after m single spends.
+        The cap is checked once, exactly, before anything is booked, so a
+        batch that would overspend books nothing.
         """
         if not 0.0 <= rho < math.inf:
             raise BudgetError(f"ledger spend must be finite and >= 0, got {rho}")
         labels = [label] if isinstance(label, str) else label
         m = len(labels)
-        new_total = self.spent() + m * rho
-        if self.private and new_total > self.rho_total * (1.0 + _CAP_SLACK) + 1e-15:
+        new_total = self._total + _units(rho) * m
+        if self.private and new_total > _units(self.rho_total):
             more = f" and {m - 1} more labels" if m > 1 else ""
+            excess = (new_total - _units(self.rho_total)) / _UNIT
             raise BudgetError(
-                f"spend {rho} for {labels[0]!r}{more} would exceed budget: "
-                f"{new_total} > {self.rho_total}"
+                f"spend {rho} for {labels[0]!r}{more} would exceed budget "
+                f"{self.rho_total} by {excess!r}"
             )
         self.ledger.extend((lab, rho) for lab in labels)
-        for k in range(m.bit_length()):
-            if m >> k & 1:
-                _add_partial(self._partials, math.ldexp(rho, k))
+        self._total = new_total
+
+    def share(self, calls: int) -> float:
+        """The largest float s with calls * s <= rho_total exactly; +inf when rho_total is."""
+        s = self.rho_total / calls
+        if math.isfinite(s):
+            while _units(s) * calls > _units(self.rho_total):
+                s = math.nextafter(s, 0.0)
+        return s
 
     def spent(self) -> float:
-        """math.fsum of the ledger's spends, from the running partials."""
-        return math.fsum(self._partials)
+        """The ledger's exact total, correctly rounded: math.fsum of its spends."""
+        return self._total / _UNIT
 
     def remaining(self) -> float:
         return self.rho_total - self.spent()
 
     def summary(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "rho_total": self.rho_total,
-            "rho_spent": self.spent(),
-            "private": self.private,
-        }
+        """The budget as JSON values; the non-private sentinel's infinities become null."""
+        values = {"epsilon": self.epsilon, "delta": self.delta, "rho_total": self.rho_total,
+                  "rho_spent": self.spent()}
+        out = {key: value if math.isfinite(value) else None for key, value in values.items()}
+        return dict(out, private=self.private)
 
     def ledger_json(self) -> list[dict]:
         return [{"label": lab, "rho": rho} for lab, rho in self.ledger]

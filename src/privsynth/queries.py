@@ -191,12 +191,25 @@ class Workload:
         )
 
     @classmethod
-    def from_json_dict(cls, schema: Schema, obj: dict) -> "Workload":
+    def from_json_dict(cls, schema: Schema, obj: dict, source: str = "workload") -> "Workload":
+        """Inverse of to_json_dict; any other JSON shape is a WorkloadError naming `source`."""
+        if not (
+            isinstance(obj, dict) and obj.get("kind") in QUERY_KINDS
+            and isinstance(obj.get("marginals"), list)
+            and all(
+                isinstance(s, list) and all(type(i) is int for i in s) for s in obj["marginals"]
+            )
+        ):
+            raise WorkloadError(
+                f'{source}: a workload must be a JSON object with "kind" one of {QUERY_KINDS} '
+                f'and "marginals" a list of lists of integer feature indices'
+            )
         return cls(schema, obj["marginals"], kind=obj["kind"], seed=obj.get("seed"))
 
     @classmethod
     def load(cls, schema: Schema, path) -> "Workload":
-        return cls.from_json_dict(schema, json.loads(Path(path).read_text(encoding="utf-8")))
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        return cls.from_json_dict(schema, obj, str(path))
 
     def compiled_json_dict(self) -> list[list[int]]:
         """Dump of the compiled column index sets, one array per query."""

@@ -85,7 +85,18 @@ class Schema:
         return [{"name": f.name, "categories": list(f.categories)} for f in self.features]
 
     @classmethod
-    def from_json_dict(cls, obj: list[dict]) -> "Schema":
+    def from_json_dict(cls, obj: list[dict], source: str = "schema") -> "Schema":
+        """Inverse of to_json_dict; any other JSON shape is a SchemaError naming `source`."""
+        if not isinstance(obj, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("name"), str)
+            and isinstance(e.get("categories"), list)
+            and all(isinstance(c, str) for c in e["categories"])
+            for e in obj
+        ):
+            raise SchemaError(
+                f'{source}: a schema must be a JSON list of objects, each with a string "name" '
+                f'and a list of string "categories"'
+            )
         return cls(tuple(FeatureSpec(e["name"], tuple(e["categories"])) for e in obj))
 
     def save(self, path) -> None:
@@ -93,7 +104,7 @@ class Schema:
 
     @classmethod
     def load(cls, path) -> "Schema":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")), str(path))
 
 
 def schema_from_cardinalities(t, prefix: str = "f") -> Schema:

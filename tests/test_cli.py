@@ -192,6 +192,22 @@ class TestFitCommand:
         assert doc["budget"]["rho_spent"] == 0.0
         assert doc["noise"] == "none"
 
+    def test_no_noise_result_is_strict_json(self, toy_csv, tmp_path):
+        """No NaN or Infinity: the non-private budget's infinities are written as null."""
+        wpath = tmp_path / "w.json"
+        run(["workload", "--data", toy_csv, "--k", 2, "--marginals", 2, "--seed", 0,
+             "--out", wpath])
+        out_dir = tmp_path / "nn"
+        assert run(["fit", "--data", toy_csv, "--workload", wpath, "--no-noise",
+                    "--n-prime", 10, "--max-steps", 10, "--out-dir", out_dir]) == 0
+
+        def reject(constant):
+            raise AssertionError(f"result.json holds {constant}")
+
+        doc = json.loads((out_dir / "result.json").read_text(), parse_constant=reject)
+        assert doc["budget"]["epsilon"] is None and doc["budget"]["rho_total"] is None
+        assert doc["budget"]["rho_spent"] == 0.0
+
     def test_adaptive_ledger_split(self, toy_csv, tmp_path):
         wpath = tmp_path / "w.json"
         run(["workload", "--data", toy_csv, "--k", 3, "--marginals", 1, "--seed", 0,
@@ -578,3 +594,52 @@ class TestSchemaSource:
         assert capsys.readouterr().err == ""
         doc = json.loads((out_dir / "result.json").read_text())
         assert doc["schema_source"] == "given"
+
+
+MALFORMED_WORKLOADS = [
+    [],
+    {"kind": "product"},
+    {"marginals": [[0, 1]]},
+    {"kind": "product", "marginals": 5},
+    {"kind": "product", "marginals": [[0, 1.7]]},
+    {"kind": "product", "marginals": [[True, 2]]},
+]
+MALFORMED_SCHEMAS = [
+    [{"name": "f0"}],
+    {"f0": 1},
+    [{"name": "f0", "categories": [0, 1, 2]}],
+    [{"name": "f0", "categories": "012"}],
+]
+
+
+class TestMalformedJsonInput:
+    """A workload or schema file of the wrong JSON shape exits with its code and names the file."""
+
+    @pytest.mark.parametrize(
+        "kind, doc",
+        [("workload", w) for w in MALFORMED_WORKLOADS] + [("schema", s) for s in MALFORMED_SCHEMAS],
+    )
+    def test_exit_code_names_file(self, toy_csv, tmp_path, capsys, kind, doc):
+        good = tmp_path / "w.json"
+        assert run(["workload", "--data", toy_csv, "--k", 2, "--marginals", 2, "--out", good]) == 0
+        bad = tmp_path / f"bad_{kind}.json"
+        bad.write_text(json.dumps(doc))
+        if kind == "workload":
+            argvs = [["fit", "--data", toy_csv, "--workload", bad, "--seed", 0,
+                      "--out-dir", tmp_path / "out"]]
+            code, prefix = 2, "error: "
+        else:
+            argvs = [
+                ["workload", "--schema", bad, "--k", 1, "--marginals", 1,
+                 "--out", tmp_path / "out" / "w.json"],
+                ["fit", "--data", toy_csv, "--schema", bad, "--workload", good, "--seed", 0,
+                 "--out-dir", tmp_path / "out"],
+                ["eval", "--data", toy_csv, "--schema", bad, "--workload", good,
+                 "--synth", toy_csv, "--out", tmp_path / "out" / "report.json"],
+            ]
+            code, prefix = 3, "schema error: "
+        for argv in argvs:
+            capsys.readouterr()
+            assert run(argv) == code, argv[0]
+            assert f"{prefix}{bad}: " in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()

@@ -2,6 +2,8 @@ import ast
 import itertools
 import json
 import math
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -369,6 +371,42 @@ class TestMeasurementBoundary:
         assert {name.split(":")[0] for name in private_calls(inside)} == guarded | {".spend"}
         outside = [node for node in ast.walk(tree) if not any(node is n for n in inside)]
         assert private_calls(outside) == []
+
+
+class TestExactLedger:
+    """Every fit's ledger sums, in exact arithmetic, to at most its budget."""
+
+    @staticmethod
+    def check(result, calls):
+        rho = result.budget.rho_total
+        assert len(result.budget.ledger) == calls
+        assert sum(Fraction(r) for _, r in result.budget.ledger) <= Fraction(rho)
+        assert result.budget.spent() == pytest.approx(rho, rel=1e-15)
+        return calls * Fraction(rho / calls) > Fraction(rho)  # would the naive share overspend?
+
+    def test_criterion_04_grid_and_one_shot(self):
+        schema = schema_from_cardinalities((4, 4, 4, 4, 4, 4))
+        data = random_dataset(schema, 40, np.random.default_rng(1004))
+        workload = all_k_way_workload(schema, (5,))  # m = 6144
+        base = FitConfig(epsilon=1.0, delta=1.0 / 40**2, n_synth=8, seed=3,
+                         projection=ProjectionConfig(max_steps=2))
+        naive_overspends = 0
+        for per_round in (5, 10, 25, 50, 100):
+            for rounds in (2, 5, 10, 25, 50):
+                config = replace(base, rounds=rounds, queries_per_round=per_round)
+                naive_overspends += self.check(fit(data, workload, config), 2 * rounds * per_round)
+        assert naive_overspends == 17
+        assert self.check(fit(data, workload, base), workload.m)
+
+    def test_adaptive_fit_of_a_400_row_table(self):
+        _, data, workload = toy_instance(seed=23, n=400)
+        config = FitConfig(epsilon=0.7, rounds=4, queries_per_round=5, n_synth=10, seed=1,
+                           projection=ProjectionConfig(max_steps=5))
+        result = fit(data, workload, config)
+        assert result.budget.rho_total == 0.009934758719659422  # delta = 1/400^2
+        assert self.check(result, 40)
+        budget = result.to_json_dict()["budget"]
+        assert budget["rho_spent"] <= budget["rho_total"]
 
 
 class TestReproducibility:

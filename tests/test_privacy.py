@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from privsynth import (
     report_noisy_max,
     rho_from_eps_delta,
 )
-from privsynth.privacy import _CAP_SLACK, gaussian_noise_sigma
+from privsynth.privacy import gaussian_noise_sigma
 
 # Spends across many magnitudes, subnormals and exact zeros included, so the
 # running total must be exact to match math.fsum.
@@ -242,18 +243,19 @@ class TestPrivacyBudget:
     )
     def test_overspend_boundary_matches_fsum(self, epsilon, fractions, k):
         b = PrivacyBudget.from_eps_delta(epsilon, 1e-6)
-        cap = b.rho_total * (1.0 + _CAP_SLACK) + 1e-15
+        cap = Fraction(b.rho_total)  # exact: no tolerance
         # random shares, then k+1 equal shares of rho_total/k that end on the cap
         rhos = [f * b.rho_total for f in fractions] + [b.rho_total / k] * (k + 1)
         accepted = []
         for i, rho in enumerate(rhos):
-            if math.fsum(accepted) + rho > cap:
+            if sum(map(Fraction, accepted)) + Fraction(rho) > cap:
                 with pytest.raises(BudgetError):
                     b.spend(f"call{i}", rho)
             else:
                 b.spend(f"call{i}", rho)
                 accepted.append(rho)
             assert b.spent() == math.fsum(accepted)
+            assert sum(map(Fraction, accepted)) <= cap
         assert [r for _, r in b.ledger] == accepted
 
     @settings(max_examples=200, deadline=None)
@@ -279,13 +281,20 @@ class TestPrivacyBudget:
     def test_batch_of_equal_shares_spends_the_budget(self, m):
         single = PrivacyBudget.from_eps_delta(1.0, 1e-6)
         batch = PrivacyBudget.from_eps_delta(1.0, 1e-6)
-        share = single.rho_total / m
+        share = single.share(m)
         labels = [f"gaussian[q={i}]" for i in range(m)]
         for label in labels:
             single.spend(label, share)
         batch.spend(labels, share)
         assert batch.ledger == single.ledger
         assert batch.spent().hex() == single.spent().hex()
+        assert m * Fraction(share) <= Fraction(single.rho_total)
+        assert single.spent() == pytest.approx(single.rho_total, rel=1e-15)
+        if m == 6144:  # here the rounded quotient rho/m sums past rho, and is refused
+            naive = PrivacyBudget.from_eps_delta(1.0, 1e-6)
+            with pytest.raises(BudgetError):
+                naive.spend(labels, naive.rho_total / m)
+            assert naive.ledger == []
 
     def test_overspending_batch_books_nothing(self):
         b = PrivacyBudget.from_eps_delta(1.0, 1e-6)
@@ -295,6 +304,41 @@ class TestPrivacyBudget:
             b.spend([f"q{i}" for i in range(10)], b.rho_total / 10)
         assert b.ledger == ledger
         assert b.spent().hex() == spent.hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(min_value=5e-324, max_value=1e6, allow_nan=False, allow_infinity=False),
+        st.integers(min_value=1, max_value=10**7),
+    )
+    def test_share_is_maximal(self, rho, calls):
+        b = PrivacyBudget(eps_from_rho_delta(rho, 0.5), 0.5, rho)
+        s = b.share(calls)
+        assert calls * Fraction(s) <= Fraction(rho) < calls * Fraction(math.nextafter(s, math.inf))
+        b.spend([f"q{i}" for i in range(min(calls, 3))], s)  # never refused
+
+    def test_non_private_share_is_the_noiseless_sentinel(self):
+        assert PrivacyBudget.non_private().share(6144) == math.inf
+
+    def test_cap_boundary_is_exact(self):
+        b = PrivacyBudget.from_eps_delta(0.5, 1e-6)
+        first = 0.7 * b.rho_total
+        rest = b.rho_total - first  # exact: the two are within a factor of 2 (Sterbenz)
+        assert Fraction(first) + Fraction(rest) == Fraction(b.rho_total)
+        b.spend("first", first)
+        b.spend("rest", rest)  # lands exactly on the cap
+        assert b.spent() == b.rho_total and b.remaining() == 0.0
+        with pytest.raises(BudgetError, match=r"by 5e-324$"):
+            b.spend("one unit more", 5e-324)
+        assert [lab for lab, _ in b.ledger] == ["first", "rest"]
+        b.spend("nothing", 0.0)
+
+    def test_overspend_message_states_the_excess(self):
+        # rho/40 rounds up here, so 40 such shares exceed rho by 1.7e-18 (under one ulp of rho)
+        b = PrivacyBudget.from_eps_delta(0.7, 1.0 / 400**2)
+        excess = 40 * Fraction(b.rho_total / 40) - Fraction(b.rho_total)
+        assert 0 < excess < Fraction(math.ulp(b.rho_total))
+        with pytest.raises(BudgetError, match=f"by {float(excess)!r}$"):
+            b.spend([f"q{i}" for i in range(40)], b.rho_total / 40)
 
     def test_nan_spend_rejected(self):
         b = PrivacyBudget.from_eps_delta(1.0, 1e-6)
