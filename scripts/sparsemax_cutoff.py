@@ -3,8 +3,12 @@
     PYTHONPATH=src python3 scripts/sparsemax_cutoff.py [--repeats 5] [--fits 3]
 
 projection.sparsemax_rows sends blocks of width t <= projection._NETWORK_MAX_T
-through the column kernel (_sparsemax_network) and wider ones through the
-row-sort kernel (_sparsemax_sorted). This script checks that choice two ways.
+through the column kernel (_sparsemax_network: Batcher's odd-even mergesort
+network of elementwise max/min over the (t, N) transposed stack) and wider
+ones through the row-sort kernel (_sparsemax_sorted, np.sort per row). The
+network's cost grows with its comparator count (19 at t = 8, 63 at t = 16),
+the sort's with its per-row overhead, so the crossover moves up as the stack
+grows. This script checks the shipped cut-off two ways.
 
 1. Kernels: the best of --repeats timings of each kernel on stacks of
    N = 1000 and N = 5000 rows (one and five blocks of one width on 1000

@@ -91,7 +91,7 @@ def _given(args, keys) -> dict:
 def _fit_config(args) -> engine.FitConfig:
     obj = {}
     if args.config:
-        obj = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        obj = schema.load_json(args.config, ValueError)
         if isinstance(obj, dict) and isinstance(obj.get("delta"), str):
             obj["delta"] = _parse_delta(obj["delta"])
     base = engine.config_from_json(engine.FitConfig, obj)

@@ -19,11 +19,20 @@ calls, with results bit-identical to the plain per-block formulas:
 * The normalization stacks all feature blocks of one cardinality t into one
   (t, blocks * rows) array and projects it in one sparsemax_rows call, so a
   step costs one call per distinct cardinality, not one per feature.
-* For t <= _NETWORK_MAX_T (8), sparsemax works column-wise on that layout:
-  an odd-even transposition network of elementwise max/min sorts each
-  column, and the prefix sums run in cumsum's order. Wider blocks keep the
-  row-wise np.sort kernel, which the network's t^2/2 comparators lose to
-  from about t = 12. The cut-off is a constant.
+* For t <= _NETWORK_MAX_T (11), sparsemax works column-wise on that layout:
+  Batcher's odd-even mergesort network of elementwise max/min (generated
+  per width and cached; 19 comparators at t = 8, against 28 for odd-even
+  transposition) sorts each column, and the prefix sums run in cumsum's
+  order. Wider blocks keep the row-wise np.sort kernel, which the network
+  loses to from about t = 12 on 1000-row stacks. The cut-off is a constant.
+* Adam runs only on the one-hot columns the query list can move: the
+  evaluator's `touched` columns, where the gradient can be nonzero. When
+  they are fewer than d' (an adaptive round's few selected cells), their
+  rows of X.T and of the gradient are gathered into compact (touched, rows)
+  arrays that hold the moments' layout, stepped, and written back. An
+  untouched column's gradient is exactly 0.0 at every step, so the
+  full-width step there would be lr*0/(sqrt(0) + eps) = 0 and leave X's
+  bits as they are.
 * AdamState.update works in place on its moments and on X, through two
   scratch buffers allocated with the state, in the operation order of the
   textbook formula.
@@ -69,11 +78,14 @@ def sparsemax_rows(Z: np.ndarray) -> np.ndarray:
     return _sparsemax_network(Z.T).T
 
 
-# Rows up to this width are sorted by an odd-even transposition network on
-# the transposed (t, N) layout: t(t-1)/2 elementwise max/min pairs over
-# length-N rows beat np.sort's per-row cost 2-4x at t <= 8, and lose to it
-# from about t = 12 (t = 32, N = 1000: 2.6 ms against 0.46 ms).
-_NETWORK_MAX_T = 8
+# Rows up to this width are sorted by Batcher's odd-even mergesort network on
+# the transposed (t, N) layout: its elementwise max/min pairs over length-N
+# rows (19 at t = 8, 38 at t = 11) beat np.sort's per-row cost 1.2-3x at
+# t <= 11 on N = 1000 stacks; from t = 12 the two trade places by width
+# there, and at t = 42 the sort wins (0.90 ms against 1.11 ms). Longer
+# stacks favour the network (N = 5000: it wins up to t = 32).
+# scripts/sparsemax_cutoff.py measures the crossover.
+_NETWORK_MAX_T = 11
 
 
 def _sparsemax_sorted(Z: np.ndarray) -> np.ndarray:
@@ -85,20 +97,48 @@ def _sparsemax_sorted(Z: np.ndarray) -> np.ndarray:
     return np.maximum(Z - tau[:, None], 0.0)
 
 
+@functools.lru_cache(maxsize=64)
+def _batcher_comparators(t: int) -> tuple[tuple[int, int], ...]:
+    """Batcher's odd-even mergesort network on t wires, as (i, j) pairs with i < j.
+
+    The iterative form for any t: the network for the next power of two with
+    every comparator that touches a wire >= t left out. Those wires would
+    hold the padding, which no comparator moves, so the rest still sorts.
+    The first t // 2 comparators are the layer (0, 1), (2, 3), ...
+    """
+    pairs = []
+    p = 1
+    while p < t:
+        k = p
+        while k >= 1:
+            for j in range(k % p, t - k, 2 * k):
+                for i in range(j, j + min(k, t - j - k)):
+                    if i // (2 * p) == (i + k) // (2 * p):
+                        pairs.append((i, i + k))
+            k //= 2
+        p *= 2
+    return tuple(pairs)
+
+
 def _sparsemax_network(Zt: np.ndarray) -> np.ndarray:
     """_sparsemax_sorted on the transposed (t, N) layout, one column per row.
 
-    The network yields the same descending values as the sort, and the
-    prefix sums run in cumsum's order, so every output bit matches.
+    Batcher's network of elementwise max/min yields the same descending values
+    as the sort, and the prefix sums run in cumsum's order, so every output
+    bit matches. The first layer writes its outputs as fresh rows; the rest
+    of the network runs in place.
     """
     t, N = Zt.shape
-    srt = [row.copy() for row in Zt]
+    srt = []
+    for i in range(0, t - 1, 2):
+        srt += [np.maximum(Zt[i], Zt[i + 1]), np.minimum(Zt[i], Zt[i + 1])]
+    if t % 2:
+        srt.append(Zt[t - 1].copy())
     spare = np.empty(N)
-    for sweep in range(t):
-        for i in range(sweep % 2, t - 1, 2):
-            lo = np.minimum(srt[i], srt[i + 1], out=spare)
-            np.maximum(srt[i], srt[i + 1], out=srt[i])
-            spare, srt[i + 1] = srt[i + 1], lo
+    for i, j in _batcher_comparators(t)[t // 2 :]:
+        lo = np.minimum(srt[i], srt[j], out=spare)
+        np.maximum(srt[i], srt[j], out=srt[i])
+        spare, srt[j] = srt[j], lo
     css = np.empty((t, N))
     css[0] = srt[0]
     for i in range(1, t):
@@ -168,7 +208,10 @@ class ProjectionConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators shaped like the data matrix.
+    """First/second moment accumulators shaped like the array they step.
+
+    That is the data matrix, or its touched columns as (touched, rows) rows
+    when relaxed_projection steps only those.
 
     update() works in place on m, v and X, through two scratch buffers
     allocated with the state in the memory order of m. Elementwise steps run
@@ -265,11 +308,27 @@ def relaxed_projection(
     gradient_s = perf_counter() - t0
     losses = [loss]
     best_loss, best_X, best_step = loss, X.copy(order="F"), 0
-    adam = AdamState(0, np.zeros_like(X), np.zeros_like(X))
+    # Adam on the touched rows of X.T only, when some column is untouched (see
+    # the module docstring): a zero-gradient column's full-width step is 0.
+    touched = evaluator.touched if evaluator.touched.size < schema.d_prime else None
+    if touched is None:
+        adam = AdamState(0, np.zeros_like(X), np.zeros_like(X))
+    else:
+        Xt = X.T
+        X_touched = np.empty((touched.size, X.shape[0]))
+        grad_touched = np.empty_like(X_touched)
+        adam = AdamState.zeros(X_touched.shape)
 
     for step in range(1, config.max_steps + 1):
         t0 = perf_counter()
-        adam.update(X, grad, config)
+        if touched is None:
+            adam.update(X, grad, config)
+        else:
+            # mode="clip" skips take's buffered bounds check; touched is in range.
+            np.take(Xt, touched, axis=0, out=X_touched, mode="clip")
+            np.take(grad.T, touched, axis=0, out=grad_touched, mode="clip")
+            adam.update(X_touched, grad_touched, config)
+            Xt[touched] = X_touched
         t1 = perf_counter()
         _normalize_inplace(X, schema)
         t2 = perf_counter()

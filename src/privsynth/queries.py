@@ -59,7 +59,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .schema import DiscreteDataset, RelaxedDataset, Schema, SchemaError
+from .schema import DiscreteDataset, RelaxedDataset, Schema, SchemaError, load_json
 
 PRODUCT = "product"
 ONE_OUT_OF_K = "one_out_of_k"
@@ -208,8 +208,7 @@ class Workload:
 
     @classmethod
     def load(cls, schema: Schema, path) -> "Workload":
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls.from_json_dict(schema, obj, str(path))
+        return cls.from_json_dict(schema, load_json(path, WorkloadError), str(path))
 
     def compiled_json_dict(self) -> list[list[int]]:
         """Dump of the compiled column index sets, one array per query."""
@@ -538,8 +537,9 @@ class _CellPath:
         """Slot buffers for n rows, sized for the largest batch."""
         shapes = [cols.shape for _, cols, _, _ in self._batches]
         self._slots = np.empty(max(k * q for k, q in shapes) * n)
-        self._suffix = np.empty(max((k - 1) * q for k, q in shapes) * n)
-        self._ones = np.ones((max(q for _, q in shapes), n))
+        self._suffix = np.empty(max(max(k - 2, 0) * q for k, q in shapes) * n)
+        # Arity 1 has no slot after its only one: its suffix is the empty product.
+        self._ones = np.ones((max((q for k, q in shapes if k == 1), default=0), n))
         self._rows = n
 
     def loss_and_gradient(self, Xt: np.ndarray, Xc, targets) -> tuple[float, np.ndarray]:
@@ -558,9 +558,13 @@ class _CellPath:
             # Column indices were validated when the evaluator was built.
             slots = self._slots[: k * q * n].reshape(k, q, n)
             np.take(base, cols, axis=0, out=slots, mode="clip")
-            # suffix[p] = product of slots p+1..k-1, the empty product for the last slot
-            suffix = [*self._suffix[: (k - 1) * q * n].reshape(k - 1, q, n), self._ones[:q]]
-            for p in range(k - 2, -1, -1):
+            # suffix[p] = product of slots p+1..k-1: the last slot itself for p = k-2,
+            # the empty product for arity 1
+            if k == 1:
+                suffix = [self._ones[:q]]
+            else:
+                suffix = [*self._suffix[: (k - 2) * q * n].reshape(k - 2, q, n), slots[k - 1]]
+            for p in range(k - 3, -1, -1):
                 np.multiply(suffix[p + 1], slots[p + 1], out=suffix[p])
             vals = np.einsum("qr,qr->q", suffix[0], slots[0]) / n
             if kind == ONE_OUT_OF_K:
@@ -575,7 +579,7 @@ class _CellPath:
                     loo = suffix[0]
                 elif p == k - 1:
                     loo = slots[p - 1]
-                else:
+                else:  # at p = k-2 this overwrites the last slot, which nothing reads again
                     loo = np.multiply(suffix[p], slots[p - 1], out=suffix[p])
                 grad_t[distinct] += (onehot * coef) @ loo
         return loss, grad_t
@@ -603,7 +607,8 @@ class QueryEvaluator:
     every elementwise loop runs along the rows. Xt is a free view of a
     Fortran-ordered X (the projection's iterate) and one copy of any other.
     The gradient is accumulated in that layout and returned as its transpose,
-    a fresh Fortran-ordered (rows, d') array.
+    a fresh Fortran-ordered (rows, d') array. Its columns outside `touched`
+    are exactly 0.0.
     """
 
     def __init__(self, queries, schema: Schema, n_rows: int):
@@ -619,6 +624,15 @@ class QueryEvaluator:
             (self._tensor if covered else sparse).append(mg)
         self._cells = _CellPath(sparse, schema.offsets, schema.d_prime, n_rows) if sparse else None
         self._threshold = any(mg.kind == ONE_OUT_OF_K for mg in self._marginals)
+        # Sorted one-hot columns where the gradient can be nonzero: a dense
+        # marginal's whole blocks, a sparse one's cell columns.
+        blocks = [
+            np.arange(self._offsets[f], self._offsets[f] + t)
+            for mg in self._tensor
+            for f, t in zip(mg.features, mg.dims)
+        ]
+        cells = [cols.ravel() for _, cols, _, _ in self._cells._batches] if sparse else []
+        self.touched = np.unique(np.concatenate([*blocks, *cells, np.empty(0, np.int64)]))
 
     def _feature_major(self, X: np.ndarray):
         """Xt = X.T as a C-contiguous array, and 1 - Xt when a threshold query needs it."""

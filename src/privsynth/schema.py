@@ -104,7 +104,15 @@ class Schema:
 
     @classmethod
     def load(cls, path) -> "Schema":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")), str(path))
+        return cls.from_json_dict(load_json(path, SchemaError), str(path))
+
+
+def load_json(path, error: type[ValueError]):
+    """The JSON value in a UTF-8 file; a file that is not UTF-8 JSON raises `error` naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # json.JSONDecodeError or UnicodeDecodeError
+        raise error(f"{path}: not a UTF-8 JSON file: {exc}") from None
 
 
 def schema_from_cardinalities(t, prefix: str = "f") -> Schema:

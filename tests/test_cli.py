@@ -643,3 +643,26 @@ class TestMalformedJsonInput:
             assert run(argv) == code, argv[0]
             assert f"{prefix}{bad}: " in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, code, prefix", [
+        ("schema", 3, "schema error: "),
+        ("workload", 2, "error: "),
+        ("config", 2, "error: "),
+    ])
+    def test_truncated_json_names_file(self, toy_csv, tmp_path, capsys, kind, code, prefix):
+        good = tmp_path / "w.json"
+        assert run(["workload", "--data", toy_csv, "--k", 2, "--marginals", 2, "--out", good]) == 0
+        bad = tmp_path / f"bad_{kind}.json"
+        bad.write_text('[{"name":\n')
+        argv = {
+            "schema": ["workload", "--schema", bad, "--k", 1, "--marginals", 1,
+                       "--out", tmp_path / "out" / "w.json"],
+            "workload": ["fit", "--data", toy_csv, "--workload", bad, "--seed", 0,
+                         "--out-dir", tmp_path / "out"],
+            "config": ["fit", "--data", toy_csv, "--workload", good, "--config", bad,
+                       "--out-dir", tmp_path / "out"],
+        }[kind]
+        capsys.readouterr()
+        assert run(argv) == code
+        assert f"{prefix}{bad}: not a UTF-8 JSON file: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -25,6 +25,9 @@ from privsynth import (
     schema_from_cardinalities,
 )
 
+from privsynth.projection import EARLY_STOP_REL
+from privsynth.queries import QueryEvaluator
+
 from helpers import random_dataset
 
 
@@ -280,3 +283,75 @@ class TestBitIdentity:
         slow = fit(data, w, config)
         assert fast.to_json(include_timing=False) == slow.to_json(include_timing=False)
         assert fast.relaxed.data.tobytes() == slow.relaxed.data.tobytes()
+
+
+class TestBatcherNetwork:
+    @pytest.mark.parametrize("t", range(1, 17))
+    def test_sorts_every_zero_one_input(self, t):
+        """The 0-1 principle: a comparator network sorts every input if it sorts every 0/1 one."""
+        pairs = projection_mod._batcher_comparators(t)
+        assert all(0 <= i < j < t for i, j in pairs)
+        wires = list(np.array(list(itertools.product((0.0, 1.0), repeat=t))).T)
+        expected = -np.sort(-np.array(wires), axis=0)
+        for i, j in pairs:
+            wires[i], wires[j] = np.maximum(wires[i], wires[j]), np.minimum(wires[i], wires[j])
+        assert np.array_equal(np.array(wires), expected)
+
+    def test_comparator_counts(self):
+        counts = [len(projection_mod._batcher_comparators(t)) for t in range(4, 9)]
+        assert counts == [5, 9, 12, 16, 19]
+
+    @pytest.mark.parametrize("cutoff", [0, 10**9, projection_mod._NETWORK_MAX_T])
+    def test_both_kernels_match_sort_at_every_width(self, cutoff, monkeypatch):
+        monkeypatch.setattr(projection_mod, "_NETWORK_MAX_T", cutoff)
+        rng = np.random.default_rng(45)
+        for t in (*range(2, 17), 24, 32, 42):
+            Z = rng.uniform(-3.0, 3.0, (50, t))
+            Z[25:] = np.round(Z[25:], 0)  # ties
+            assert sparsemax_rows(Z).tobytes() == reference_sparsemax_rows(Z).tobytes(), t
+
+
+def full_width_projection(queries, targets, init, config):
+    """relaxed_projection's loop with reference Adam on all d' columns and the per-block sort."""
+    schema = init.schema
+    X = init.data.copy()
+    reference_normalize(X, schema)
+    evaluator = QueryEvaluator(queries, schema, X.shape[0])
+    loss, grad = evaluator.loss_and_gradient(X, targets)
+    losses, best_X = [loss], X.copy()
+    adam = AdamState.zeros(X.shape)
+    for _ in range(config.max_steps):
+        reference_adam_update(adam, X, grad, config)
+        reference_normalize(X, schema)
+        new_loss, grad = evaluator.loss_and_gradient(X, targets)
+        losses.append(new_loss)
+        if new_loss < min(losses[:-1]):
+            best_X = X.copy()
+        improvement = loss - new_loss
+        loss = new_loss
+        if improvement >= 0.0 and improvement / max(losses[-2], 1e-30) < EARLY_STOP_REL:
+            break
+    return best_X, losses
+
+
+class TestTouchedColumnAdam:
+    """Adam on the touched columns only gives the bits of Adam on every column."""
+
+    @pytest.mark.parametrize("kind", [PRODUCT, ONE_OUT_OF_K])
+    @pytest.mark.parametrize("cards", [(2, 3, 4, 3, 5), (2, 9, 3, 12, 4)])
+    def test_sparse_selection_matches_full_width_loop(self, kind, cards):
+        s = schema_from_cardinalities(cards)
+        rng = np.random.default_rng(46)
+        w = random_workload(s, 3, 6, seed=2, kind=kind)
+        dense = np.arange(w.marginal_sizes()[0])  # one whole marginal: the tensor path
+        picks = rng.choice(np.arange(dense.size, w.m), 6, replace=False)
+        for indices in (picks, np.concatenate([dense, picks])):
+            queries = w.select(indices)
+            assert QueryEvaluator(queries, s, 40).touched.size < s.d_prime
+            targets = rng.random(len(queries)) * 0.2
+            init = random_init(s, 40, NoiseSource(5, "init"))
+            config = ProjectionConfig(learning_rate=0.01, max_steps=60)
+            got = relaxed_projection(queries, targets, init, config)
+            expected, losses = full_width_projection(queries, targets, init, config)
+            assert got.losses == losses
+            assert got.dataset.data.tobytes() == expected.tobytes()

@@ -467,6 +467,40 @@ class TestCellPathBitIdentity:
                 assert np.array_equal(grad, ref_grad)
 
 
+class TestTouchedColumns:
+    """Every column where the gradient can be nonzero is in the evaluator's `touched`."""
+
+    MARGINALS = [(0, 1), (1, 3), (0, 2, 3), (2,)]
+
+    def _query_lists(self, w, rng):
+        """Compiled lists and Selections whose marginals take the tensor path, the cell path or both."""
+        dense = np.arange(w._starts[1])  # every cell of the first marginal
+        sparse = np.sort(rng.choice(np.arange(w._starts[1], w.m), 5, replace=False))
+        for indices in (dense, sparse, np.concatenate([dense, sparse])):
+            yield w.select(indices)
+            yield [w.queries[i] for i in indices]
+
+    @pytest.mark.parametrize("kind", [PRODUCT, ONE_OUT_OF_K])
+    def test_nonzero_gradient_columns_are_touched(self, kind):
+        rng = np.random.default_rng(39)
+        s = schema_from_cardinalities((2, 5, 4, 6))
+        w = Workload(s, self.MARGINALS, kind=kind)
+        paths = set()
+        for queries in self._query_lists(w, rng):
+            ev = QueryEvaluator(queries, s, 7)
+            paths.add((ev._cells is not None, bool(ev._tensor)))
+            touched = ev.touched
+            assert touched.dtype.kind == "i" and np.array_equal(touched, np.unique(touched))
+            assert touched.size < s.d_prime
+            for _ in range(3):
+                X = rng.uniform(0.05, 0.95, (7, s.d_prime))
+                _, grad = ev.loss_and_gradient(X, rng.random(len(queries)))
+                nonzero = np.flatnonzero((grad != 0.0).any(axis=0))
+                assert np.isin(nonzero, touched).all()
+                assert np.array_equal(nonzero, touched)  # and none spare, on generic rows
+        assert paths == {(False, True), (True, False), (True, True)}
+
+
 class TestCellBudget:
     def test_one_row_many_queries(self, monkeypatch):
         """At n_rows = 1 the one-hot matrices, not the rows, bound a batch."""
