@@ -150,19 +150,16 @@ def run_sweep(data: DiscreteDataset, spec: SweepSpec, base: FitConfig) -> list[d
             workload = base_workload
         for seed in spec.seeds:
             for t_rounds, k_per in spec.grid(base):
-                config = replace(base, seed=seed, rounds=t_rounds, queries_per_round=k_per)
-                if spec.axis == AXIS_EPSILON:
-                    config = replace(config, epsilon=float(value))
-                elif spec.axis == AXIS_N_SYNTH:
-                    config = replace(config, n_synth=int(value))
+                epsilon = float(value) if spec.axis == AXIS_EPSILON else base.epsilon
+                n_synth = int(value) if spec.axis == AXIS_N_SYNTH else base.n_synth
                 row = {
                     "axis": spec.axis,
                     "value": value,
                     "seed": seed,
                     "K": k_per,
                     "T": t_rounds,
-                    "n_prime": config.n_synth,
-                    "epsilon": config.epsilon,
+                    "n_prime": n_synth,
+                    "epsilon": epsilon,
                     "delta": None,
                     "max_error": None,
                     "mean_error": None,
@@ -171,7 +168,11 @@ def run_sweep(data: DiscreteDataset, spec: SweepSpec, base: FitConfig) -> list[d
                     "status": "ok",
                 }
                 t0 = time.perf_counter()
-                try:
+                try:  # an infeasible config is an error row too
+                    config = replace(
+                        base, seed=seed, rounds=t_rounds, queries_per_round=k_per,
+                        epsilon=epsilon, n_synth=n_synth,
+                    )
                     result = fit(data, workload, config)
                     row["delta"] = result.resolved_delta
                     if spec.axis == AXIS_OVERSAMPLE:

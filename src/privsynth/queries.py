@@ -13,12 +13,12 @@ marginals and the offset of each one's first query; its list of compiled
 queries is built on demand, for callers that want one. Evaluation is built on
 the marginals:
 
-* Relaxed answers group the query list by (kind, feature set); a Selection
-  of workload queries by index is grouped from the workload's marginals, an
-  explicit list of compiled queries from its columns. For each marginal the
-  Khatri-Rao product of the first k-1 blocks is multiplied by the last block
-  (one matmul), and the requested cells are gathered. The threshold kind runs
-  the same computation on 1 - X.
+* Relaxed answers group the query list by (kind, feature set), in one
+  grouper over (q, k) arrays of one-hot columns: a compiled list gives its
+  queries' columns, a Selection of workload queries has them decoded from the
+  marginals. For each marginal the Khatri-Rao product of the first k-1 blocks
+  is multiplied by the last block (one matmul), and the requested cells are
+  gathered. The threshold kind runs the same computation on 1 - X.
 * The gradient applies the same contractions to the residual tensor, a
   bincount of 2/n * residual over the cells, for marginals the query list
   covers densely. Marginals with only a few selected cells (as in adaptive
@@ -153,12 +153,12 @@ class Workload:
 
     @functools.cached_property
     def queries(self) -> list[CompiledQuery]:
-        t = self.schema.cardinalities
-        return [
-            compile_marginal(MarginalQuery(s, y), self.schema, self.kind)
-            for s in self.marginals
-            for y in itertools.product(*(range(t[i]) for i in s))
-        ]
+        queries = [None] * self.m
+        for cols, pos in _workload_columns(self, np.arange(self.m)):
+            cols.sort(axis=1)  # as compile_marginal sorts them
+            for j, c in zip(pos.tolist(), cols.tolist()):
+                queries[j] = CompiledQuery(self.kind, tuple(c))
+        return queries
 
     @property
     def m(self) -> int:
@@ -219,8 +219,8 @@ class Selection:
     """Queries of a workload picked by index, in the given order.
 
     It stands in for the list [workload.queries[i] for i in indices] wherever
-    a query list is taken: the evaluator groups it by marginal straight from
-    the workload's marginals, without compiling a query.
+    a query list is taken: the evaluator decodes its columns as arrays from
+    the workload's marginals, without building a query object.
     """
 
     def __init__(self, workload: Workload, indices):
@@ -237,6 +237,36 @@ class Selection:
         return self.indices.size
 
 
+def _workload_columns(workload: Workload, indices: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """The one-hot columns of the workload queries at int64 `indices`, per arity.
+
+    Returns (columns (q, k), positions in `indices`) for each arity k, in
+    order of first appearance; positions ascend, and columns follow the
+    marginal's stored feature order. A query's categories are the odometer
+    digits of its offset within its marginal, last feature fastest. Python
+    work runs per marginal, numpy work per query.
+    """
+    offsets = np.asarray(workload.schema.offsets, dtype=np.int64)
+    card = np.asarray(workload.schema.cardinalities, dtype=np.int64)
+    starts = np.asarray(workload._starts, dtype=np.int64)
+    arities = [len(s) for s in workload.marginals]
+    width = max(arities, default=0)  # features of each marginal, zero-padded to one width
+    features = np.array([s + (0,) * (width - len(s)) for s in workload.marginals], np.int64)
+    which = np.searchsorted(starts, indices, side="right") - 1  # marginal of each query
+    arity = np.asarray(arities, dtype=np.int64)[which]
+    _, first = np.unique(arity, return_index=True)
+    batches = []
+    for k in arity[np.sort(first)].tolist():
+        pos = np.flatnonzero(arity == k)
+        feats = features[which[pos], :k]
+        rest = indices[pos] - starts[which[pos]]
+        cols = np.empty_like(feats)
+        for p in range(k - 1, -1, -1):
+            rest, cols[:, p] = np.divmod(rest, card[feats[:, p]])
+        batches.append((cols + offsets[feats], pos))
+    return batches
+
+
 def random_workload(
     schema: Schema, k: int, num_marginals: int, seed: int, kind: str = PRODUCT
 ) -> Workload:
@@ -250,8 +280,8 @@ def random_workload(
         raise WorkloadError(f"k={k} must be in [1, {d}]")
     _check_arity(k)
     total = math.comb(d, k)
-    if num_marginals > total:
-        raise WorkloadError(f"requested {num_marginals} marginals but only {total} exist")
+    if not 0 <= num_marginals <= total:
+        raise WorkloadError(f"requested {num_marginals} marginals; from 0 to {total} exist")
     rng = np.random.default_rng(seed)
     if total <= _ENUMERATION_LIMIT:
         combos = list(itertools.combinations(range(d), k))
@@ -347,88 +377,65 @@ class _Marginal:
     features: tuple[int, ...]  # ascending
     dims: tuple[int, ...]  # cardinalities of `features`
     cells: np.ndarray  # flat cell index of each query, last feature fastest
+    cols: np.ndarray  # (queries, k) one-hot columns of each query, ascending
     pos: np.ndarray  # position of each query in the evaluator's list
 
 
-def _group_by_marginal(queries, schema: Schema) -> list[_Marginal]:
-    """Map each query's columns to (feature, category) and group by feature set.
+def _query_batches(queries, schema: Schema) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """The query list as (kind, columns (q, k), positions) batches, one per (kind, arity).
 
-    Raises WorkloadError for a column outside the one-hot layout and for a
-    query with two columns in one feature block, which is not a marginal cell.
+    Batches come in order of first appearance, positions ascending. A
+    Selection's workload must be on `schema` (SchemaError otherwise).
     """
-    offsets = np.asarray(schema.offsets, dtype=np.int64)
-    card = schema.cardinalities
+    if isinstance(queries, Selection):
+        if queries.workload.schema != schema:
+            raise SchemaError("workload and relaxed dataset schemas differ")
+        kind = queries.workload.kind
+        return [(kind, c, pos) for c, pos in _workload_columns(queries.workload, queries.indices)]
     by_shape: dict[tuple[str, int], list[int]] = {}
     for j, q in enumerate(queries):
         by_shape.setdefault((q.kind, len(q.columns)), []).append(j)
-    groups = []
-    for (kind, k), idx in by_shape.items():
-        _check_arity(k)
-        idx = np.asarray(idx, dtype=np.int64)
-        cols = np.sort(np.array([queries[j].columns for j in idx], dtype=np.int64), axis=1)
-        bad = (cols[:, 0] < 0) | (cols[:, -1] >= schema.d_prime)
-        if bad.any():
-            q = queries[idx[np.argmax(bad)]]
-            raise WorkloadError(f"query columns {q.columns} outside [0, {schema.d_prime})")
-        feats = np.searchsorted(offsets, cols, side="right") - 1
-        shared = (np.diff(feats, axis=1) == 0).any(axis=1)
-        if shared.any():
-            q = queries[idx[np.argmax(shared)]]
-            raise WorkloadError(
-                f"query columns {q.columns} put two columns in one feature block; "
-                "a marginal query takes one category per feature"
-            )
-        values = cols - offsets[feats]
-        order = np.lexsort(feats.T[::-1])  # stable, lexicographic by feature set
-        ranked = feats[order]
-        starts = np.flatnonzero((ranked[1:] != ranked[:-1]).any(axis=1)) + 1
-        for sel in np.split(order, starts):
-            fs = feats[sel[0]]
-            dims = tuple(card[f] for f in fs)
-            cells = np.ravel_multi_index(tuple(values[sel].T), dims)
-            groups.append(_Marginal(kind, tuple(int(f) for f in fs), dims, cells, idx[sel]))
-    return groups
+    return [
+        (kind, np.array([queries[j].columns for j in idx], dtype=np.int64), np.array(idx, np.intp))
+        for (kind, _), idx in by_shape.items()
+    ]
 
 
-def _marginal_groups(workload: Workload, indices) -> list[_Marginal]:
-    """_group_by_marginal([workload.queries[i] for i in indices], schema), from the marginals.
+def _group_by_marginal(queries, schema: Schema) -> list[_Marginal]:
+    """Split each (kind, arity) batch of the query list into marginal groups.
 
-    The same groups in the same order: by arity in order of first appearance
-    in `indices`, then by ascending feature set; within a group, positions
-    ascend. A query's cell is its odometer offset within its marginal, with
-    the axes reordered to ascending features when the marginal's stored order
-    differs. Python work runs per marginal, numpy work per query.
+    Within a batch, groups come by ascending feature set. A query's cell is
+    its flat index in the marginal's tensor, last feature fastest, from one
+    Horner pass over the batch. Raises WorkloadError, naming the query's
+    columns as given, for a column outside the one-hot layout and for two
+    columns in one feature block, which is not a marginal cell.
     """
-    indices = np.asarray(indices, dtype=np.int64).reshape(-1)
-    card = workload.schema.cardinalities
-    marginals = workload.marginals
-    starts = np.asarray(workload._starts, dtype=np.int64)
-    which = np.searchsorted(starts, indices, side="right") - 1  # marginal of each query
-    cells = indices - starts[which]
-    keys = [tuple(sorted(s)) for s in marginals]
-    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
-    key_rank = np.array([rank[key] for key in keys], dtype=np.int64)
-    for r in np.unique(which).tolist():
-        s = marginals[r]
-        if list(s) != sorted(s):
-            # stored-order offset -> ascending-feature offset
-            stored = np.arange(math.prod(card[i] for i in s)).reshape([card[i] for i in s])
-            remap = np.empty(stored.size, dtype=np.int64)
-            remap[stored.transpose(np.argsort(s)).ravel()] = np.arange(stored.size)
-            here = which == r
-            cells[here] = remap[cells[here]]
-    arity = np.array([len(s) for s in marginals], dtype=np.int64)[which]
-    _, first = np.unique(arity, return_index=True)
+    offsets = np.asarray(schema.offsets, dtype=np.int64)
+    card = np.asarray(schema.cardinalities, dtype=np.int64)
     groups = []
-    for k in arity[np.sort(first)].tolist():
-        _check_arity(k)
-        pos = np.flatnonzero(arity == k)
-        pos = pos[np.argsort(key_rank[which[pos]], kind="stable")]
-        ranks = key_rank[which[pos]]
-        for sel in np.split(pos, np.flatnonzero(ranks[1:] != ranks[:-1]) + 1):
-            fs = keys[which[sel[0]]]
-            dims = tuple(card[f] for f in fs)
-            groups.append(_Marginal(workload.kind, fs, dims, cells[sel], sel))
+    for kind, given, pos in _query_batches(queries, schema):
+        _check_arity(given.shape[1])
+        cols = np.sort(given, axis=1)
+        feats = np.searchsorted(offsets, cols, side="right") - 1
+        outside = (cols[:, 0] < 0) | (cols[:, -1] >= schema.d_prime)
+        shared = (np.diff(feats, axis=1) == 0).any(axis=1)
+        for bad, why in (
+            (outside, f"outside [0, {schema.d_prime})"),
+            (shared, "put two columns in one feature block; a marginal takes one per feature"),
+        ):
+            if bad.any():
+                raise WorkloadError(f"query columns {tuple(given[np.argmax(bad)].tolist())} {why}")
+        values = cols - offsets[feats]
+        cells = values[:, 0]
+        for p in range(1, given.shape[1]):
+            cells = cells * card[feats[:, p]] + values[:, p]
+        order = np.lexsort(feats.T[::-1])  # stable, lexicographic by feature set
+        feats, cells, cols, pos = feats[order], cells[order], cols[order], pos[order]
+        bounds = (np.flatnonzero((feats[1:] != feats[:-1]).any(axis=1)) + 1).tolist()
+        for a, b in zip([0, *bounds], [*bounds, len(pos)]):
+            fs = tuple(feats[a].tolist())
+            dims = tuple(schema.cardinalities[f] for f in fs)
+            groups.append(_Marginal(kind, fs, dims, cells[a:b], cols[a:b], pos[a:b]))
     return groups
 
 
@@ -512,20 +519,13 @@ class _CellPath:
     fresh array.
     """
 
-    def __init__(self, marginals, offsets, d_prime: int, n_rows: int):
-        offsets = np.asarray(offsets, dtype=np.int64)
+    def __init__(self, marginals, d_prime: int, n_rows: int):
         by_shape: dict[tuple[str, int], list[_Marginal]] = {}
         for mg in marginals:
             by_shape.setdefault((mg.kind, len(mg.dims)), []).append(mg)
         self._batches = []  # (kind, cols (k, q), query positions, per-slot scatter)
         for (kind, k), group in by_shape.items():
-            cols = np.concatenate(
-                [
-                    offsets[list(mg.features)][:, None] + np.unravel_index(mg.cells, mg.dims)
-                    for mg in group
-                ],
-                axis=1,
-            )
+            cols = np.concatenate([mg.cols.T for mg in group], axis=1)
             pos = np.concatenate([mg.pos for mg in group])
             step = max(1, _TENSOR_CELL_BUDGET // (k * max(n_rows, d_prime)))
             for q0 in range(0, cols.shape[1], step):
@@ -597,8 +597,8 @@ class QueryEvaluator:
     """A fixed query list grouped into marginals, built once per use.
 
     `queries` is a list of compiled queries or a Selection of workload
-    queries; both give the same groups. Each query is a cell of the answer
-    tensor of its (kind, feature set).
+    queries on `schema`; both give the same groups. Each query is a cell of
+    the answer tensor of its (kind, feature set).
     Answers always come from the full tensors; the gradient uses the tensors
     for marginals the list covers densely and the per-cell path for the rest.
 
@@ -614,15 +614,12 @@ class QueryEvaluator:
     def __init__(self, queries, schema: Schema, n_rows: int):
         self.m = len(queries)
         self._offsets = schema.offsets
-        if isinstance(queries, Selection):
-            self._marginals = _marginal_groups(queries.workload, queries.indices)
-        else:
-            self._marginals = _group_by_marginal(queries, schema)
+        self._marginals = _group_by_marginal(queries, schema)
         self._tensor, sparse = [], []
         for mg in self._marginals:
             covered = np.unique(mg.cells).size >= _TENSOR_MIN_COVERAGE * math.prod(mg.dims)
             (self._tensor if covered else sparse).append(mg)
-        self._cells = _CellPath(sparse, schema.offsets, schema.d_prime, n_rows) if sparse else None
+        self._cells = _CellPath(sparse, schema.d_prime, n_rows) if sparse else None
         self._threshold = any(mg.kind == ONE_OUT_OF_K for mg in self._marginals)
         # Sorted one-hot columns where the gradient can be nonzero: a dense
         # marginal's whole blocks, a sparse one's cell columns.
@@ -631,7 +628,7 @@ class QueryEvaluator:
             for mg in self._tensor
             for f, t in zip(mg.features, mg.dims)
         ]
-        cells = [cols.ravel() for _, cols, _, _ in self._cells._batches] if sparse else []
+        cells = [mg.cols.ravel() for mg in sparse]
         self.touched = np.unique(np.concatenate([*blocks, *cells, np.empty(0, np.int64)]))
 
     def _feature_major(self, X: np.ndarray):

@@ -63,6 +63,15 @@ class TestWorkloadCommand:
         assert "marginal arity above 8" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("d, k", [(5, 2), (30, 8)])  # enumerated, rejection-sampled
+    def test_negative_marginal_count_is_usage_error(self, tmp_path, capsys, d, k):
+        sch = tmp_path / "s.schema.json"
+        privsynth.schema_from_cardinalities((2,) * d).save(sch)
+        out = tmp_path / "w.json"
+        assert run(["workload", "--schema", sch, "--k", k, "--marginals", -1, "--out", out]) == 2
+        assert "requested -1 marginals" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_utf8_data_exit_code(self, toy_csv, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(toy_csv.read_bytes() + b"\xff,0,0\n")

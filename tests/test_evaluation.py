@@ -142,6 +142,30 @@ class TestRunSweep:
         assert rows[0]["status"].startswith("error:")
         assert rows[0]["max_error"] is None
 
+    @pytest.mark.parametrize(
+        "axis, values, grid_rounds, grid_k, statuses",
+        [
+            ("n_synth", (5, 0, 6), None, None, ["ok", "error", "ok"]),  # n' = 0
+            ("epsilon", (0.5,), (1, 2), None, ["ok", "error"]),  # T = 2 without K
+            ("epsilon", (0.5,), (2,), (1, 0), ["ok", "error"]),  # K = 0
+        ],
+    )
+    def test_invalid_config_recorded_as_error_row(
+        self, axis, values, grid_rounds, grid_k, statuses
+    ):
+        data = skewed_dataset(60, seed=12, cards=(3, 3, 3))
+        spec = SweepSpec(
+            axis=axis, values=values, seeds=(0,), workload_k=2, workload_marginals=2,
+            grid_rounds=grid_rounds, grid_queries_per_round=grid_k,
+        )
+        rows = run_sweep(data, spec, FAST_FIT)
+        assert [r["status"].split(":")[0] for r in rows] == statuses
+        failed = rows[statuses.index("error")]
+        assert failed["max_error"] is None and failed["wall_ms"] >= 0
+        if axis == "n_synth":
+            assert [r["n_prime"] for r in rows] == list(values)
+        assert len(best_of_grid(rows)) == statuses.count("ok")  # one per (value, seed)
+
     def test_n_synth_axis_and_timing_presence(self):
         data = skewed_dataset(60, seed=8, cards=(3, 3, 3))
         spec = SweepSpec(

@@ -18,11 +18,13 @@ from privsynth import (
     Workload,
     WorkloadError,
     compile_marginal,
+    conjectured_answers,
     eval_discrete,
     eval_relaxed,
     loss_and_gradient,
     one_hot,
     random_workload,
+    relaxed_projection,
     schema_from_cardinalities,
 )
 
@@ -53,6 +55,12 @@ class TestWorkloadGeneration:
         assert json.dumps(w1.to_json_dict(), sort_keys=True) == json.dumps(
             w2.to_json_dict(), sort_keys=True
         )
+
+    @pytest.mark.parametrize("d, k", [(5, 2), (30, 8)])  # enumerated, rejection-sampled
+    def test_negative_marginal_count_rejected(self, d, k):
+        s = schema_from_cardinalities((2,) * d)
+        with pytest.raises(WorkloadError, match="requested -1 marginals"):
+            random_workload(s, k, -1, seed=0)
 
     def test_different_seed_differs(self):
         s = schema_from_cardinalities((3,) * 10)
@@ -155,6 +163,18 @@ class TestEvalRelaxed:
         swapped = RelaxedDataset(schema_from_cardinalities((3, 2)), np.full((2, 5), 0.5))
         with pytest.raises(SchemaError, match="schemas differ"):
             eval_relaxed(w, swapped)
+
+    @pytest.mark.parametrize("cards", [((3, 3), (2, 4)), ((2, 3), (3, 2))])
+    def test_selection_on_other_schema_rejected(self, cards):
+        w = Workload(schema_from_cardinalities(cards[0]), [(0, 1)])
+        schema = schema_from_cardinalities(cards[1])
+        other = RelaxedDataset(schema, np.full((2, schema.d_prime), 0.5))
+        with pytest.raises(SchemaError, match="schemas differ"):
+            eval_compiled(w.select(), other)
+        with pytest.raises(SchemaError, match="schemas differ"):
+            conjectured_answers(range(w.m), w, other)
+        with pytest.raises(SchemaError, match="schemas differ"):
+            relaxed_projection(w.select(), np.zeros(w.m), other)
 
     def test_all_ones_row_contributes_one(self):
         s = schema_from_cardinalities((2, 2))
@@ -607,13 +627,27 @@ class TestMarginalGroups:
     def test_matches_grouping_of_compiled_queries(self, case):
         w, indices = case
         expected = queries_mod._group_by_marginal([w.queries[i] for i in indices], w.schema)
-        got = queries_mod._marginal_groups(w, indices)
+        got = queries_mod._group_by_marginal(w.select(indices), w.schema)
         assert len(got) == len(expected)
         for a, b in zip(got, expected):
             assert (a.kind, a.features, a.dims) == (b.kind, b.features, b.dims)
-            for name in ("cells", "pos"):
+            for name in ("cells", "cols", "pos"):
                 x, y = getattr(a, name), getattr(b, name)
                 assert x.dtype == y.dtype and np.array_equal(x, y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=workload_selections())
+    def test_workload_queries_match_compile_marginal(self, case):
+        """The decoded columns equal compile_marginal over every odometer assignment."""
+        w, _ = case
+        t = w.schema.cardinalities
+        expected = [
+            compile_marginal(MarginalQuery(s, y), w.schema, w.kind)
+            for s in w.marginals
+            for y in itertools.product(*(range(t[i]) for i in s))
+        ]
+        assert w.queries == expected
+        assert all(type(c) is int for q in w.queries for c in q.columns)
 
     def test_selection_evaluator_matches_query_list(self):
         rng = np.random.default_rng(38)
