@@ -132,8 +132,11 @@ def conjectured_answers(
     relaxed.n rows, and the pool's entries are read off its answers; without
     one only the pool's queries are evaluated. A query's answer comes from its
     marginal's full answer tensor either way, so the two agree bit for bit.
-    An index outside the workload raises IndexError.
+    An index outside the workload raises IndexError, and a relaxed table on
+    another schema SchemaError.
     """
+    if relaxed.schema != workload.schema:
+        raise SchemaError("workload and relaxed dataset schemas differ")
     selection = workload.select(pool)
     if evaluator is None:
         return eval_compiled(selection, relaxed)

@@ -315,12 +315,13 @@ def eval_discrete(workload: Workload, dataset: DiscreteDataset) -> np.ndarray:
 
     Each marginal's joint cells are counted with one bincount over the rows'
     flat cell codes, in the marginal's stored (odometer) order. The codes are
-    built by Horner's rule on whole columns of one transposed copy of the
-    rows, in int32 when every marginal's largest code fits. For the threshold
-    kind, the number of rows matching none of an assignment's pairs follows
-    from the joint counts by inclusion-exclusion on every axis (the total
-    along the axis minus the cell). All counts are integers, so every answer
-    is an exactly representable integer divided by n.
+    built by Horner's rule straight on the dataset's contiguous columns (the
+    rows' `.T` view), in the narrowest unsigned dtype that holds the largest
+    marginal size (intp above uint32, which bincount does not take). For the
+    threshold kind, the number of rows matching none of an assignment's pairs
+    follows from the joint counts by inclusion-exclusion on every axis (the
+    total along the axis minus the cell). All counts are integers, so every
+    answer is an exactly representable integer divided by n.
     """
     if dataset.schema != workload.schema:
         raise SchemaError("workload and dataset schemas differ")
@@ -332,9 +333,12 @@ def eval_discrete(workload: Workload, dataset: DiscreteDataset) -> np.ndarray:
     if n == 0 or workload.m == 0:
         return out
     sizes = workload.marginal_sizes()
-    # Every used category is below the size of a marginal holding its feature.
-    dtype = np.int32 if max(sizes) - 1 <= np.iinfo(np.int32).max else np.intp
-    columns = np.ascontiguousarray(dataset.rows.T, dtype=dtype)
+    # Every multiplier t_i and every code is at most its marginal's size, so
+    # the unsigned Horner steps never wrap.
+    dtype = np.min_scalar_type(max(sizes))
+    if dtype.itemsize > 4:
+        dtype = np.dtype(np.intp)
+    columns = dataset.rows.T
     code = np.empty(n, dtype=dtype)
     for s, a, size in zip(workload.marginals, workload._starts, sizes):
         np.copyto(code, columns[s[0]])
@@ -698,19 +702,18 @@ def eval_relaxed(workload: Workload, relaxed: RelaxedDataset) -> np.ndarray:
     On rows that are valid one-hot vectors this agrees exactly with
     eval_discrete on the decoded rows: both reduce to count/n.
     """
-    if relaxed.schema != workload.schema:
-        raise SchemaError("workload and relaxed dataset schemas differ")
-    if relaxed.n == 0:
-        return np.zeros(workload.m, dtype=np.float64)
-    ev = QueryEvaluator(workload.select(), workload.schema, relaxed.n)
-    return ev.answers(relaxed.data)
+    return eval_compiled(workload.select(), relaxed)
 
 
 def eval_compiled(queries, relaxed: RelaxedDataset) -> np.ndarray:
-    """eval_relaxed for an explicit query list (e.g. a selected subset)."""
+    """eval_relaxed for an explicit query list (e.g. a selected subset).
+
+    The list is checked against the relaxed schema even when the table has no
+    rows, in which case every answer is 0.
+    """
+    ev = QueryEvaluator(queries, relaxed.schema, relaxed.n)
     if relaxed.n == 0:
         return np.zeros(len(queries), dtype=np.float64)
-    ev = QueryEvaluator(queries, relaxed.schema, relaxed.n)
     return ev.answers(relaxed.data)
 
 

@@ -46,7 +46,7 @@ def randomized_round(relaxed: RelaxedDataset, config: RoundingConfig = RoundingC
     n, r = relaxed.n, config.oversample
     rng = NoiseSource(config.seed, "rounding")
     u = rng.uniform(size=n * r * schema.d).reshape(n * r, schema.d) if n else np.zeros((0, schema.d))
-    rows = np.empty((n * r, schema.d), dtype=np.int64)
+    rows = np.empty((schema.d, n * r), dtype=schema.id_dtype)  # DiscreteDataset's layout, as .T
     for i, (off, t) in enumerate(zip(schema.offsets, schema.cardinalities)):
         block = X[:, off : off + t]
         if not np.isfinite(block).all():
@@ -59,5 +59,5 @@ def randomized_round(relaxed: RelaxedDataset, config: RoundingConfig = RoundingC
         cdf = np.cumsum(np.clip(block, 0.0, None) / mass[:, None], axis=1)
         cdf[:, -1] = 1.0  # exact upper edge so u in [0, 1) can never overflow
         cdf_rep = np.repeat(cdf, r, axis=0)
-        rows[:, i] = (u[:, i : i + 1] >= cdf_rep).sum(axis=1)
-    return DiscreteDataset(schema, rows)
+        rows[i] = (u[:, i : i + 1] >= cdf_rep).sum(axis=1)
+    return DiscreteDataset(schema, rows.T)

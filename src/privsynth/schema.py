@@ -78,6 +78,11 @@ class Schema:
     def d_prime(self) -> int:
         return sum(self.cardinalities)
 
+    @cached_property
+    def id_dtype(self) -> np.dtype:
+        """The narrowest unsigned dtype holding every category id: uint8 up to 256 categories."""
+        return np.min_scalar_type(max(self.cardinalities) - 1)
+
     def feature_names(self) -> list[str]:
         return [f.name for f in self.features]
 
@@ -125,19 +130,44 @@ def schema_from_cardinalities(t, prefix: str = "f") -> Schema:
 
 @dataclass(frozen=True)
 class DiscreteDataset:
-    """n rows of per-feature category indices under a Schema."""
+    """n rows of per-feature category indices under a Schema.
+
+    `rows` is an (n, d) array of dtype `schema.id_dtype`, stored column-major:
+    it is the `.T` view of a C-contiguous (d, n) buffer, so each feature's
+    column is contiguous. Every input is range-checked, and a non-integral
+    value is rejected. Input already in that layout is kept without a copy;
+    any other is narrowed into a new buffer.
+    """
 
     schema: Schema
-    rows: np.ndarray  # (n, d) integer category indices
+    rows: np.ndarray  # (n, d) category indices, column-major in schema.id_dtype
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int64)
-        object.__setattr__(self, "rows", rows)
+        rows = np.asarray(self.rows)
         if rows.ndim != 2 or rows.shape[1] != self.schema.d:
             raise SchemaError(f"rows must be (n, {self.schema.d}), got {rows.shape}")
+        if rows.dtype.kind not in "biu" or not rows.dtype.isnative:
+            with np.errstate(invalid="ignore"):
+                ints = rows.astype(np.int64)
+            if not (ints == rows).all():
+                raise SchemaError("category indices must be integers")
+            rows = ints
+        # Viewed unsigned, a negative index is at least 2**(bits - 1), and every
+        # valid one is below both that and its cardinality.
+        ids = rows.view(f"u{rows.itemsize}")
         t = np.asarray(self.schema.cardinalities, dtype=np.uint64)
-        if (rows.view(np.uint64) >= t).any():  # a negative index wraps above every cardinality
-            raise SchemaError("category index out of range for its feature")
+        if rows.dtype.kind == "i":
+            t = np.minimum(t, np.uint64(1 << (8 * rows.itemsize - 1)))
+        keep = rows.dtype == self.schema.id_dtype and rows.T.flags.c_contiguous
+        columns = rows.T if keep else np.empty(rows.shape[::-1], self.schema.id_dtype)
+        # Row chunks keep the transposing copy in cache.
+        for a in range(0, rows.shape[0], _CHUNK_ROWS):
+            block = ids[a : a + _CHUNK_ROWS]
+            if (block.max(axis=0) >= t).any():
+                raise SchemaError("category index out of range for its feature")
+            if not keep:
+                columns[:, a : a + _CHUNK_ROWS] = block.T
+        object.__setattr__(self, "rows", columns.T)
 
     @property
     def n(self) -> int:
@@ -223,7 +253,8 @@ def decode(encoded: OneHotDataset) -> DiscreteDataset:
     return DiscreteDataset(encoded.schema, rows)
 
 
-# Rows per chunk of the byte path; bounds its separator, key and slot arrays.
+# Rows per chunk of the byte path, which bounds its separator, key and slot
+# arrays, and of DiscreteDataset's narrowing copy.
 _CHUNK_ROWS = 1 << 11
 # _MASKS[w] keeps the first w bytes of a big-endian 8-byte window.
 _MASKS = np.array([((1 << 8 * w) - 1) << (64 - 8 * w) for w in range(9)], np.uint64)
@@ -268,6 +299,8 @@ def _load_bytes(path: Path, schema: Schema | None) -> DiscreteDataset | None:
     columns' hash tables (`_LabelTable`) maps the (rows, d) key block to ids of
     each column's known labels: the schema's, or else those seen so far, with
     a chunk's new labels added to the tables and the ids ranked at the end.
+    The ids go straight into the column-major (d, n) table DiscreteDataset
+    keeps, in the narrowest dtype the labels known so far need.
     """
     data = path.read_bytes()
     try:
@@ -302,10 +335,10 @@ def _load_bytes(path: Path, schema: Schema | None) -> DiscreteDataset | None:
         known = [np.array([int.from_bytes(lab.ljust(8, b"\0"), "big") for lab in col], np.uint64)
                  for col in labels]
     columns = [_LabelTable(labels) for labels in known]
-    tables = _layout(columns)
+    rows = np.empty((d, n), _id_dtype(columns))  # an inferred column's new labels may widen it
+    tables = _layout(columns, rows.dtype)
 
     windows = np.ndarray((buf.size - 7,), ">u8", buf, strides=(1,))  # one at every byte
-    rows = np.empty((n, d), np.int64)
     for a in range(0, n, _CHUNK_ROWS):
         b = min(a + _CHUNK_ROWS, n)
         lo = nl[a] + 1
@@ -321,15 +354,17 @@ def _load_bytes(path: Path, schema: Schema | None) -> DiscreteDataset | None:
             return None
         keys = windows[starts].astype(np.uint64).reshape(b - a, d)
         keys &= _MASKS[width.reshape(b - a, d)]
-        unknown = _lookup(tables, keys, rows[a:b])
+        ids, unknown = _lookup(tables, keys)
         if unknown.size:
             if schema is not None:
                 return None  # an unknown label
             col = unknown % d
             for c in np.unique(col).tolist():
                 columns[c].add(np.unique(keys.flat[unknown[col == c]]))
-            tables = _layout(columns)
-            _lookup(tables, keys, rows[a:b])
+            rows = rows.astype(_id_dtype(columns), copy=False)
+            tables = _layout(columns, rows.dtype)
+            ids, _ = _lookup(tables, keys)
+        rows[:, a:b] = ids.T
 
     if schema is None:
         feats = []
@@ -338,12 +373,12 @@ def _load_bytes(path: Path, schema: Schema | None) -> DiscreteDataset | None:
             labels = [k.to_bytes(8, "big").rstrip(b"\0").decode("utf-8") for k in keys]
             cats = sorted(labels) or ["0"]  # ["0"]: placeholder for a file with no rows
             rank = {lab: i for i, lab in enumerate(cats)}
-            ids = np.array([rank[lab] for lab in labels], np.int64)
+            ids = np.array([rank[lab] for lab in labels], rows.dtype)
             if (ids != np.arange(ids.size)).any():
-                rows[:, c] = ids[rows[:, c]]
+                rows[c] = ids[rows[c]]
             feats.append(FeatureSpec(name, tuple(cats)))
         schema = Schema(tuple(feats))
-    return DiscreteDataset(schema, rows)
+    return DiscreteDataset(schema, rows.T)
 
 
 class _LabelTable:
@@ -397,11 +432,17 @@ class _LabelTable:
             todo, at = todo[left], at[left] + 1
 
 
-def _layout(columns: list[_LabelTable]) -> tuple[np.ndarray, ...]:
+def _id_dtype(columns: list[_LabelTable]) -> np.dtype:
+    """The narrowest unsigned dtype holding the ids of every column's labels."""
+    return np.min_scalar_type(max(max(t.labels.size for t in columns), 1) - 1)
+
+
+def _layout(columns: list[_LabelTable], dtype: np.dtype) -> tuple[np.ndarray, ...]:
     """The columns' tables laid end to end, as `_lookup` reads them.
 
     Returns (mult, shift, base, slot_keys, slot_ids): column c's key k has its
-    home slot at base[c] + (k * mult[c] mod 2**64 >> shift[c]).
+    home slot at base[c] + (k * mult[c] mod 2**64 >> shift[c]). Slot ids are
+    in `dtype`.
     """
     sizes = [t.keys.size for t in columns]
     return (
@@ -409,25 +450,25 @@ def _layout(columns: list[_LabelTable]) -> tuple[np.ndarray, ...]:
         np.array([64 - t.bits for t in columns], np.uint64),
         np.cumsum([0] + sizes[:-1], dtype=np.uint64),
         np.concatenate([t.keys for t in columns]),
-        np.concatenate([t.ids for t in columns]),
+        np.concatenate([t.ids for t in columns]).astype(dtype),
     )
 
 
-def _lookup(tables: tuple[np.ndarray, ...], keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Write into `ids` the id of each key of the (rows, d) block `keys`.
+def _lookup(tables: tuple[np.ndarray, ...], keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The id of each key of the (rows, d) block `keys`.
 
-    `ids` is a C-contiguous (rows, d) int64 array. Returns the flat positions
-    of the keys their column does not know; their ids are left unset. Every
-    cell reads its home slot; only cells whose slot holds another label probe
-    on, in one vectorized round per further slot.
+    Returns the (rows, d) ids, in the slot ids' dtype, and the flat positions
+    of the keys their column does not know; their ids are unset. Every cell
+    reads its home slot; only cells whose slot holds another label probe on,
+    in one vectorized round per further slot.
     """
     mult, shift, base, slot_keys, slot_ids = tables
     slot = keys * mult
     slot >>= shift
     slot += base
     slot = slot.view(np.intp).reshape(-1)
-    keys, ids = keys.reshape(-1), ids.reshape(-1)
-    np.take(slot_ids, slot, out=ids, mode="clip")  # every slot is in range; "raise" buffers out
+    shape, keys = keys.shape, keys.reshape(-1)
+    ids = np.take(slot_ids, slot, mode="clip")  # every slot is in range; "clip" skips the check
     seen = np.take(slot_keys, slot)
     cells = np.flatnonzero(seen != keys)
     unknown = [np.empty(0, np.intp)]
@@ -441,7 +482,7 @@ def _lookup(tables: tuple[np.ndarray, ...], keys: np.ndarray, ids: np.ndarray) -
         hit = seen[cells] == keys[cells]
         ids[cells[hit]] = np.take(slot_ids, at[hit])
         cells = cells[~hit]
-    return np.concatenate(unknown)
+    return ids.reshape(shape), np.concatenate(unknown)
 
 
 def _load_text(path: Path, schema: Schema | None) -> DiscreteDataset:
@@ -486,17 +527,17 @@ def _load_text(path: Path, schema: Schema | None) -> DiscreteDataset:
             )
 
     lookup = [{lab: j for j, lab in enumerate(f.categories)} for f in schema.features]
-    rows = np.empty((n, d), dtype=np.int64)
+    rows = np.empty((d, n), dtype=schema.id_dtype)
     try:
         for c in range(d):
-            rows[:, c] = np.fromiter(map(lookup[c].__getitem__, cells[c::d]), np.int64, count=n)
+            rows[c] = np.fromiter(map(lookup[c].__getitem__, cells[c::d]), rows.dtype, count=n)
     except KeyError:
         for p, cell in enumerate(cells):
             if cell not in lookup[p % d]:
                 raise SchemaError(
                     f"{path}: unknown label {cell!r} at row {p // d}, column {header[p % d]!r}"
                 ) from None
-    return DiscreteDataset(schema, rows)
+    return DiscreteDataset(schema, rows.T)
 
 
 def save_csv(dataset: DiscreteDataset, path) -> None:

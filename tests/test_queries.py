@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,10 +171,14 @@ class TestEvalRelaxed:
         w = Workload(schema_from_cardinalities(cards[0]), [(0, 1)])
         schema = schema_from_cardinalities(cards[1])
         other = RelaxedDataset(schema, np.full((2, schema.d_prime), 0.5))
-        with pytest.raises(SchemaError, match="schemas differ"):
-            eval_compiled(w.select(), other)
-        with pytest.raises(SchemaError, match="schemas differ"):
-            conjectured_answers(range(w.m), w, other)
+        empty = RelaxedDataset(schema, np.zeros((0, schema.d_prime)))
+        full = QueryEvaluator(w.select(), w.schema, 2)
+        for table in (other, empty):
+            with pytest.raises(SchemaError, match="schemas differ"):
+                eval_compiled(w.select(), table)
+        for evaluator in (None, full):
+            with pytest.raises(SchemaError, match="schemas differ"):
+                conjectured_answers(range(w.m), w, other, evaluator)
         with pytest.raises(SchemaError, match="schemas differ"):
             relaxed_projection(w.select(), np.zeros(w.m), other)
 
@@ -676,6 +682,41 @@ class TestEvalDiscreteColumnCodes:
         w = Workload(s, [(0,), (4, 1), (1, 2, 3), (3, 0, 4, 2), (2, 1)], kind=kind)
         data = random_dataset(s, n, rng)
         assert np.array_equal(eval_discrete(w, data), reference_eval_discrete(w, data))
+
+    @pytest.mark.parametrize("kind", [PRODUCT, ONE_OUT_OF_K])
+    @pytest.mark.parametrize("marginals, code_dtype", [
+        ([(0,), (3, 4)], np.uint8),  # largest marginal 255
+        ([(1,), (3, 1), (1, 3)], np.uint16),  # 256, with 256 as a Horner multiplier
+        ([(0, 2), (4,)], np.uint16),  # 65535
+        ([(1, 2), (2, 1)], np.uint32),  # 65792
+        ([(4, 0, 1)], np.uint32),  # 130560
+    ])
+    def test_code_dtype_boundaries(self, kind, marginals, code_dtype):
+        rng = np.random.default_rng(41)
+        s = schema_from_cardinalities((255, 256, 257, 1, 2))
+        w = Workload(s, marginals, kind=kind)
+        assert np.min_scalar_type(max(w.marginal_sizes())) == code_dtype
+        data = random_dataset(s, 500, rng)
+        assert data.rows.dtype == np.uint16
+        assert np.array_equal(eval_discrete(w, data), reference_eval_discrete(w, data))
+
+    def test_counts_without_copying_the_table(self, monkeypatch):
+        # 2*10^5 bench-schema rows: a code array and bincount's intp copy of
+        # it fit in 16 bytes a row; a (d, n) copy of the table would not.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+
+        n = 200_000
+        s = schema_from_cardinalities(workloads.CARDINALITIES)
+        data = random_dataset(s, n, np.random.default_rng(42))
+        w = random_workload(s, 3, 64, seed=7)
+        tracemalloc.start()
+        try:
+            eval_discrete(w, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * n
 
     @pytest.mark.parametrize("kind", [PRODUCT, ONE_OUT_OF_K])
     def test_non_contiguous_rows(self, kind):

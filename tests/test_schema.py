@@ -555,6 +555,69 @@ class TestDiscreteDatasetRange:
                 DiscreteDataset(schema, rows)
 
 
+class TestColumnMajorRows:
+    """Rows are the .T view of a C-contiguous (d, n) buffer in the narrowest unsigned dtype."""
+
+    @pytest.mark.parametrize("top, dtype", [
+        (1, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32),
+    ])
+    def test_dtype_ladder(self, top, dtype):
+        s = schema_from_cardinalities((2, top))
+        data = DiscreteDataset(s, np.array([[1, top - 1], [0, 0]]))
+        assert s.id_dtype == dtype and data.rows.dtype == dtype
+        assert data.rows.T.flags.c_contiguous
+        assert data.rows.tolist() == [[1, top - 1], [0, 0]]
+
+    def test_bench_schema_takes_one_byte_per_cell(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+
+        s = schema_from_cardinalities(workloads.CARDINALITIES)
+        data = random_dataset(s, 1000, np.random.default_rng(5))
+        save_csv(data, tmp_path / "t.csv")
+        for got in (data, load_csv(tmp_path / "t.csv", s), load_csv(tmp_path / "t.csv")):
+            assert got.rows.dtype == np.uint8 and got.rows.nbytes == 1000 * s.d
+            assert got.rows.T.flags.c_contiguous
+
+    def test_input_in_layout_is_kept(self):
+        s = schema_from_cardinalities((3, 4))
+        columns = np.array([[0, 2, 1], [3, 0, 1]], np.uint8)
+        assert np.shares_memory(DiscreteDataset(s, columns.T).rows, columns)
+        for other in (columns.T.copy(), columns.T.astype(np.int64), columns.astype(np.uint16).T):
+            data = DiscreteDataset(s, other)
+            assert not np.shares_memory(data.rows, other)
+            assert data.rows.dtype == np.uint8 and data.rows.T.flags.c_contiguous
+            assert data.rows.tolist() == columns.T.tolist()
+
+    @pytest.mark.parametrize("dtype, top", [(np.int8, 200), (np.int16, 65500)])
+    def test_negatives_of_narrow_signed_input_rejected(self, dtype, top):
+        # Viewed unsigned, -100 reads as a valid id at these cardinalities.
+        s = schema_from_cardinalities((top,))
+        with pytest.raises(SchemaError, match="category index out of range"):
+            DiscreteDataset(s, np.array([[1], [-100]], dtype))
+        assert DiscreteDataset(s, np.array([[1], [100]], dtype)).rows.tolist() == [[1], [100]]
+
+    @pytest.mark.parametrize("value", [1.7, -0.5, 2.5, np.nan, np.inf])
+    def test_non_integral_values_rejected(self, value):
+        s = schema_from_cardinalities((3,))
+        with pytest.raises(SchemaError, match="category indices must be integers"):
+            DiscreteDataset(s, np.array([[1.0], [value]]))
+        assert DiscreteDataset(s, np.array([[1.0], [2.0]])).rows.tolist() == [[1], [2]]
+
+    @pytest.mark.parametrize("chunk_rows", [5, 2048])
+    def test_inferred_csv_past_256_labels_loads_as_uint16(self, tmp_path, chunk_rows):
+        labels = [f"L{i}" for i in range(300)]
+        p = write(tmp_path, "wide.csv", "u,v\n" + "".join(f"{lab},x\n" for lab in labels))
+        with mock.patch.object(schema_module, "_CHUNK_ROWS", chunk_rows):
+            with mock.patch.object(csv, "reader", no_reader):
+                got = load_csv(p)
+        want = schema_module._load_text(p, None)
+        assert got.schema == want.schema and got.schema.cardinalities == (300, 1)
+        for data in (got, want):
+            assert data.rows.dtype == np.uint16 and data.rows.T.flags.c_contiguous
+            assert np.array_equal(data.rows[:, 0], [sorted(labels).index(lab) for lab in labels])
+
+
 class TestBinNumeric:
     def test_midpoint_split(self):
         idx, spec = bin_numeric([0, 1, 2, 3], 2)
