@@ -1,8 +1,8 @@
 """Check the peak memory of loading and counting a 10^6-row private table.
 
-    PYTHONPATH=src python3 scripts/large_table_memory.py [--rows 1000000]
+    PYTHONPATH=src python3 scripts/large_table_memory.py
 
-The script writes a CSV of --rows uniform random rows over the benchmark's
+The script writes a CSV of 10^6 uniform random rows over the benchmark's
 cardinalities (bench/workloads.CARDINALITIES, 15 features) and its schema
 JSON to a temporary directory. Then, once with the schema given and once
 with it inferred, a fresh Python process runs schema.load_csv on the file
@@ -22,23 +22,26 @@ import sys
 import tempfile
 from pathlib import Path
 
+# Rows of the private table, and the seed of its random rows.
+ROWS = 1_000_000
+SEED = 0
 # Largest allowed growth of peak RSS, as a multiple of the CSV's size.
 MAX_GROWTH = 2.5
 
 
-def write_table(root: str, n: int, seed: int) -> None:
-    """Write private.csv, n uniform rows with single-digit labels, and schema.json into root."""
+def write_table(root: str) -> None:
+    """Write private.csv, ROWS uniform rows with single-digit labels, and schema.json into root."""
     import numpy as np
 
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
     from workloads import CARDINALITIES
 
     names = [f"f{i}" for i in range(len(CARDINALITIES))]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     # Each row is its d digits, each followed by a comma, the last by a newline.
-    line = np.full((n, 2 * len(names)), ord(","), np.uint8)
+    line = np.full((ROWS, 2 * len(names)), ord(","), np.uint8)
     for c, t in enumerate(CARDINALITIES):
-        line[:, 2 * c] = rng.integers(0, t, n, dtype=np.uint8) + ord("0")
+        line[:, 2 * c] = rng.integers(0, t, ROWS, dtype=np.uint8) + ord("0")
     line[:, -1] = ord("\n")
     with open(Path(root) / "private.csv", "wb") as fh:
         fh.write((",".join(names) + "\n").encode())
@@ -68,13 +71,11 @@ def child(*argv) -> str:
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rows", type=int, default=1_000_000, help="rows of the private table")
-    parser.add_argument("--seed", type=int, default=0, help="seed of the random rows")
     parser.add_argument("--write", metavar="DIR", help=argparse.SUPPRESS)
     parser.add_argument("--measure", nargs="+", metavar="PATH", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.write:
-        write_table(args.write, args.rows, args.seed)
+        write_table(args.write)
         return
     if args.measure:  # the CSV path, then the schema path if given
         measure(args.measure[0], args.measure[1] if len(args.measure) > 1 else None)
@@ -85,14 +86,14 @@ def main(argv=None) -> None:
     # and leaves the writing to a child of its own.
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
-        child("--write", tmp, "--rows", args.rows, "--seed", args.seed)
+        child("--write", tmp)
         csv_path, schema_path = Path(tmp) / "private.csv", Path(tmp) / "schema.json"
         size = csv_path.stat().st_size
-        print(f"{args.rows} rows of the bench schema: {size / 1e6:.1f} MB of CSV")
+        print(f"{ROWS} rows of the bench schema: {size / 1e6:.1f} MB of CSV")
         for label, paths in (("schema given", [csv_path, schema_path]), ("inferred", [csv_path])):
             report = json.loads(child("--measure", *paths).splitlines()[-1])
-            if report["rows"] != args.rows:
-                raise SystemExit(f"{label}: loaded {report['rows']} rows, wrote {args.rows}")
+            if report["rows"] != ROWS:
+                raise SystemExit(f"{label}: loaded {report['rows']} rows, wrote {ROWS}")
             ratio = report["growth_bytes"] / size
             print(f"load_csv + eval_discrete, {label}: peak RSS +{report['growth_bytes'] / 1e6:.1f} MB"
                   f" = {ratio:.2f} x the file (at most {MAX_GROWTH})")

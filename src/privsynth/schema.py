@@ -81,7 +81,7 @@ class Schema:
     @cached_property
     def id_dtype(self) -> np.dtype:
         """The narrowest unsigned dtype holding every category id: uint8 up to 256 categories."""
-        return np.min_scalar_type(max(self.cardinalities) - 1)
+        return _narrowest_ids(max(self.cardinalities))
 
     def feature_names(self) -> list[str]:
         return [f.name for f in self.features]
@@ -256,6 +256,8 @@ def decode(encoded: OneHotDataset) -> DiscreteDataset:
 # Rows per chunk of the byte path, which bounds its separator, key and slot
 # arrays, and of DiscreteDataset's narrowing copy.
 _CHUNK_ROWS = 1 << 11
+# Bytes searched for newlines at a time, so no file-sized mask is built.
+_SCAN_BYTES = 1 << 20
 # _MASKS[w] keeps the first w bytes of a big-endian 8-byte window.
 _MASKS = np.array([((1 << 8 * w) - 1) << (64 - 8 * w) for w in range(9)], np.uint64)
 # Odd multipliers a column's hash table picks from: the first that gives its
@@ -302,25 +304,31 @@ def _load_bytes(path: Path, schema: Schema | None) -> DiscreteDataset | None:
     The ids go straight into the column-major (d, n) table DiscreteDataset
     keeps, in the narrowest dtype the labels known so far need.
     """
-    data = path.read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        at = exc.start
-        raise SchemaError(
-            f"{path}: not valid UTF-8: byte 0x{data[at]:02x} at position {at} ({exc.reason})"
-        ) from None
-    if b'"' in data or b"\0" in data:
+    size = path.stat().st_size
+    data = bytearray(size + 9)  # room to end the last line, then 8 zero bytes of pad
+    with path.open("rb") as fh:
+        size = fh.readinto(memoryview(data)[:size])
+    if not data.isascii():  # the zero pad is ASCII too
+        try:
+            str(memoryview(data)[:size], "utf-8")
+        except UnicodeDecodeError as exc:
+            at = exc.start
+            raise SchemaError(
+                f"{path}: not valid UTF-8: byte 0x{data[at]:02x} at position {at} ({exc.reason})"
+            ) from None
+    if data.find(b'"', 0, size) >= 0 or data.find(b"\0", 0, size) >= 0:
         return None
-    if b"\r" in data:  # csv.reader ends a line at a lone \r too; take only CRLF
-        if data.count(b"\r") != data.count(b"\r\n"):
+    if data.find(b"\r", 0, size) >= 0:  # csv.reader ends a line at a lone \r too; take only CRLF
+        if data.count(b"\r", 0, size) != data.count(b"\r\n", 0, size):
             return None
-        data = data.replace(b"\r\n", b"\n")
-    # End the last line; the zero pad keeps every cell's 8-byte window in the buffer.
-    end = b"" if data.endswith(b"\n") else b"\n"
-    buf = np.frombuffer(data + end + bytes(8), np.uint8)
-    del data  # one copy of the file is enough
-    nl = np.flatnonzero(buf == 10)
+        data = data[:size].replace(b"\r\n", b"\n")
+        size = len(data)
+        data += bytes(9)
+    if size == 0 or data[size - 1] != 10:  # end the last line
+        data[size] = 10
+    buf = np.frombuffer(data, np.uint8)  # the zero pad keeps every cell's 8-byte window in it
+    nl = np.concatenate([np.flatnonzero(buf[i : i + _SCAN_BYTES] == 10) + i
+                         for i in range(0, buf.size, _SCAN_BYTES)])
     if not 0 < nl[0] <= csv.field_size_limit():
         return None
     header = buf[: nl[0]].tobytes().decode("utf-8").split(",")
@@ -335,8 +343,8 @@ def _load_bytes(path: Path, schema: Schema | None) -> DiscreteDataset | None:
         known = [np.array([int.from_bytes(lab.ljust(8, b"\0"), "big") for lab in col], np.uint64)
                  for col in labels]
     columns = [_LabelTable(labels) for labels in known]
-    rows = np.empty((d, n), _id_dtype(columns))  # an inferred column's new labels may widen it
-    tables = _layout(columns, rows.dtype)
+    tables = _layout(columns)
+    rows = np.empty((d, n), tables[-1].dtype)  # an inferred column's new labels may widen it
 
     windows = np.ndarray((buf.size - 7,), ">u8", buf, strides=(1,))  # one at every byte
     for a in range(0, n, _CHUNK_ROWS):
@@ -361,8 +369,8 @@ def _load_bytes(path: Path, schema: Schema | None) -> DiscreteDataset | None:
             col = unknown % d
             for c in np.unique(col).tolist():
                 columns[c].add(np.unique(keys.flat[unknown[col == c]]))
-            rows = rows.astype(_id_dtype(columns), copy=False)
-            tables = _layout(columns, rows.dtype)
+            tables = _layout(columns)
+            rows = rows.astype(tables[-1].dtype, copy=False)
             ids, _ = _lookup(tables, keys)
         rows[:, a:b] = ids.T
 
@@ -432,17 +440,17 @@ class _LabelTable:
             todo, at = todo[left], at[left] + 1
 
 
-def _id_dtype(columns: list[_LabelTable]) -> np.dtype:
-    """The narrowest unsigned dtype holding the ids of every column's labels."""
-    return np.min_scalar_type(max(max(t.labels.size for t in columns), 1) - 1)
+def _narrowest_ids(count: int) -> np.dtype:
+    """The narrowest unsigned dtype holding ids 0 to count - 1: uint8 up to 256 of them."""
+    return np.min_scalar_type(max(count, 1) - 1)
 
 
-def _layout(columns: list[_LabelTable], dtype: np.dtype) -> tuple[np.ndarray, ...]:
+def _layout(columns: list[_LabelTable]) -> tuple[np.ndarray, ...]:
     """The columns' tables laid end to end, as `_lookup` reads them.
 
     Returns (mult, shift, base, slot_keys, slot_ids): column c's key k has its
     home slot at base[c] + (k * mult[c] mod 2**64 >> shift[c]). Slot ids are
-    in `dtype`.
+    in the narrowest dtype that holds the ids of every column's labels.
     """
     sizes = [t.keys.size for t in columns]
     return (
@@ -450,7 +458,9 @@ def _layout(columns: list[_LabelTable], dtype: np.dtype) -> tuple[np.ndarray, ..
         np.array([64 - t.bits for t in columns], np.uint64),
         np.cumsum([0] + sizes[:-1], dtype=np.uint64),
         np.concatenate([t.keys for t in columns]),
-        np.concatenate([t.ids for t in columns]).astype(dtype),
+        np.concatenate([t.ids for t in columns]).astype(
+            _narrowest_ids(max(t.labels.size for t in columns))
+        ),
     )
 
 

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -616,6 +617,32 @@ class TestColumnMajorRows:
         for data in (got, want):
             assert data.rows.dtype == np.uint16 and data.rows.T.flags.c_contiguous
             assert np.array_equal(data.rows[:, 0], [sorted(labels).index(lab) for lab in labels])
+
+    def test_load_holds_one_copy_of_the_file(self, tmp_path, monkeypatch):
+        # The bytes (30 a row), their newline offsets (8) and the table (15),
+        # plus one chunk's scratch; a decode, a padded copy or a file-sized
+        # newline mask beside the bytes would pass 2x the file.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+
+        s = schema_from_cardinalities(workloads.CARDINALITIES)
+        n = 500_000
+        rng = np.random.default_rng(6)
+        line = np.full((n, 2 * s.d), ord(","), np.uint8)
+        for c, t in enumerate(s.cardinalities):
+            line[:, 2 * c] = rng.integers(0, t, n, dtype=np.uint8) + ord("0")
+        line[:, -1] = ord("\n")
+        p = tmp_path / "big.csv"
+        p.write_bytes((",".join(s.feature_names()) + "\n").encode() + line.tobytes())
+        del line
+        tracemalloc.start()
+        try:
+            data = load_csv(p, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.n == n and data.rows.dtype == np.uint8
+        assert peak <= 2 * p.stat().st_size
 
 
 class TestBinNumeric:
