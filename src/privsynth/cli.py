@@ -9,13 +9,10 @@ fit warns that the noise is removable. Other commands default to seed 0.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import engine, evaluation, queries, rounding, schema
 from .privacy import BudgetError
@@ -33,18 +30,6 @@ def _load_data(args) -> schema.DiscreteDataset:
     print("warning: no --schema given: the category domain was inferred from the private data "
           "and is not differentially private", file=sys.stderr)
     return data
-
-
-def _load_relaxed(path, sch: schema.Schema) -> schema.RelaxedDataset:
-    """A relaxed matrix from a CSV file; a NaN or infinite value in it is a SchemaError."""
-    relaxed = engine.load_relaxed_csv(path, sch)
-    bad = np.argwhere(~np.isfinite(relaxed.data))
-    if bad.size:
-        row, col = bad[0].tolist()
-        raise schema.SchemaError(
-            f"{path}: non-finite value {relaxed.data[row, col]} at row {row}, column {col}"
-        )
-    return relaxed
 
 
 def _add_data_args(p, data_help="input CSV (header row, categorical cells)", required=True):
@@ -102,13 +87,13 @@ def _fit_config(args) -> engine.FitConfig:
     return replace(base, **flags, projection=replace(base.projection, **proj))
 
 
-def _echo_config(config: engine.FitConfig, delta: float) -> None:
-    print(
-        f"config: epsilon={config.epsilon} delta={delta} T={config.rounds} "
-        f"K={config.queries_per_round} n_prime={config.n_synth} seed={config.seed} "
-        f"no_noise={config.no_noise} max_steps={config.projection.max_steps} "
-        f"learning_rate={config.projection.learning_rate}"
-    )
+def _config_items(obj: dict, where: str = ""):
+    """key=value per leaf of a config_to_json dict, nested keys dotted as in --config."""
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            yield from _config_items(value, f"{where}{key}.")
+        else:
+            yield f"{where}{key}={value}"
 
 
 def cmd_workload(args) -> int:
@@ -138,7 +123,8 @@ def cmd_fit(args) -> int:
     data = _load_data(args)
     wl = queries.Workload.load(data.schema, args.workload)
     config = _fit_config(args)
-    _echo_config(config, engine.resolve_delta(config, data.n))
+    delta = engine.resolve_delta(config, data.n)
+    print("config:", *_config_items(dict(engine.config_to_json(config), delta=delta)))
     if engine.noise_label(config) == "seeded-reproducible-non-private":
         print("warning: --seed makes the noise reproducible: anyone who knows the seed can "
               "remove it, so the output is not differentially private", file=sys.stderr)
@@ -152,12 +138,6 @@ def cmd_fit(args) -> int:
     (out_dir / "result.json").write_text(record + "\n", encoding="utf-8")
     engine.save_relaxed_csv(result.relaxed, out_dir / "relaxed.csv")
     data.schema.save(out_dir / "schema.json")
-    if args.trace:
-        with Path(args.trace).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["round", "step", "loss"])
-            for t, losses in enumerate(result.losses, 1):
-                writer.writerows((t, i, f"{l!r}") for i, l in enumerate(losses))
     summary = result.budget.summary()
     print(
         f"fit: selected={len(result.selected)} rho_spent={summary['rho_spent']:.6g} "
@@ -170,7 +150,7 @@ def cmd_round(args) -> int:
     print(f"config: oversample={args.oversample} seed={args.seed}")
     config = rounding.RoundingConfig(oversample=args.oversample, seed=args.seed)
     sch = schema.Schema.load(args.schema)
-    relaxed = _load_relaxed(args.relaxed, sch)
+    relaxed = engine.load_relaxed_csv(args.relaxed, sch)
     try:
         synth = rounding.randomized_round(relaxed, config)
     except rounding.RoundingError as exc:  # unnormalized input: a data error, not a usage one
@@ -184,12 +164,12 @@ def cmd_eval(args) -> int:
     data = _load_data(args)
     wl = queries.Workload.load(data.schema, args.workload)
     if args.synth_format == "relaxed":
-        synth = _load_relaxed(args.synth, data.schema)
+        synth = engine.load_relaxed_csv(args.synth, data.schema)
     else:
         synth = schema.load_csv(args.synth, data.schema)
     report = evaluation.max_error(wl, data, synth)
     Path(args.out).write_text(
-        json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        json.dumps(report.to_json_dict(), sort_keys=True) + "\n", encoding="utf-8"
     )
     print(
         f"eval: max_error={report.max_error:.6g} mean_error={report.mean_error:.6g} "
@@ -251,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     p.add_argument("--workload", required=True)
     _add_fit_args(p)
-    p.add_argument("--trace", default=None, help="write a round,step,loss CSV here")
     p.add_argument("--out-dir", default="fit_out")
     p.set_defaults(func=cmd_fit)
 

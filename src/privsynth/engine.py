@@ -25,7 +25,8 @@ T*K may not exceed m, so the pool never runs dry.
 
 The per-round records hold only what the mechanism released or derived from
 released values (selection counts and projection losses against the noisy
-answers). Error against the private data is an evaluation, not part of the
+answers, the whole trajectory included: one loss per iterate, the entry
+loss first). Error against the private data is an evaluation, not part of the
 fit: see evaluation.max_error. Everything after the noisy measurements is
 post-processing of the record, and replay rebuilds it from the record alone.
 
@@ -79,12 +80,11 @@ class FitResult:
     relaxed: RelaxedDataset
     selected: list[int]  # workload indices in selection order
     noisy_answers: list[float]  # aligned with `selected`
-    rounds: list[dict]  # per-round selection count, losses and steps
+    rounds: list[dict]  # per-round selection count, loss trajectory and steps
     budget: PrivacyBudget
     config: FitConfig
     resolved_delta: float
     timing: dict = field(default_factory=dict)
-    losses: list[list[float]] = field(default_factory=list)  # per round; not in the JSON
 
     def to_json_dict(self, include_timing: bool = True) -> dict:
         out = {
@@ -202,7 +202,6 @@ def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResu
     selected: list[int] = []
     noisy: list[float] = []
     round_trace: list[dict] = []
-    losses: list[list[float]] = []
     timing = {"projection_s": 0.0, "gradient_s": 0.0, "normalize_s": 0.0, "adam_s": 0.0}
 
     for t in range(1, t_rounds + 1):
@@ -223,7 +222,6 @@ def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResu
         timing["projection_s"] += time.perf_counter() - t0
         for key, seconds in proj.timing.items():
             timing[key] += seconds
-        losses.append(proj.losses)
         current = proj.dataset
         round_trace.append({
             "round": t,
@@ -231,6 +229,7 @@ def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResu
             "projection_initial_loss": proj.losses[0],
             "projection_loss": proj.best_loss,
             "projection_steps": proj.steps,
+            "projection_losses": proj.losses,
         })
 
     return FitResult(
@@ -242,7 +241,6 @@ def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResu
         config=config,
         resolved_delta=delta,
         timing={"wall_s": time.perf_counter() - started, **timing},
-        losses=losses,
     )
 
 
@@ -271,7 +269,11 @@ def save_relaxed_csv(relaxed: RelaxedDataset, path) -> None:
 
 
 def load_relaxed_csv(path, schema) -> RelaxedDataset:
-    """Read a save_relaxed_csv file; one without rows, or not numeric CSV, is a SchemaError."""
+    """Read a save_relaxed_csv file into a RelaxedDataset.
+
+    A file without rows, one that is not numeric CSV, or one holding a NaN or
+    infinite value (named by row and column) is a SchemaError.
+    """
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
@@ -280,6 +282,10 @@ def load_relaxed_csv(path, schema) -> RelaxedDataset:
             raise SchemaError(f"{path}: {exc}") from None
     if data.size == 0:
         raise SchemaError(f"{path}: no rows")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0].tolist()
+        raise SchemaError(f"{path}: non-finite value {data[row, col]} at row {row}, column {col}")
     return RelaxedDataset(schema, data)
 
 

@@ -63,6 +63,7 @@ class ErrorReport:
 
     def to_json_dict(self) -> dict:
         return {
+            "privacy": "non-private",
             "max_error": self.max_error,
             "mean_error": self.mean_error,
             "naive_baseline": self.naive_baseline,

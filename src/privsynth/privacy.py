@@ -196,7 +196,10 @@ class PrivacyBudget:
     def from_eps_delta(cls, epsilon: float, delta: float) -> "PrivacyBudget":
         if not 0 < delta < 1:
             raise BudgetError(f"delta must be in (0, 1), got {delta}")
-        return cls(epsilon, delta, rho_from_eps_delta(epsilon, delta))
+        rho = rho_from_eps_delta(epsilon, delta)
+        if rho == 0.0:  # epsilon too small beside ln(1/delta): the subtraction cancels
+            raise BudgetError(f"epsilon {epsilon} at delta {delta} gives rho 0.0; raise epsilon")
+        return cls(epsilon, delta, rho)
 
     @classmethod
     def non_private(cls) -> "PrivacyBudget":

@@ -200,8 +200,8 @@ class ProjectionConfig:
     max_steps: int = 5000
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
 
@@ -277,9 +277,11 @@ def relaxed_projection(
     normal form, which is everything the engine produces), then Adam runs for
     at most max_steps, renormalizing after every step. Stops early when the
     relative loss improvement between consecutive steps is nonnegative and
-    below EARLY_STOP_REL; a loss increase never triggers the stop. The
-    best-loss iterate observed is returned, so the result is never worse than
-    the (normalized) starting point even though Adam is non-monotone.
+    below EARLY_STOP_REL; a loss increase never triggers the stop. A step
+    whose loss is not finite (a diverging learning rate) ends the run and is
+    not recorded in `losses`. The best-loss iterate observed is returned, so
+    the result is never worse than the (normalized) starting point even
+    though Adam is non-monotone.
     The result's timing holds the seconds spent in the gradient, the
     normalization and the Adam update, the entry pass included.
     init.data is not modified, and the result's data is C-ordered whatever
@@ -319,32 +321,37 @@ def relaxed_projection(
         grad_touched = np.empty_like(X_touched)
         adam = AdamState.zeros(X_touched.shape)
 
-    for step in range(1, config.max_steps + 1):
-        t0 = perf_counter()
-        if touched is None:
-            adam.update(X, grad, config)
-        else:
-            # mode="clip" skips take's buffered bounds check; touched is in range.
-            np.take(Xt, touched, axis=0, out=X_touched, mode="clip")
-            np.take(grad.T, touched, axis=0, out=grad_touched, mode="clip")
-            adam.update(X_touched, grad_touched, config)
-            Xt[touched] = X_touched
-        t1 = perf_counter()
-        _normalize_inplace(X, schema)
-        t2 = perf_counter()
-        new_loss, grad = evaluator.loss_and_gradient(X, targets)
-        t3 = perf_counter()
-        adam_s += t1 - t0
-        normalize_s += t2 - t1
-        gradient_s += t3 - t2
-        losses.append(new_loss)
-        if new_loss < best_loss:
-            best_loss, best_step = new_loss, step
-            np.copyto(best_X, X)
-        improvement = loss - new_loss
-        loss = new_loss
-        if improvement >= 0.0 and improvement / max(losses[-2], 1e-30) < EARLY_STOP_REL:
-            break
+    # A diverging step overflows or divides by zero in Adam or sparsemax, and
+    # its loss is then not finite: the check below, not a numpy warning, ends it.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for step in range(1, config.max_steps + 1):
+            t0 = perf_counter()
+            if touched is None:
+                adam.update(X, grad, config)
+            else:
+                # mode="clip" skips take's buffered bounds check; touched is in range.
+                np.take(Xt, touched, axis=0, out=X_touched, mode="clip")
+                np.take(grad.T, touched, axis=0, out=grad_touched, mode="clip")
+                adam.update(X_touched, grad_touched, config)
+                Xt[touched] = X_touched
+            t1 = perf_counter()
+            _normalize_inplace(X, schema)
+            t2 = perf_counter()
+            new_loss, grad = evaluator.loss_and_gradient(X, targets)
+            t3 = perf_counter()
+            adam_s += t1 - t0
+            normalize_s += t2 - t1
+            gradient_s += t3 - t2
+            if not np.isfinite(new_loss):
+                break
+            losses.append(new_loss)
+            if new_loss < best_loss:
+                best_loss, best_step = new_loss, step
+                np.copyto(best_X, X)
+            improvement = loss - new_loss
+            loss = new_loss
+            if improvement >= 0.0 and improvement / max(losses[-2], 1e-30) < EARLY_STOP_REL:
+                break
 
     timing = {"gradient_s": gradient_s, "normalize_s": normalize_s, "adam_s": adam_s}
     np.copyto(result, best_X)

@@ -379,14 +379,19 @@ def _load_bytes(path: Path, schema: Schema | None) -> DiscreteDataset | None:
         for c, name in enumerate(header):
             keys = columns[c].labels.tolist()
             labels = [k.to_bytes(8, "big").rstrip(b"\0").decode("utf-8") for k in keys]
-            cats = sorted(labels) or ["0"]  # ["0"]: placeholder for a file with no rows
+            cats = _inferred_categories(labels)
             rank = {lab: i for i, lab in enumerate(cats)}
             ids = np.array([rank[lab] for lab in labels], rows.dtype)
             if (ids != np.arange(ids.size)).any():
                 rows[c] = ids[rows[c]]
-            feats.append(FeatureSpec(name, tuple(cats)))
+            feats.append(FeatureSpec(name, cats))
         schema = Schema(tuple(feats))
     return DiscreteDataset(schema, rows.T)
+
+
+def _inferred_categories(labels) -> tuple[str, ...]:
+    """A column's inferred categories: its sorted distinct labels, or "0" if it has no rows."""
+    return tuple(sorted(set(labels))) or ("0",)
 
 
 class _LabelTable:
@@ -523,13 +528,9 @@ def _load_text(path: Path, schema: Schema | None) -> DiscreteDataset:
         raise SchemaError(f"{path}: missing value at row {p // d}, column {header[p % d]!r}")
 
     if schema is None:
-        feats = []
-        for c, name in enumerate(header):
-            labels = sorted(set(cells[c::d]))
-            if not labels:
-                labels = ["0"]  # empty data file: single placeholder category
-            feats.append(FeatureSpec(name, tuple(labels)))
-        schema = Schema(tuple(feats))
+        schema = Schema(tuple(
+            FeatureSpec(name, _inferred_categories(cells[c::d])) for c, name in enumerate(header)
+        ))
     else:
         if header != schema.feature_names():
             raise SchemaError(

@@ -11,7 +11,8 @@ import pytest
 
 import privsynth
 from privsynth import (
-    NoiseSource, Schema, Workload, eval_discrete, load_csv, replay, save_csv, save_relaxed_csv
+    NoiseSource, Schema, Workload, eval_discrete, load_csv, normalize_rows, random_init,
+    replay, save_csv, save_relaxed_csv,
 )
 from privsynth.cli import main
 from privsynth.privacy import gaussian_noise_sigma
@@ -178,6 +179,21 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "epsilon must be finite" in err and "ledger" not in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--learning-rate", "inf"], "learning_rate must be finite and > 0, got inf"),
+        (["--epsilon", "1e-300"], "epsilon 1e-300 at delta 2.5e-05 gives rho 0.0"),
+    ])
+    def test_unusable_setting_fails_before_the_fit(self, toy_csv, tmp_path, capsys, flags,
+                                                   message):
+        wpath, out_dir = tmp_path / "w.json", tmp_path / "out"
+        run(["workload", "--data", toy_csv, "--k", 2, "--marginals", 2, "--out", wpath])
+        capsys.readouterr()
+        assert run(["fit", "--data", toy_csv, "--workload", wpath, *flags, "--n-prime", 8,
+                    "--max-steps", 5, "--out-dir", out_dir]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out_dir.exists()
+
     def test_writes_outputs_and_ledger(self, fitted):
         _, _, out_dir = fitted
         doc = json.loads((out_dir / "result.json").read_text())
@@ -289,22 +305,63 @@ class TestFitCommand:
         wpath = tmp_path / "w.json"
         run(["workload", "--data", toy_csv, "--k", 2, "--marginals", 3, "--seed", 0,
              "--out", wpath])
-        trace, out_dir = tmp_path / "trace.csv", tmp_path / "adapt"
+        out_dir = tmp_path / "adapt"
         assert run(["fit", "--data", toy_csv, "--workload", wpath, "--T", 3, "--K", 2,
-                    "--n-prime", 10, "--max-steps", 4, "--trace", trace,
-                    "--out-dir", out_dir]) == 0
-        with trace.open() as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["round", "step", "loss"]
+                    "--n-prime", 10, "--max-steps", 4, "--out-dir", out_dir]) == 0
         rounds = json.loads((out_dir / "result.json").read_text())["rounds"]
+        # The round,step,loss rows README derives from the record.
+        rows = [(r["round"], step, loss)
+                for r in rounds for step, loss in enumerate(r["projection_losses"])]
         assert [r["round"] for r in rounds] == [1, 2, 3]
         for record in rounds:
-            mine = [row for row in rows[1:] if int(row[0]) == record["round"]]
-            assert [int(row[1]) for row in mine] == list(range(record["projection_steps"] + 1))
-            losses = [float(row[2]) for row in mine]
+            mine = [row for row in rows if row[0] == record["round"]]
+            assert [row[1] for row in mine] == list(range(record["projection_steps"] + 1))
+            losses = [row[2] for row in mine]
+            assert all(type(loss) is float for loss in losses)
             assert losses[0] == record["projection_initial_loss"]
             assert min(losses) == record["projection_loss"]
-        assert len(rows) == 1 + sum(r["projection_steps"] + 1 for r in rounds)
+        assert len(rows) == sum(r["projection_steps"] + 1 for r in rounds)
+
+    @pytest.mark.parametrize("kind", ["product", "one-out-of-k"])
+    @pytest.mark.parametrize("rounds", [[], ["--T", 3, "--K", 2]])
+    def test_record_holds_each_round_trajectory(self, toy_csv, tmp_path, monkeypatch, kind,
+                                                rounds):
+        wpath, out_dir = tmp_path / "w.json", tmp_path / "fit"
+        run(["workload", "--data", toy_csv, "--k", 2, "--marginals", 3, "--seed", 0,
+             "--kind", kind, "--out", wpath])
+        assert run(["fit", "--data", toy_csv, "--workload", wpath, *rounds, "--n-prime", 10,
+                    "--max-steps", 6, "--seed", 2, "--out-dir", out_dir]) == 0
+        record = json.loads((out_dir / "result.json").read_text())
+        for r in record["rounds"]:
+            losses = r["projection_losses"]
+            assert len(losses) == r["projection_steps"] + 1
+            assert losses[0] == r["projection_initial_loss"]
+            assert min(losses) == r["projection_loss"]
+        # Replay from the released files alone redoes every projection's trajectory.
+        projections = []
+
+        def recording(*args):
+            projections.append(privsynth.relaxed_projection(*args))
+            return projections[-1]
+
+        monkeypatch.setattr(privsynth.engine, "relaxed_projection", recording)
+        replay(record, Workload.load(Schema.load(out_dir / "schema.json"), wpath))
+        assert [p.losses for p in projections] == [r["projection_losses"] for r in record["rounds"]]
+
+    @pytest.mark.parametrize("learning_rate", ["1e200", "1e308"])
+    def test_diverging_learning_rate_keeps_the_start(self, toy_csv, tmp_path, learning_rate):
+        wpath, out_dir = tmp_path / "w.json", tmp_path / "fit"
+        run(["workload", "--data", toy_csv, "--k", 2, "--marginals", 3, "--seed", 0,
+             "--out", wpath])
+        assert run(["fit", "--data", toy_csv, "--workload", wpath, "--n-prime", 10,
+                    "--max-steps", 5, "--seed", 2, "--learning-rate", learning_rate,
+                    "--out-dir", out_dir]) == 0
+        # No step has a finite loss: none is recorded, and the best iterate is the start.
+        (only,) = json.loads((out_dir / "result.json").read_text())["rounds"]
+        assert only["projection_losses"] == [only["projection_loss"]]
+        start = random_init(Schema.load(out_dir / "schema.json"), 10, NoiseSource(2, "init"))
+        save_relaxed_csv(normalize_rows(start), tmp_path / "start.csv")  # the entry pass
+        assert (out_dir / "relaxed.csv").read_bytes() == (tmp_path / "start.csv").read_bytes()
 
     @pytest.mark.parametrize("rounds", [[], ["--T", 3, "--K", 2]])
     def test_replay_rebuilds_relaxed_csv(self, toy_csv, tmp_path, rounds):
@@ -379,13 +436,15 @@ class TestConfigFile:
         code = run(["fit", "--data", toy_csv, "--workload", wpath, "--config", cfg,
                     "--max-steps", 3, "--out-dir", tmp_path / "o"])
         assert code == 0
-        assert "n_prime=8 seed=None no_noise=False max_steps=3 learning_rate=0.001" in (
-            capsys.readouterr().out
-        )
+        assert (
+            "n_synth=8 seed=None no_noise=False projection.learning_rate=0.001 "
+            "projection.max_steps=3"
+        ) in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
         ["fit", "--workload", "w.json", "--normalization", "clip"],
         ["sweep", "--axis", "epsilon", "--values", "1", "--trace", "t.csv"],
+        ["fit", "--workload", "w.json", "--trace", "t.csv"],
     ])
     def test_removed_flags_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -423,6 +482,16 @@ class TestRoundAndEvalCommands:
                     "--out", report])
         assert code == 0
         assert json.loads(report.read_text())["m"] == 26
+
+    def test_eval_report_is_tagged_and_compact(self, fitted, tmp_path):
+        toy_csv, wpath, out_dir = fitted
+        report = tmp_path / "report.json"
+        assert run(["eval", "--data", toy_csv, "--workload", wpath,
+                    "--synth", out_dir / "relaxed.csv", "--synth-format", "relaxed",
+                    "--out", report]) == 0
+        text = report.read_text()
+        assert json.loads(text)["privacy"] == "non-private"
+        assert text.count("\n") == 1 and text.endswith("\n")
 
     @pytest.mark.parametrize("command", ["round", "eval"])
     def test_non_finite_relaxed_input_exit_code(self, fitted, tmp_path, capsys, command):

@@ -450,6 +450,7 @@ class TestReproducibility:
             "projection_initial_loss",
             "projection_loss",
             "projection_steps",
+            "projection_losses",
         }
         for rounds, per_round in ((1, None), (2, 3)):
             config = FitConfig(
@@ -489,6 +490,36 @@ class TestReplay:
             queries = workload.select(record["selected"][:upto])
             loss, _ = loss_and_gradient(queries, record["noisy_answers"][:upto], relaxed)
             assert loss == pytest.approx(r["projection_loss"], rel=1e-12)
+
+    @pytest.mark.parametrize("kind", [PRODUCT, ONE_OUT_OF_K])
+    @pytest.mark.parametrize("rounds, per_round", [(1, None), (3, 4)])
+    def test_record_holds_every_projection_trajectory(self, monkeypatch, rounds, per_round, kind):
+        """fit's and replay's projections both give each round's projection_losses, bit for bit."""
+        projections = []
+
+        def recording(*args):
+            projections.append(relaxed_projection(*args))
+            return projections[-1]
+
+        monkeypatch.setattr(engine, "relaxed_projection", recording)
+        schema = schema_from_cardinalities((3, 4, 2, 3))
+        data = random_dataset(schema, 150, np.random.default_rng(22))
+        workload = random_workload(schema, 2, 4, seed=22, kind=kind)
+        config = FitConfig(
+            epsilon=0.6, rounds=rounds, queries_per_round=per_round, n_synth=15, seed=3,
+            projection=ProjectionConfig(max_steps=12),
+        )
+        result = fit(data, workload, config)
+        assert "losses" not in vars(result)
+        record = json.loads(result.to_json())
+        assert [r["projection_losses"] for r in record["rounds"]] == [
+            r["projection_losses"] for r in result.rounds
+        ]
+        replay(record, workload)
+        assert len(projections) == 2 * rounds
+        for r, fitted, replayed in zip(record["rounds"], projections, projections[rounds:]):
+            assert r["projection_losses"] == fitted.losses == replayed.losses
+            assert len(r["projection_losses"]) == r["projection_steps"] + 1
 
 
 def ks_statistic_vs_standard_normal(samples) -> float:
@@ -543,6 +574,19 @@ class TestRelaxedCsv:
         save_relaxed_csv(relaxed, tmp_path / "new.csv")
         self.reference_save(relaxed, tmp_path / "ref.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        back = load_relaxed_csv(tmp_path / "new.csv", schema).data
-        assert np.array_equal(back, data, equal_nan=True)
+        with pytest.raises(SchemaError, match="non-finite value inf at row 1, column 0"):
+            load_relaxed_csv(tmp_path / "new.csv", schema)
+        finite = np.delete(data, 1, axis=0)
+        save_relaxed_csv(RelaxedDataset(schema, finite), tmp_path / "finite.csv")
+        back = load_relaxed_csv(tmp_path / "finite.csv", schema).data
+        assert np.array_equal(back, finite)
         assert np.signbit(back[0, 0])
+
+    @pytest.mark.parametrize("row, col, cell", [(0, 2, "nan"), (1, 1, "-inf")])
+    def test_non_finite_value_rejected(self, tmp_path, row, col, cell):
+        rows = [["0.5", "0.5", "0.0"], ["0.1", "0.7", "0.2"]]
+        rows[row][col] = cell
+        path = tmp_path / "relaxed.csv"
+        path.write_text("".join(",".join(r) + "\n" for r in rows))
+        with pytest.raises(SchemaError, match=f"non-finite value {cell} at row {row}, column {col}"):
+            load_relaxed_csv(path, schema_from_cardinalities((3,)))

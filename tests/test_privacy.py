@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -194,6 +195,13 @@ class TestPrivacyBudget:
     def test_from_eps_delta_satisfies_identity(self):
         b = PrivacyBudget.from_eps_delta(1.0, 1e-6)
         assert eps_from_rho_delta(b.rho_total, 1e-6) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("epsilon", [1e-300, 1e-16])
+    def test_epsilon_that_gives_no_rho_rejected(self, epsilon):
+        """At delta 1e-9, (sqrt(L + epsilon) - sqrt(L))^2 cancels to 0.0 for epsilon <= 1e-15."""
+        message = f"epsilon {epsilon} at delta 1e-09 gives rho 0.0"
+        with pytest.raises(BudgetError, match=re.escape(message)):
+            PrivacyBudget.from_eps_delta(epsilon, 1e-9)
 
     def test_spend_and_totals(self):
         b = PrivacyBudget.from_eps_delta(1.0, 1e-6)

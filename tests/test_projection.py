@@ -178,6 +178,23 @@ class TestRelaxedProjection:
             outputs.append((result.dataset.data.tobytes(), result.losses))
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("lr", [1e200, 1e308])
+    def test_diverging_step_ends_the_run(self, lr):
+        """The first non-finite loss stops the run unrecorded; the start is the best iterate."""
+        s, data, w = self._toy(seed=10)
+        start = random_init(s, 12, NoiseSource(3, "init"))
+        targets = eval_relaxed(w, one_hot(data).as_relaxed())
+        config = ProjectionConfig(learning_rate=lr, max_steps=20)
+        result = relaxed_projection(w.queries, targets, start, config)
+        assert result.losses == [result.best_loss] and np.isfinite(result.best_loss)
+        assert result.steps == 0 and result.best_step == 0
+        np.testing.assert_array_equal(result.dataset.data, normalize_rows(start).data)
+
+    @pytest.mark.parametrize("lr", [np.inf, np.nan, 0.0, -1.0])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+            ProjectionConfig(learning_rate=lr)
+
     def test_empty_queries_rejected(self):
         s = schema_from_cardinalities((2,))
         with pytest.raises(ValueError):

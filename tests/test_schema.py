@@ -350,6 +350,15 @@ class TestBytePath:
         with mock.patch.object(schema_module, "_CHUNK_ROWS", chunk_rows):
             TestColumnarLoader.check(tmp_path_factory, text, schema)
 
+    def test_header_only_file_infers_the_same_schema(self, tmp_path, monkeypatch):
+        p = write(tmp_path, "empty.csv", "u,v\n")
+        want = schema_module._load_text(p, None)
+        monkeypatch.setattr(csv, "reader", no_reader)
+        got = load_csv(p)
+        placeholder = Schema((FeatureSpec("u", ("0",)), FeatureSpec("v", ("0",))))
+        assert got.schema == want.schema == placeholder
+        assert got.n == want.n == 0
+
     def test_ragged_rows_that_balance_in_a_chunk(self, tmp_path):
         # 3 + 1 cells in two rows is the 2 x 2 a chunk expects, but not row by row.
         p = write(tmp_path, "bad.csv", "u,v\na,b,a\nb\n")
