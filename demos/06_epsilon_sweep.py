@@ -14,7 +14,6 @@ from privsynth import (
     FitConfig,
     ProjectionConfig,
     SweepSpec,
-    best_of_grid,
     run_sweep,
     schema_from_cardinalities,
 )
@@ -45,10 +44,17 @@ for eps in spec.values:
     print(f"  eps={eps:<5} median={statistics.median(errs):.4f} {bar}")
 print(f"naive baseline: {rows[0]['naive_baseline']:.4f}")
 
+# The least-error row per (axis, value, seed). Choosing by true error reads the
+# private data, so this view is as non-private as every row it picks from.
+best = {}
+for r in rows:
+    key = (r["axis"], r["value"], r["seed"])
+    if r["status"] == "ok" and (key not in best or r["max_error"] < best[key]["max_error"]):
+        best[key] = r
+print(f"best-of-grid rows (tagged '{rows[0]['privacy']}'): {len(best)}")
+
 with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp) / "sweep.csv"
     sweep_rows_to_csv(rows, out)
-    best = best_of_grid(rows)
     print(f"\nwrote {out.name} with columns:")
     print(" ", out.read_text().splitlines()[0])
-    print(f"best-of-grid rows (tagged '{best[0]['selection']}'): {len(best)}")

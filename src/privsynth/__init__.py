@@ -17,7 +17,7 @@ from .engine import (
     replay,
     save_relaxed_csv,
 )
-from .evaluation import ErrorReport, SweepSpec, best_of_grid, max_error, run_sweep
+from .evaluation import ErrorReport, SweepSpec, max_error, run_sweep
 from .privacy import (
     BudgetError,
     NoiseSource,
@@ -96,7 +96,6 @@ __all__ = [
     "SweepSpec",
     "Workload",
     "WorkloadError",
-    "best_of_grid",
     "bin_numeric",
     "compile_marginal",
     "conjectured_answers",

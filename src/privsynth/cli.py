@@ -9,7 +9,6 @@ fit warns that the noise is removable. Other commands default to seed 0.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -109,10 +108,6 @@ def cmd_workload(args) -> int:
     out = Path(args.out)
     wl.save(out)
     sch.save(out.with_suffix(".schema.json"))
-    if args.dump_compiled:
-        out.with_suffix(".compiled.json").write_text(
-            json.dumps(wl.compiled_json_dict()) + "\n", encoding="utf-8"
-        )
     print(f"workload: m={wl.m} marginals={len(wl.marginals)} -> {out}")
     for s, size in zip(wl.marginals, wl.marginal_sizes()):
         print(f"  S={list(s)}: {size} queries")
@@ -132,10 +127,8 @@ def cmd_fit(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     source = "given" if args.schema else "inferred-non-private"
-    record = json.dumps(
-        dict(result.to_json_dict(), schema_source=source), sort_keys=True, indent=2, allow_nan=False
-    )
-    (out_dir / "result.json").write_text(record + "\n", encoding="utf-8")
+    record = dict(result.to_json_dict(), schema_source=source)
+    (out_dir / "result.json").write_text(schema.dump_json(record), encoding="utf-8")
     engine.save_relaxed_csv(result.relaxed, out_dir / "relaxed.csv")
     data.schema.save(out_dir / "schema.json")
     summary = result.budget.summary()
@@ -168,9 +161,7 @@ def cmd_eval(args) -> int:
     else:
         synth = schema.load_csv(args.synth, data.schema)
     report = evaluation.max_error(wl, data, synth)
-    Path(args.out).write_text(
-        json.dumps(report.to_json_dict(), sort_keys=True) + "\n", encoding="utf-8"
-    )
+    Path(args.out).write_text(schema.dump_json(report.to_json_dict()), encoding="utf-8")
     print(
         f"eval: max_error={report.max_error:.6g} mean_error={report.mean_error:.6g} "
         f"naive_baseline={report.naive_baseline:.6g} m={report.m} -> {args.out}"
@@ -198,11 +189,8 @@ def cmd_sweep(args) -> int:
     )
     rows = evaluation.run_sweep(data, spec, config)
     evaluation.sweep_rows_to_csv(rows, args.out)
-    best = evaluation.best_of_grid(rows)
-    best_path = Path(args.out).with_suffix(".best.csv")
-    evaluation.sweep_rows_to_csv(best, best_path, extra_columns=("selection",))
     failed = sum(1 for r in rows if r["status"] != "ok")
-    print(f"sweep: {len(rows)} rows ({failed} failed) -> {args.out}; best-of-grid -> {best_path}")
+    print(f"sweep: {len(rows)} rows ({failed} failed, all non-private) -> {args.out}")
     return EXIT_OK
 
 
@@ -221,10 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kind", choices=["product", "one-out-of-k"], default="product")
     p.add_argument("--out", default="workload.json")
-    p.add_argument(
-        "--dump-compiled", action="store_true",
-        help="also write the compiled one-hot column sets as JSON",
-    )
     p.set_defaults(func=cmd_workload)
 
     p = sub.add_parser("fit", help="fit a relaxed synthetic dataset to a workload")
@@ -277,7 +261,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing input, or an output path that is a directory or a file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except schema.SchemaError as exc:

@@ -36,7 +36,6 @@ seed makes a rerun byte-identical and the noise removable (see noise_label).
 
 from __future__ import annotations
 
-import json
 import time
 import typing
 import warnings
@@ -48,7 +47,7 @@ import numpy as np
 from .privacy import NoiseSource, PrivacyBudget, gaussian_mechanism, report_noisy_max
 from .projection import ProjectionConfig, random_init, relaxed_projection
 from .queries import QueryEvaluator, Workload, eval_compiled, eval_discrete
-from .schema import DiscreteDataset, RelaxedDataset, SchemaError
+from .schema import DiscreteDataset, RelaxedDataset, SchemaError, dump_json
 
 
 class InfeasibleConfigError(ValueError):
@@ -86,8 +85,8 @@ class FitResult:
     resolved_delta: float
     timing: dict = field(default_factory=dict)
 
-    def to_json_dict(self, include_timing: bool = True) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "config": dict(config_to_json(self.config), delta=self.resolved_delta),
             "noise": noise_label(self.config),
             "budget": self.budget.summary(),
@@ -96,14 +95,11 @@ class FitResult:
             "noisy_answers": [float(a) for a in self.noisy_answers],
             "rounds": self.rounds,
             "n_synth_rows": self.relaxed.n,
+            "timing": self.timing,
         }
-        if include_timing:
-            out["timing"] = self.timing
-        return out
 
-    def to_json(self, include_timing: bool = True) -> str:
-        record = self.to_json_dict(include_timing)
-        return json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    def to_json(self) -> str:
+        return dump_json(self.to_json_dict())
 
 
 def noise_label(config: FitConfig) -> str:

@@ -9,8 +9,8 @@ run_sweep drives repeated fits along one axis (privacy level, workload size,
 synthetic row count, or rounding oversample) crossed with seeds and an
 optional grid of (queries_per_round, rounds) combinations, and emits a
 row-complete table: failed cells are recorded with an error status, never
-dropped. Picking the best grid combination by true error afterwards is not
-itself a private operation, so best_of_grid tags every row it returns.
+dropped. Every row is measured against the private data, so each one says
+"non-private" in its privacy column, and so is a grid point picked by its error.
 """
 
 from __future__ import annotations
@@ -48,9 +48,11 @@ SWEEP_COLUMNS = (
     "naive_baseline",
     "wall_ms",
     "status",
+    "privacy",
 )
 
-NON_PRIVATE_SELECTION = "non-privately selected"
+#: The privacy tag of every figure computed against the private data.
+NON_PRIVATE = "non-private"
 
 
 @dataclass
@@ -63,7 +65,7 @@ class ErrorReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "privacy": "non-private",
+            "privacy": NON_PRIVATE,
             "max_error": self.max_error,
             "mean_error": self.mean_error,
             "naive_baseline": self.naive_baseline,
@@ -143,12 +145,6 @@ def run_sweep(data: DiscreteDataset, spec: SweepSpec, base: FitConfig) -> list[d
             data.schema, spec.workload_k, spec.workload_marginals, spec.workload_seed, spec.kind
         )
     for value in spec.values:
-        if spec.axis == AXIS_WORKLOAD:
-            workload = random_workload(
-                data.schema, spec.workload_k, int(value), spec.workload_seed, spec.kind
-            )
-        else:
-            workload = base_workload
         for seed in spec.seeds:
             for t_rounds, k_per in spec.grid(base):
                 epsilon = float(value) if spec.axis == AXIS_EPSILON else base.epsilon
@@ -167,9 +163,15 @@ def run_sweep(data: DiscreteDataset, spec: SweepSpec, base: FitConfig) -> list[d
                     "naive_baseline": None,
                     "wall_ms": None,
                     "status": "ok",
+                    "privacy": NON_PRIVATE,
                 }
                 t0 = time.perf_counter()
-                try:  # an infeasible config is an error row too
+                try:  # an infeasible config, or workload-axis value, is an error row too
+                    workload = base_workload
+                    if workload is None:
+                        workload = random_workload(
+                            data.schema, spec.workload_k, int(value), spec.workload_seed, spec.kind
+                        )
                     config = replace(
                         base, seed=seed, rounds=t_rounds, queries_per_round=k_per,
                         epsilon=epsilon, n_synth=n_synth,
@@ -193,33 +195,9 @@ def run_sweep(data: DiscreteDataset, spec: SweepSpec, base: FitConfig) -> list[d
     return rows
 
 
-def best_of_grid(rows: list[dict]) -> list[dict]:
-    """Smallest-max-error grid point per (value, seed), tagged as non-private.
-
-    Mirrors the reporting convention of picking the best (K, T) combination
-    by observed error; that choice leaks information about the data, hence
-    the mandatory tag.
-    """
-    groups: dict[tuple, dict] = {}
-    for row in rows:
-        if row["status"] != "ok":
-            continue
-        key = (row["axis"], row["value"], row["seed"])
-        cur = groups.get(key)
-        if cur is None or row["max_error"] < cur["max_error"]:
-            groups[key] = row
-    out = []
-    for row in groups.values():
-        tagged = dict(row)
-        tagged["selection"] = NON_PRIVATE_SELECTION
-        out.append(tagged)
-    return out
-
-
-def sweep_rows_to_csv(rows: list[dict], path, extra_columns: tuple[str, ...] = ()) -> None:
-    columns = SWEEP_COLUMNS + extra_columns
+def sweep_rows_to_csv(rows: list[dict], path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
         for row in rows:
-            writer.writerow({c: row.get(c) for c in columns})
+            writer.writerow({c: row.get(c) for c in SWEEP_COLUMNS})

@@ -38,15 +38,16 @@ class BudgetError(ValueError):
 def rho_from_eps_delta(epsilon: float, delta: float) -> float:
     """Solve epsilon = rho + 2*sqrt(rho*L) for rho, with L = ln(1/delta).
 
-    Closed form: rho = (sqrt(L + epsilon) - sqrt(L))^2. At delta = 1 the
-    conversion collapses to rho = epsilon.
+    Closed form: rho = (sqrt(L + epsilon) - sqrt(L))^2, computed as
+    (epsilon / (sqrt(L + epsilon) + sqrt(L)))^2, which has no cancellation. At
+    delta = 1 the conversion collapses to rho = epsilon.
     """
     if not 0 < epsilon < math.inf:
         raise BudgetError(f"epsilon must be finite and > 0, got {epsilon}")
     if not 0 < delta <= 1:
         raise BudgetError(f"delta must be in (0, 1], got {delta}")
     big_l = math.log(1.0 / delta)
-    return (math.sqrt(big_l + epsilon) - math.sqrt(big_l)) ** 2
+    return (epsilon / (math.sqrt(big_l + epsilon) + math.sqrt(big_l))) ** 2
 
 
 def eps_from_rho_delta(rho: float, delta: float) -> float:
@@ -197,7 +198,7 @@ class PrivacyBudget:
         if not 0 < delta < 1:
             raise BudgetError(f"delta must be in (0, 1), got {delta}")
         rho = rho_from_eps_delta(epsilon, delta)
-        if rho == 0.0:  # epsilon too small beside ln(1/delta): the subtraction cancels
+        if rho == 0.0:  # epsilon too small beside ln(1/delta): rho underflows
             raise BudgetError(f"epsilon {epsilon} at delta {delta} gives rho 0.0; raise epsilon")
         return cls(epsilon, delta, rho)
 

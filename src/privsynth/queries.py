@@ -52,14 +52,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .schema import DiscreteDataset, RelaxedDataset, Schema, SchemaError, load_json
+from .schema import DiscreteDataset, RelaxedDataset, Schema, SchemaError, dump_json, load_json
 
 PRODUCT = "product"
 ONE_OUT_OF_K = "one_out_of_k"
@@ -186,9 +185,7 @@ class Workload:
         }
 
     def save(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        Path(path).write_text(dump_json(self.to_json_dict()), encoding="utf-8")
 
     @classmethod
     def from_json_dict(cls, schema: Schema, obj: dict, source: str = "workload") -> "Workload":
@@ -209,10 +206,6 @@ class Workload:
     @classmethod
     def load(cls, schema: Schema, path) -> "Workload":
         return cls.from_json_dict(schema, load_json(path, WorkloadError), str(path))
-
-    def compiled_json_dict(self) -> list[list[int]]:
-        """Dump of the compiled column index sets, one array per query."""
-        return [list(q.columns) for q in self.queries]
 
 
 class Selection:

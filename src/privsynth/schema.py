@@ -105,11 +105,16 @@ class Schema:
         return cls(tuple(FeatureSpec(e["name"], tuple(e["categories"])) for e in obj))
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n", encoding="utf-8")
+        Path(path).write_text(dump_json(self.to_json_dict()), encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "Schema":
         return cls.from_json_dict(load_json(path, SchemaError), str(path))
+
+
+def dump_json(obj) -> str:
+    """The one JSON encoding of every file privsynth writes: sorted keys, compact, strict."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def load_json(path, error: type[ValueError]):

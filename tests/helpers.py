@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 
@@ -70,3 +71,10 @@ def reference_eval_discrete(workload: Workload, dataset: DiscreteDataset) -> np.
             out[a:b] = 1.0 - counts.ravel() / n
         a = b
     return out
+
+
+def untimed_record(result) -> dict:
+    """A fit's result.json record, parsed, without its wall-clock "timing"."""
+    record = json.loads(result.to_json())
+    del record["timing"]
+    return record

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,7 @@ from privsynth import (
     NoiseSource, Schema, Workload, eval_discrete, load_csv, normalize_rows, random_init,
     replay, save_csv, save_relaxed_csv,
 )
-from privsynth.cli import main
+from privsynth.cli import build_parser, main
 from privsynth.privacy import gaussian_noise_sigma
 
 from helpers import skewed_dataset
@@ -129,14 +131,6 @@ class TestWorkloadCommand:
             run([command])
         assert exc.value.code == 2
         assert "--data" in capsys.readouterr().err
-
-    def test_compiled_dump(self, toy_csv, tmp_path):
-        out = tmp_path / "w.json"
-        run(["workload", "--data", toy_csv, "--k", 1, "--marginals", 1, "--seed", 0,
-             "--out", out, "--dump-compiled"])
-        compiled = json.loads(out.with_suffix(".compiled.json").read_text())
-        assert all(isinstance(cols, list) for cols in compiled)
-        assert all(all(isinstance(c, int) for c in cols) for cols in compiled)
 
 
 @pytest.fixture
@@ -445,6 +439,7 @@ class TestConfigFile:
         ["fit", "--workload", "w.json", "--normalization", "clip"],
         ["sweep", "--axis", "epsilon", "--values", "1", "--trace", "t.csv"],
         ["fit", "--workload", "w.json", "--trace", "t.csv"],
+        ["workload", "--k", "1", "--marginals", "1", "--dump-compiled"],
     ])
     def test_removed_flags_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -574,9 +569,30 @@ class TestSweepCommand:
         with out.open() as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4  # 2 values x 2 seeds x 1 grid point
-        assert all(r["status"] == "ok" for r in rows)
-        best = tmp_path / "sweep.best.csv"
-        assert best.exists()
+        assert all(r["status"] == "ok" and r["privacy"] == "non-private" for r in rows)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv", "toy.csv"]
+        # README's best-row view: the least max_error per (axis, value, seed), from sweep.csv.
+        best = {}
+        for r in rows:
+            key = (r["axis"], r["value"], r["seed"])
+            if r["status"] == "ok" and (
+                key not in best or float(r["max_error"]) < float(best[key]["max_error"])
+            ):
+                best[key] = r
+        assert len(best) == 4 and all(r["privacy"] == "non-private" for r in best.values())
+
+    def test_bad_workload_axis_value_is_error_rows(self, tmp_path, capsys):
+        data = tmp_path / "four.csv"
+        save_csv(skewed_dataset(60, seed=2, cards=(2, 2, 2, 2)), data)
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--data", data, "--axis", "workload", "--values", "2,99",
+                    "--k", 3, "--seeds", 1, "--n-prime", 5, "--max-steps", 2, "--out", out]) == 0
+        assert "2 rows (1 failed, all non-private)" in capsys.readouterr().out
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["status"] for r in rows] == [
+            "ok", "error: requested 99 marginals; from 0 to 4 exist"
+        ]
 
 
     def _rows(self, toy_csv, tmp_path, name, *extra):
@@ -744,3 +760,42 @@ class TestMalformedJsonInput:
         assert run(argv) == code
         assert f"{prefix}{bad}: not a UTF-8 JSON file: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestOutputPathErrors:
+    @pytest.mark.parametrize("case", [
+        "fit --out-dir <file>", "workload --out <dir>", "eval --out <dir>", "eval --data <dir>",
+    ])
+    def test_os_error_exits_3_with_message(self, fitted, tmp_path, capsys, case):
+        toy_csv, wpath, _ = fitted
+        argv = {
+            "fit --out-dir <file>": ["fit", "--data", toy_csv, "--workload", wpath,
+                                     "--n-prime", 5, "--max-steps", 2, "--out-dir", toy_csv],
+            "workload --out <dir>": ["workload", "--data", toy_csv, "--k", 1, "--marginals", 1,
+                                     "--out", tmp_path],
+            "eval --out <dir>": ["eval", "--data", toy_csv, "--workload", wpath,
+                                 "--synth", toy_csv, "--out", tmp_path],
+            "eval --data <dir>": ["eval", "--data", tmp_path, "--workload", wpath,
+                                  "--synth", toy_csv, "--out", tmp_path / "report.json"],
+        }[case]
+        capsys.readouterr()
+        assert run(argv) == 3
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: [Errno ")
+
+
+def readme_commands() -> list[list[str]]:
+    """Every `privsynth …` command in README's bash blocks, continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", text, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("privsynth "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {"workload", "fit", "round", "eval", "sweep"}
+    for argv in commands:
+        build_parser().parse_args(argv)

@@ -10,7 +10,6 @@ from privsynth import (
     SweepSpec,
     Workload,
     WorkloadError,
-    best_of_grid,
     eval_discrete,
     max_error,
     run_sweep,
@@ -109,12 +108,16 @@ class TestRunSweep:
         )
         rows = run_sweep(data, spec, FAST_FIT)
         assert len(rows) == 4  # 1 value x 2 seeds x 2 grid points
-        best = best_of_grid(rows)
-        assert len(best) == 2  # one winner per (value, seed)
-        assert all(b["selection"] == "non-privately selected" for b in best)
-        for b in best:
-            group = [r for r in rows if r["seed"] == b["seed"] and r["status"] == "ok"]
-            assert b["max_error"] == min(r["max_error"] for r in group)
+        assert [(r["seed"], r["T"], r["K"]) for r in rows] == [
+            (0, 1, 3), (0, 2, 3), (1, 1, 3), (1, 2, 3)
+        ]
+        # Every row, and so any best-of-grid pick among them, is tagged non-private.
+        assert all(r["privacy"] == "non-private" for r in rows)
+        best = {
+            seed: min((r for r in rows if r["seed"] == seed), key=lambda r: r["max_error"])
+            for seed in spec.seeds
+        }
+        assert all(b["status"] == "ok" and b["privacy"] == "non-private" for b in best.values())
 
     def test_workload_axis_regenerates(self):
         data = skewed_dataset(80, seed=5, cards=(3, 3, 3, 3))
@@ -124,9 +127,18 @@ class TestRunSweep:
         rows = run_sweep(data, spec, FAST_FIT)
         assert [r["status"] for r in rows] == ["ok", "ok"]
 
-    def test_workload_axis_infeasible_value_raises(self):
+    def test_workload_axis_infeasible_value_is_error_row(self):
         data = skewed_dataset(50, seed=6, cards=(3, 3))
-        spec = SweepSpec(axis="workload", values=(99,), seeds=(0,), workload_k=2)
+        spec = SweepSpec(axis="workload", values=(1, 99), seeds=(0, 1), workload_k=2)
+        rows = run_sweep(data, spec, FAST_FIT)
+        assert [r["status"] for r in rows[:2]] == ["ok", "ok"]
+        for row in rows[2:]:  # both seeds of the 99-marginal value
+            assert row["status"] == "error: requested 99 marginals; from 0 to 1 exist"
+            assert row["max_error"] is None and row["privacy"] == "non-private"
+
+    def test_base_workload_error_still_raises(self):
+        data = skewed_dataset(50, seed=6, cards=(3, 3))
+        spec = SweepSpec(axis="epsilon", values=(1.0,), seeds=(0,), workload_k=3)
         with pytest.raises(WorkloadError):
             run_sweep(data, spec, FAST_FIT)
 
@@ -164,7 +176,7 @@ class TestRunSweep:
         assert failed["max_error"] is None and failed["wall_ms"] >= 0
         if axis == "n_synth":
             assert [r["n_prime"] for r in rows] == list(values)
-        assert len(best_of_grid(rows)) == statuses.count("ok")  # one per (value, seed)
+        assert all(r["privacy"] == "non-private" for r in rows)  # error rows too
 
     def test_n_synth_axis_and_timing_presence(self):
         data = skewed_dataset(60, seed=8, cards=(3, 3, 3))

@@ -1,5 +1,6 @@
 import math
 import re
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -64,6 +65,16 @@ class TestConversions:
         rho = rho_from_eps_delta(0.1, delta)
         assert rho == pytest.approx(bisect_rho(0.1, delta), abs=1e-12)
         assert eps_from_rho_delta(rho, delta) == pytest.approx(0.1, abs=1e-9)
+
+    @pytest.mark.parametrize("epsilon", [1.0, 1e-6, 1e-12])
+    @pytest.mark.parametrize("delta", [1e-9, 1.0 / 20000**2])
+    def test_against_high_precision_reference(self, epsilon, delta):
+        """Within 2 ulp of (sqrt(L + eps) - sqrt(L))^2 worked in 80 digits."""
+        with localcontext() as ctx:
+            ctx.prec = 80
+            big_l = Decimal(math.log(1.0 / delta))  # the same L as the library's, then exact
+            exact = float(((big_l + Decimal(epsilon)).sqrt() - big_l.sqrt()) ** 2)
+        assert abs(rho_from_eps_delta(epsilon, delta) - exact) <= 2 * math.ulp(exact)
 
     def test_eps_from_zero_rho(self):
         assert eps_from_rho_delta(0.0, 0.1) == 0.0
@@ -196,9 +207,9 @@ class TestPrivacyBudget:
         b = PrivacyBudget.from_eps_delta(1.0, 1e-6)
         assert eps_from_rho_delta(b.rho_total, 1e-6) == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("epsilon", [1e-300, 1e-16])
+    @pytest.mark.parametrize("epsilon", [1e-300, 1e-200])
     def test_epsilon_that_gives_no_rho_rejected(self, epsilon):
-        """At delta 1e-9, (sqrt(L + epsilon) - sqrt(L))^2 cancels to 0.0 for epsilon <= 1e-15."""
+        """At delta 1e-9, rho ~ epsilon^2 / (4 L) underflows to 0.0 for epsilon below ~1e-161."""
         message = f"epsilon {epsilon} at delta 1e-09 gives rho 0.0"
         with pytest.raises(BudgetError, match=re.escape(message)):
             PrivacyBudget.from_eps_delta(epsilon, 1e-9)
@@ -341,12 +352,12 @@ class TestPrivacyBudget:
         b.spend("nothing", 0.0)
 
     def test_overspend_message_states_the_excess(self):
-        # rho/40 rounds up here, so 40 such shares exceed rho by 1.7e-18 (under one ulp of rho)
+        # rho/39 rounds up here, so 39 such shares exceed rho by 1.0e-18 (under one ulp of rho)
         b = PrivacyBudget.from_eps_delta(0.7, 1.0 / 400**2)
-        excess = 40 * Fraction(b.rho_total / 40) - Fraction(b.rho_total)
+        excess = 39 * Fraction(b.rho_total / 39) - Fraction(b.rho_total)
         assert 0 < excess < Fraction(math.ulp(b.rho_total))
         with pytest.raises(BudgetError, match=f"by {float(excess)!r}$"):
-            b.spend([f"q{i}" for i in range(40)], b.rho_total / 40)
+            b.spend([f"q{i}" for i in range(39)], b.rho_total / 39)
 
     def test_nan_spend_rejected(self):
         b = PrivacyBudget.from_eps_delta(1.0, 1e-6)

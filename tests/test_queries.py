@@ -95,7 +95,7 @@ class TestWorkloadGeneration:
     def test_compiled_dump(self):
         s = schema_from_cardinalities((2, 2))
         w = Workload(s, [(0,)])
-        assert w.compiled_json_dict() == [[0], [1]]
+        assert [list(q.columns) for q in w.queries] == [[0], [1]]
 
 
 class TestCompileMarginal:
