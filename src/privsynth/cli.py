@@ -9,6 +9,8 @@ fit warns that the noise is removable. Other commands default to seed 0.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -115,6 +117,12 @@ def cmd_workload(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    out_dir = Path(args.out_dir)
+    # A file as --out-dir, or as its parent, fails before the fit; the directory
+    # is made only after it, so a failed fit leaves none behind.
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(existing))
     data = _load_data(args)
     wl = queries.Workload.load(data.schema, args.workload)
     config = _fit_config(args)
@@ -124,7 +132,6 @@ def cmd_fit(args) -> int:
         print("warning: --seed makes the noise reproducible: anyone who knows the seed can "
               "remove it, so the output is not differentially private", file=sys.stderr)
     result = engine.fit(data, wl, config)
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     source = "given" if args.schema else "inferred-non-private"
     record = dict(result.to_json_dict(), schema_source=source)

@@ -10,12 +10,12 @@ distributions and is what randomized rounding consumes downstream.
 One projection step is built to allocate little and to avoid per-row numpy
 calls, with results bit-identical to the plain per-block formulas:
 
-* The iterate is kept in Fortran order, so X.T is a C-contiguous (d', rows)
-  array with one contiguous row per one-hot column. The query evaluator runs
-  its marginal kernels on that free feature-major view and returns the
-  gradient in the same order, and the normalization gathers whole rows of
-  it. The Adam moments, scratch buffers and best-iterate copy share that
-  order; the returned dataset is C-ordered again (one copy per projection).
+* The iterate has RelaxedDataset's layout, so X.T is a C-contiguous
+  (d', rows) array with one contiguous row per one-hot column. The query
+  evaluator runs its marginal kernels on that free feature-major view and
+  returns the gradient in the same order, and the normalization gathers
+  whole rows of it. The Adam moments, scratch buffers and the best iterate,
+  which is returned as it is, share that order.
 * The normalization stacks all feature blocks of one cardinality t into one
   (t, blocks * rows) array and projects it in one sparsemax_rows call, so a
   step costs one call per distinct cardinality, not one per feature.
@@ -26,13 +26,13 @@ calls, with results bit-identical to the plain per-block formulas:
   order. Wider blocks keep the row-wise np.sort kernel, which the network
   loses to from about t = 12 on 1000-row stacks. The cut-off is a constant.
 * Adam runs only on the one-hot columns the query list can move: the
-  evaluator's `touched` columns, where the gradient can be nonzero. When
-  they are fewer than d' (an adaptive round's few selected cells), their
-  rows of X.T and of the gradient are gathered into compact (touched, rows)
-  arrays that hold the moments' layout, stepped, and written back. An
-  untouched column's gradient is exactly 0.0 at every step, so the
-  full-width step there would be lr*0/(sqrt(0) + eps) = 0 and leave X's
-  bits as they are.
+  evaluator's `touched` columns, where the gradient can be nonzero (all d'
+  of them in a one-shot fit, an adaptive round's few selected cells
+  otherwise). Their rows of X.T and of the gradient are gathered into
+  compact (touched, rows) arrays that hold the moments' layout, stepped,
+  and written back. An untouched column's gradient is exactly 0.0 at every
+  step, so a full-width step there would be lr*0/(sqrt(0) + eps) = 0 and
+  leave X's bits as they are.
 * AdamState.update works in place on its moments and on X, through two
   scratch buffers allocated with the state, in the operation order of the
   textbook formula.
@@ -175,14 +175,14 @@ def _normalize_inplace(X: np.ndarray, schema: Schema) -> None:
 
 def normalize_rows(relaxed: RelaxedDataset) -> RelaxedDataset:
     """Return a renormalized copy; sparsemax acts per feature block per row."""
-    X = relaxed.data.copy()
+    X = relaxed.data.copy(order="F")
     _normalize_inplace(X, relaxed.schema)
     return RelaxedDataset(relaxed.schema, X)
 
 
 def random_init(schema: Schema, n_rows: int, rng) -> RelaxedDataset:
     """Seeded uniform(-1, 1) matrix followed by one normalization pass."""
-    X = rng.uniform_signed((n_rows, schema.d_prime))
+    X = np.asfortranarray(rng.uniform_signed((n_rows, schema.d_prime)))
     _normalize_inplace(X, schema)
     return RelaxedDataset(schema, X)
 
@@ -210,8 +210,8 @@ class ProjectionConfig:
 class AdamState:
     """First/second moment accumulators shaped like the array they step.
 
-    That is the data matrix, or its touched columns as (touched, rows) rows
-    when relaxed_projection steps only those.
+    In relaxed_projection that is the data matrix's touched columns, as
+    (touched, rows) rows.
 
     update() works in place on m, v and X, through two scratch buffers
     allocated with the state in the memory order of m. Elementwise steps run
@@ -284,8 +284,7 @@ def relaxed_projection(
     though Adam is non-monotone.
     The result's timing holds the seconds spent in the gradient, the
     normalization and the Adam update, the entry pass included.
-    init.data is not modified, and the result's data is C-ordered whatever
-    the order of init.data.
+    init.data is not modified; an init with no rows raises SchemaError.
     """
     if len(queries) == 0:
         raise ValueError("cannot project onto an empty query list")
@@ -293,12 +292,7 @@ def relaxed_projection(
     if len(queries) != targets.shape[0]:
         raise ValueError(f"{len(queries)} queries but {targets.shape[0]} targets")
     schema = init.schema
-    # The C-ordered result, allocated before the step buffers: allocated after
-    # them, it sat above their freed memory, and the peak RSS of repeated fits
-    # in one process (the cli-large-n bench workload) rose by 3-5 MB.
-    result = np.empty(init.data.shape)
-    # Fortran order: X.T is the evaluator's feature-major (d', rows) array, with no copy.
-    X = np.array(init.data, dtype=np.float64, order="F")
+    X = init.data.copy(order="F")
     t0 = perf_counter()
     _normalize_inplace(X, schema)
     t1 = perf_counter()
@@ -310,30 +304,21 @@ def relaxed_projection(
     gradient_s = perf_counter() - t0
     losses = [loss]
     best_loss, best_X, best_step = loss, X.copy(order="F"), 0
-    # Adam on the touched rows of X.T only, when some column is untouched (see
-    # the module docstring): a zero-gradient column's full-width step is 0.
-    touched = evaluator.touched if evaluator.touched.size < schema.d_prime else None
-    if touched is None:
-        adam = AdamState(0, np.zeros_like(X), np.zeros_like(X))
-    else:
-        Xt = X.T
-        X_touched = np.empty((touched.size, X.shape[0]))
-        grad_touched = np.empty_like(X_touched)
-        adam = AdamState.zeros(X_touched.shape)
+    Xt, touched = X.T, evaluator.touched
+    X_touched = np.empty((touched.size, X.shape[0]))
+    grad_touched = np.empty_like(X_touched)
+    adam = AdamState.zeros(X_touched.shape)
 
     # A diverging step overflows or divides by zero in Adam or sparsemax, and
     # its loss is then not finite: the check below, not a numpy warning, ends it.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for step in range(1, config.max_steps + 1):
             t0 = perf_counter()
-            if touched is None:
-                adam.update(X, grad, config)
-            else:
-                # mode="clip" skips take's buffered bounds check; touched is in range.
-                np.take(Xt, touched, axis=0, out=X_touched, mode="clip")
-                np.take(grad.T, touched, axis=0, out=grad_touched, mode="clip")
-                adam.update(X_touched, grad_touched, config)
-                Xt[touched] = X_touched
+            # mode="clip" skips take's buffered bounds check; touched is in range.
+            np.take(Xt, touched, axis=0, out=X_touched, mode="clip")
+            np.take(grad.T, touched, axis=0, out=grad_touched, mode="clip")
+            adam.update(X_touched, grad_touched, config)
+            Xt[touched] = X_touched
             t1 = perf_counter()
             _normalize_inplace(X, schema)
             t2 = perf_counter()
@@ -354,5 +339,4 @@ def relaxed_projection(
                 break
 
     timing = {"gradient_s": gradient_s, "normalize_s": normalize_s, "adam_s": adam_s}
-    np.copyto(result, best_X)
-    return ProjectionResult(RelaxedDataset(schema, result), losses, best_loss, best_step, timing)
+    return ProjectionResult(RelaxedDataset(schema, best_X), losses, best_loss, best_step, timing)

@@ -34,8 +34,8 @@ the marginals:
 The relaxed kernels run feature-major, on X.T as a C-contiguous (d', rows)
 array: a feature block is a run of contiguous rows, one per category, so the
 Khatri-Rao products, contractions and gradient updates all loop along the
-rows rather than across a block's few columns. The projection keeps its
-iterate in Fortran order, for which that array is a free view.
+rows rather than across a block's few columns. A RelaxedDataset stores its
+data column-major, so that array is a free view of it.
 
 Tensor work runs over row chunks, and per-cell work over query batches, both
 sized under one fixed cell budget, so memory stays bounded as the rows and the
@@ -602,9 +602,9 @@ class QueryEvaluator:
     The kernels run feature-major, on Xt = X.T as a C-contiguous (d', rows)
     array: a feature block is a run of contiguous rows, one per category, so
     every elementwise loop runs along the rows. Xt is a free view of a
-    Fortran-ordered X (the projection's iterate) and one copy of any other.
+    RelaxedDataset's column-major data and one copy of any other X.
     The gradient is accumulated in that layout and returned as its transpose,
-    a fresh Fortran-ordered (rows, d') array. Its columns outside `touched`
+    a fresh column-major (rows, d') array. Its columns outside `touched`
     are exactly 0.0.
     """
 
@@ -645,8 +645,10 @@ class QueryEvaluator:
         return 1.0 - vals if mg.kind == ONE_OUT_OF_K else vals
 
     def answers(self, X: np.ndarray) -> np.ndarray:
-        """Query values averaged over the rows of X."""
+        """Query values averaged over the rows of X; all 0 when X has no rows."""
         n = X.shape[0]
+        if n == 0:
+            return np.zeros(self.m)
         Xt, Xc = self._feature_major(X)
         out = np.empty(self.m, dtype=np.float64)
         for mg in self._marginals:
@@ -664,9 +666,11 @@ class QueryEvaluator:
         minus signs of the chain rule cancel, so both kinds share one sign.
         Entries outside a query's column set contribute zero. On the tensor
         path the residuals 2/n * (q_j - a_j) are summed into their cells
-        first, so duplicate queries add up.
+        first, so duplicate queries add up. A table with no rows raises SchemaError.
         """
         n = X.shape[0]
+        if n == 0:
+            raise SchemaError("the relaxed table has no rows, so it has no loss or gradient")
         Xt, Xc = self._feature_major(X)
         offsets = self._offsets
         if self._cells is not None:
@@ -704,10 +708,7 @@ def eval_compiled(queries, relaxed: RelaxedDataset) -> np.ndarray:
     The list is checked against the relaxed schema even when the table has no
     rows, in which case every answer is 0.
     """
-    ev = QueryEvaluator(queries, relaxed.schema, relaxed.n)
-    if relaxed.n == 0:
-        return np.zeros(len(queries), dtype=np.float64)
-    return ev.answers(relaxed.data)
+    return QueryEvaluator(queries, relaxed.schema, relaxed.n).answers(relaxed.data)
 
 
 def loss_and_gradient(

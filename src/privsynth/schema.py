@@ -197,7 +197,7 @@ class OneHotDataset:
         return self.bits.shape[0]
 
     def as_relaxed(self) -> "RelaxedDataset":
-        return RelaxedDataset(self.schema, self.bits.astype(np.float64))
+        return RelaxedDataset(self.schema, self.bits.astype(np.float64, order="F"))
 
 
 @dataclass(frozen=True)
@@ -206,13 +206,16 @@ class RelaxedDataset:
 
     Rows are interpretable per feature block as (sparse) probability
     distributions once normalized; see privsynth.projection.normalize_rows.
+
+    `data` is float64, the `.T` view of a C-contiguous (d_prime, n_rows)
+    buffer (the query kernels' layout); other input is copied into it once.
     """
 
     schema: Schema
-    data: np.ndarray  # (n_rows, d_prime) float
+    data: np.ndarray  # (n_rows, d_prime) float64, column-major
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
+        data = np.asfortranarray(self.data, dtype=np.float64)
         object.__setattr__(self, "data", data)
         if data.ndim != 2 or data.shape[1] != self.schema.d_prime:
             raise SchemaError(f"data must be (n, {self.schema.d_prime}), got {data.shape}")

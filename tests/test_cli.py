@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -781,6 +782,20 @@ class TestOutputPathErrors:
         capsys.readouterr()
         assert run(argv) == 3
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: [Errno ")
+
+    @pytest.mark.parametrize("under_file", [False, True])
+    def test_fit_out_dir_file_fails_before_loading(self, fitted, capsys, monkeypatch, under_file):
+        """A file as --out-dir, or as its parent, exits 3 before the data is read or fit."""
+        toy_csv, wpath, _ = fitted
+        before = toy_csv.read_bytes()
+        monkeypatch.setattr(privsynth.schema, "load_csv", lambda *a, **k: pytest.fail("loaded"))
+        monkeypatch.setattr(privsynth.engine, "fit", lambda *a, **k: pytest.fail("fit ran"))
+        out_dir = toy_csv / "out" if under_file else toy_csv
+        capsys.readouterr()
+        assert run(["fit", "--data", toy_csv, "--workload", wpath, "--out-dir", out_dir]) == 3
+        message = f"[Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{toy_csv}'"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert toy_csv.read_bytes() == before
 
 
 def readme_commands() -> list[list[str]]:

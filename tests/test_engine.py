@@ -279,8 +279,9 @@ class TestConjecturedAnswers:
     def test_zero_rows_answer_zero(self):
         schema, _, workload = toy_instance(seed=15)
         relaxed = RelaxedDataset(schema, np.zeros((0, schema.d_prime)))
-        conj = conjectured_answers([0, 2], workload, relaxed)
-        assert np.array_equal(conj, np.zeros(2))
+        for evaluator in (None, QueryEvaluator(workload.select(), schema, 0)):
+            conj = conjectured_answers([0, 2], workload, relaxed, evaluator)
+            assert np.array_equal(conj, np.zeros(2))
 
     def test_bad_index(self):
         _, data, workload = toy_instance(seed=13)
@@ -374,7 +375,26 @@ class TestMeasurementBoundary:
 
 
 class TestExactLedger:
-    """Every fit's ledger sums, in exact arithmetic, to at most its budget."""
+    """Every fit's ledger sums, in exact arithmetic, to at most its budget.
+
+    The settings are searched for ones where a naive share rho / N would
+    overspend (N * (rho / N) > rho exactly), so the tests exercise the case
+    the exact share exists for whatever rho's last bits are.
+    """
+
+    EPSILONS = [round(1.0 + 0.1 * i, 1) for i in range(20)]
+
+    @staticmethod
+    def naive_overspends(rho, calls):
+        return calls * Fraction(rho / calls) > Fraction(rho)
+
+    def epsilon_where_naive_overspends(self, delta, calls):
+        """The first of EPSILONS whose rho some N in `calls` splits naively into an overspend."""
+        for epsilon in self.EPSILONS:
+            rho = PrivacyBudget.from_eps_delta(epsilon, delta).rho_total
+            if any(self.naive_overspends(rho, n) for n in calls):
+                return epsilon
+        return None
 
     @staticmethod
     def check(result, calls):
@@ -382,30 +402,32 @@ class TestExactLedger:
         assert len(result.budget.ledger) == calls
         assert sum(Fraction(r) for _, r in result.budget.ledger) <= Fraction(rho)
         assert result.budget.spent() == pytest.approx(rho, rel=1e-15)
-        return calls * Fraction(rho / calls) > Fraction(rho)  # would the naive share overspend?
 
     def test_criterion_04_grid_and_one_shot(self):
         schema = schema_from_cardinalities((4, 4, 4, 4, 4, 4))
         data = random_dataset(schema, 40, np.random.default_rng(1004))
         workload = all_k_way_workload(schema, (5,))  # m = 6144
-        base = FitConfig(epsilon=1.0, delta=1.0 / 40**2, n_synth=8, seed=3,
+        base = FitConfig(delta=1.0 / 40**2, n_synth=8, seed=3,
                          projection=ProjectionConfig(max_steps=2))
-        naive_overspends = 0
-        for per_round in (5, 10, 25, 50, 100):
-            for rounds in (2, 5, 10, 25, 50):
-                config = replace(base, rounds=rounds, queries_per_round=per_round)
-                naive_overspends += self.check(fit(data, workload, config), 2 * rounds * per_round)
-        assert naive_overspends == 25  # every grid point: rho's last bits decide this count
-        one_shot = replace(base, epsilon=1.5)  # an epsilon whose rho / m rounds up
-        assert self.check(fit(data, workload, one_shot), workload.m)
+        shapes = [(rounds, per_round) for per_round in (5, 10, 25, 50, 100)
+                  for rounds in (2, 5, 10, 25, 50)]
+        grid_epsilon = self.epsilon_where_naive_overspends(base.delta, [2 * r * k for r, k in shapes])
+        one_shot_epsilon = self.epsilon_where_naive_overspends(base.delta, [workload.m])
+        assert grid_epsilon is not None and one_shot_epsilon is not None
+        for rounds, per_round in shapes:
+            config = replace(base, epsilon=grid_epsilon, rounds=rounds, queries_per_round=per_round)
+            self.check(fit(data, workload, config), 2 * rounds * per_round)
+        self.check(fit(data, workload, replace(base, epsilon=one_shot_epsilon)), workload.m)
 
     def test_adaptive_fit_of_a_400_row_table(self):
         _, data, workload = toy_instance(seed=23, n=400)
-        config = FitConfig(epsilon=0.7, rounds=3, queries_per_round=5, n_synth=10, seed=1,
+        epsilon = self.epsilon_where_naive_overspends(1.0 / 400**2, [30])  # the default delta
+        assert epsilon is not None
+        config = FitConfig(epsilon=epsilon, rounds=3, queries_per_round=5, n_synth=10, seed=1,
                            projection=ProjectionConfig(max_steps=5))
         result = fit(data, workload, config)
-        assert result.budget.rho_total == 0.009934758719659506  # delta = 1/400^2
-        assert self.check(result, 30)
+        assert self.naive_overspends(result.budget.rho_total, 30)
+        self.check(result, 30)
         budget = result.to_json_dict()["budget"]
         assert budget["rho_spent"] <= budget["rho_total"]
 

@@ -162,7 +162,7 @@ class TestRelaxedProjection:
 
     @pytest.mark.parametrize("kind", [PRODUCT, ONE_OUT_OF_K])
     def test_memory_order_of_init(self, kind):
-        """The iterate runs in Fortran order; the input stays put and the output is C-ordered."""
+        """C- and F-ordered inputs stay put and give the same bits in the column-major layout."""
         s, data, _ = self._toy(seed=12)
         w = Workload(s, list(itertools.combinations(range(s.d), 2)), kind=kind)
         targets = eval_relaxed(w, one_hot(data).as_relaxed())
@@ -170,11 +170,11 @@ class TestRelaxedProjection:
         start.data[0, :] += 0.5  # off the simplex, so the entry normalization changes it
         config = ProjectionConfig(max_steps=20)
         outputs = []
-        for data_in in (start.data, np.asfortranarray(start.data)):
+        for data_in in (np.ascontiguousarray(start.data), np.asfortranarray(start.data)):
             before = data_in.copy()
             result = relaxed_projection(w.select(), targets, RelaxedDataset(s, data_in), config)
             assert np.array_equal(data_in, before)
-            assert result.dataset.data.flags.c_contiguous
+            assert result.dataset.data.T.flags.c_contiguous
             outputs.append((result.dataset.data.tobytes(), result.losses))
         assert outputs[0] == outputs[1]
 
@@ -352,7 +352,7 @@ def full_width_projection(queries, targets, init, config):
 
 
 class TestTouchedColumnAdam:
-    """Adam on the touched columns only gives the bits of Adam on every column."""
+    """Adam on the touched columns gives the bits of Adam on every column."""
 
     @pytest.mark.parametrize("kind", [PRODUCT, ONE_OUT_OF_K])
     @pytest.mark.parametrize("cards", [(2, 3, 4, 3, 5), (2, 9, 3, 12, 4)])
@@ -362,9 +362,10 @@ class TestTouchedColumnAdam:
         w = random_workload(s, 3, 6, seed=2, kind=kind)
         dense = np.arange(w.marginal_sizes()[0])  # one whole marginal: the tensor path
         picks = rng.choice(np.arange(dense.size, w.m), 6, replace=False)
-        for indices in (picks, np.concatenate([dense, picks])):
+        for indices in (picks, np.concatenate([dense, picks]), np.arange(w.m)):
             queries = w.select(indices)
-            assert QueryEvaluator(queries, s, 40).touched.size < s.d_prime
+            if indices.size < w.m:
+                assert QueryEvaluator(queries, s, 40).touched.size < s.d_prime
             targets = rng.random(len(queries)) * 0.2
             init = random_init(s, 40, NoiseSource(5, "init"))
             config = ProjectionConfig(learning_rate=0.01, max_steps=60)

@@ -15,6 +15,7 @@ from privsynth import (
     CompiledQuery,
     DiscreteDataset,
     MarginalQuery,
+    NoiseSource,
     RelaxedDataset,
     SchemaError,
     Workload,
@@ -23,10 +24,14 @@ from privsynth import (
     conjectured_answers,
     eval_discrete,
     eval_relaxed,
+    load_relaxed_csv,
     loss_and_gradient,
+    normalize_rows,
     one_hot,
+    random_init,
     random_workload,
     relaxed_projection,
+    save_relaxed_csv,
     schema_from_cardinalities,
 )
 
@@ -203,6 +208,37 @@ class TestEvalRelaxed:
             w = random_workload(s, 2, 1, seed=3, kind=kind)
             a = eval_relaxed(w, dp)
             assert (a >= 0).all() and (a <= 1).all()
+
+
+class TestEmptyRelaxedTable:
+    """A relaxed table with no rows answers 0 everywhere, and has no loss to fit."""
+
+    @staticmethod
+    def instance():
+        s = schema_from_cardinalities((2, 3, 4))
+        w = random_workload(s, 2, 2, seed=0)
+        queries = w.select([0, 2, w.m - 1])  # one marginal on each gradient path
+        return s, queries, RelaxedDataset(s, np.zeros((0, s.d_prime)))
+
+    def test_answers_are_zero(self):
+        s, queries, empty = self.instance()
+        answers = QueryEvaluator(queries, s, 0).answers(empty.data)
+        assert answers.tobytes() == np.zeros(len(queries)).tobytes()
+
+    def test_evaluator_loss_and_gradient_rejected(self):
+        s, queries, empty = self.instance()
+        with pytest.raises(SchemaError, match="relaxed table has no rows"):
+            QueryEvaluator(queries, s, 0).loss_and_gradient(empty.data, np.zeros(len(queries)))
+
+    def test_loss_and_gradient_rejected(self):
+        _, queries, empty = self.instance()
+        with pytest.raises(SchemaError, match="relaxed table has no rows"):
+            loss_and_gradient(queries, np.zeros(len(queries)), empty)
+
+    def test_projection_rejected(self):
+        _, queries, empty = self.instance()
+        with pytest.raises(SchemaError, match="relaxed table has no rows"):
+            relaxed_projection(queries, np.zeros(len(queries)), empty)
 
 
 def finite_difference_gradient(queries, targets, dp, step=1e-5):
@@ -427,6 +463,25 @@ class TestFeatureMajorLayout:
         later = ev.loss_and_gradient(X2, targets)[1]
         assert not np.shares_memory(grad, later) and not np.shares_memory(grad, f_grad)
         assert np.array_equal(grad, kept)
+
+    def test_every_relaxed_dataset_is_a_free_view(self, tmp_path):
+        """Each way of building a RelaxedDataset gives the kernels X.T with no copy."""
+        s = schema_from_cardinalities((2, 3, 4))
+        w = Workload(s, [(0, 1), (1, 2)], kind=ONE_OUT_OF_K)
+        rng = np.random.default_rng(40)
+        c_ordered = RelaxedDataset(s, rng.random((7, s.d_prime)))
+        save_relaxed_csv(c_ordered, tmp_path / "relaxed.csv")
+        built = {
+            "random_init": random_init(s, 7, NoiseSource(1, "init")),
+            "normalize_rows": normalize_rows(c_ordered),
+            "load_relaxed_csv": load_relaxed_csv(tmp_path / "relaxed.csv", s),
+            "as_relaxed": one_hot(random_dataset(s, 7, rng)).as_relaxed(),
+            "C-ordered array": c_ordered,
+        }
+        ev = QueryEvaluator(w.select(), s, 7)
+        for how, relaxed in built.items():
+            Xt, _ = ev._feature_major(relaxed.data)
+            assert relaxed.data.dtype == np.float64 and np.shares_memory(Xt, relaxed.data), how
 
 
 def reference_cell_loss_and_gradient(path, X, targets):
