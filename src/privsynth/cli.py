@@ -103,6 +103,8 @@ def cmd_workload(args) -> int:
         print("error: workload needs --schema (public schema JSON) or --data (input CSV)",
               file=sys.stderr)
         return EXIT_USAGE
+    if args.marginals == 0:
+        raise queries.WorkloadError("--marginals 0 gives an empty workload, which nothing can fit")
     sch = schema.Schema.load(args.schema) if args.schema else _load_data(args).schema
     kind = args.kind.replace("-", "_")
     print(f"config: k={args.k} marginals={args.marginals} seed={args.seed} kind={kind}")
@@ -123,9 +125,9 @@ def cmd_fit(args) -> int:
     existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
     if not existing.is_dir():
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(existing))
+    config = _fit_config(args)
     data = _load_data(args)
     wl = queries.Workload.load(data.schema, args.workload)
-    config = _fit_config(args)
     delta = engine.resolve_delta(config, data.n)
     print("config:", *_config_items(dict(engine.config_to_json(config), delta=delta)))
     if engine.noise_label(config) == "seeded-reproducible-non-private":

@@ -72,6 +72,8 @@ class FitConfig:
             raise InfeasibleConfigError("queries_per_round must be >= 1 when rounds > 1")
         if self.n_synth < 1:
             raise InfeasibleConfigError("n_synth must be >= 1")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass

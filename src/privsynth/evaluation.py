@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import FitConfig, fit
-from .queries import PRODUCT, Workload, eval_discrete, eval_relaxed, random_workload
+from .queries import PRODUCT, Workload, WorkloadError, eval_discrete, eval_relaxed, random_workload
 from .rounding import RoundingConfig, randomized_round
 from .schema import DiscreteDataset, RelaxedDataset, SchemaError
 
@@ -80,10 +80,12 @@ def max_error(workload: Workload, data: DiscreteDataset, synth) -> ErrorReport:
     `synth` may be a relaxed matrix (evaluated differentiably) or a discrete
     dataset (evaluated exactly); the two agree when the relaxed input is
     one-hot. A table without rows answers no query, so either one empty is
-    a SchemaError.
+    a SchemaError; a workload without queries has no maximum, a WorkloadError.
     """
     if not isinstance(synth, (RelaxedDataset, DiscreteDataset)):
         raise TypeError(f"synth must be a relaxed or discrete dataset, got {type(synth)!r}")
+    if workload.m == 0:
+        raise WorkloadError("the workload is empty: it has no queries to measure an error on")
     for table, name in ((data, "private"), (synth, "synthetic")):
         if table.n == 0:
             raise SchemaError(f"the {name} table has no rows")

@@ -37,9 +37,9 @@ Khatri-Rao products, contractions and gradient updates all loop along the
 rows rather than across a block's few columns. A RelaxedDataset stores its
 data column-major, so that array is a free view of it.
 
-Tensor work runs over row chunks, and per-cell work over query batches, both
-sized under one fixed cell budget, so memory stays bounded as the rows and the
-selected cells grow.
+Tensor work runs over row chunks under one fixed cell budget, and per-cell
+work over query batches under a smaller, cache-sized one, so memory stays
+bounded as the rows and the selected cells grow.
 
 Answers are dataset averages (not counts), so each query has sensitivity 1/n
 to a one-row change. Workload enumeration is odometer order (last feature
@@ -268,6 +268,8 @@ def random_workload(
     The same (schema, k, num_marginals, seed, kind) always yields the same
     workload; the selected marginals are stored sorted lexicographically.
     """
+    if seed < 0:
+        raise WorkloadError(f"seed must be a non-negative integer, got {seed}")
     d = schema.d
     if not 1 <= k <= d:
         raise WorkloadError(f"k={k} must be in [1, {d}]")
@@ -361,9 +363,13 @@ _TENSOR_MIN_COVERAGE = 0.25
 
 # Cap on rows * prefix cells per tensor chunk. The prefix Khatri-Rao product
 # and the backward contraction each hold one buffer of that size, so rows are
-# processed in chunks that shrink as the marginal grows. The per-cell path
-# sizes its batches under the same cap.
+# processed in chunks that shrink as the marginal grows.
 _TENSOR_CELL_BUDGET = 1 << 22
+
+# Cap on the slot cells of one per-cell batch: 1 MiB of float64, so a batch's
+# slots stay in a typical L2 cache while its passes and scatters reread them
+# (scripts/cell_batches.py times the choice).
+_CELL_BATCH_BUDGET = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -504,16 +510,14 @@ class _CellPath:
     columns of a (k, q) matrix of one-hot column indices: slot p holds the
     category column of the marginal's p-th feature. One np.take gathers all
     k*q slot rows straight from the feature-major data Xt (from 1 - Xt for
-    the threshold kind). A suffix pass into a workspace and a prefix pass in
-    place over the slots give each slot's leave-one-out product, which one
-    matmul per slot with a one-hot matrix over the slot's distinct columns,
-    scaled by the residuals, scatters into rows of the (d', rows) gradient. A
-    batch holds at most _TENSOR_CELL_BUDGET // (k * max(n_rows, d')) queries,
-    so neither its slot buffers nor its one-hot matrices exceed the budget.
-
-    The slot buffers live in a workspace allocated on the first call for a
-    row count and rewritten in place on every later call; the gradient is a
-    fresh array.
+    the threshold kind) into a fresh array. A suffix pass into new arrays and
+    a prefix pass in place over the slots give each slot's leave-one-out
+    product, which one matmul per slot with a one-hot matrix over the slot's
+    distinct columns, scaled by the residuals, scatters into rows of the
+    (d', rows) gradient. A batch holds at most
+    _CELL_BATCH_BUDGET // (k * max(n_rows, d')) queries, so neither its slots
+    nor its one-hot matrices exceed the budget, and nothing is kept between
+    calls.
     """
 
     def __init__(self, marginals, d_prime: int, n_rows: int):
@@ -524,20 +528,10 @@ class _CellPath:
         for (kind, k), group in by_shape.items():
             cols = np.concatenate([mg.cols.T for mg in group], axis=1)
             pos = np.concatenate([mg.pos for mg in group])
-            step = max(1, _TENSOR_CELL_BUDGET // (k * max(n_rows, d_prime)))
+            step = max(1, _CELL_BATCH_BUDGET // (k * max(n_rows, d_prime)))
             for q0 in range(0, cols.shape[1], step):
                 sub = cols[:, q0 : q0 + step]
                 self._batches.append((kind, sub, pos[q0 : q0 + step], [_one_hot(c) for c in sub]))
-        self._rows = None  # row count the workspace is allocated for
-
-    def _allocate(self, n: int) -> None:
-        """Slot buffers for n rows, sized for the largest batch."""
-        shapes = [cols.shape for _, cols, _, _ in self._batches]
-        self._slots = np.empty(max(k * q for k, q in shapes) * n)
-        self._suffix = np.empty(max(max(k - 2, 0) * q for k, q in shapes) * n)
-        # Arity 1 has no slot after its only one: its suffix is the empty product.
-        self._ones = np.ones((max((q for k, q in shapes if k == 1), default=0), n))
-        self._rows = n
 
     def loss_and_gradient(self, Xt: np.ndarray, Xc, targets) -> tuple[float, np.ndarray]:
         """Loss and (d', rows) gradient of the batched queries on feature-major Xt.
@@ -545,24 +539,17 @@ class _CellPath:
         Xc is 1 - Xt, needed only when a batch holds the threshold kind.
         """
         n = Xt.shape[1]
-        if self._rows != n:
-            self._allocate(n)
         grad_t = np.zeros_like(Xt)
         loss = 0.0
         for kind, cols, pos, scatter in self._batches:
-            k, q = cols.shape
-            base = Xt if kind == PRODUCT else Xc
+            k = cols.shape[0]
             # Column indices were validated when the evaluator was built.
-            slots = self._slots[: k * q * n].reshape(k, q, n)
-            np.take(base, cols, axis=0, out=slots, mode="clip")
+            slots = np.take(Xt if kind == PRODUCT else Xc, cols, axis=0, mode="clip")
             # suffix[p] = product of slots p+1..k-1: the last slot itself for p = k-2,
             # the empty product for arity 1
-            if k == 1:
-                suffix = [self._ones[:q]]
-            else:
-                suffix = [*self._suffix[: (k - 2) * q * n].reshape(k - 2, q, n), slots[k - 1]]
-            for p in range(k - 3, -1, -1):
-                np.multiply(suffix[p + 1], slots[p + 1], out=suffix[p])
+            suffix = [slots[k - 1] if k > 1 else np.ones_like(slots[0])]
+            for p in range(k - 2, 0, -1):
+                suffix.insert(0, suffix[0] * slots[p])
             vals = np.einsum("qr,qr->q", suffix[0], slots[0]) / n
             if kind == ONE_OUT_OF_K:
                 vals = 1.0 - vals
@@ -579,6 +566,7 @@ class _CellPath:
                 else:  # at p = k-2 this overwrites the last slot, which nothing reads again
                     loo = np.multiply(suffix[p], slots[p - 1], out=suffix[p])
                 grad_t[distinct] += (onehot * coef) @ loo
+            del slots, suffix, loo  # free this batch before the next one's take
         return loss, grad_t
 
 

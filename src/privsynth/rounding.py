@@ -29,6 +29,8 @@ class RoundingConfig:
     def __post_init__(self):
         if self.oversample < 1:
             raise RoundingError("oversample must be >= 1")
+        if self.seed < 0:
+            raise RoundingError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 def randomized_round(relaxed: RelaxedDataset, config: RoundingConfig = RoundingConfig()) -> DiscreteDataset:

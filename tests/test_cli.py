@@ -76,6 +76,14 @@ class TestWorkloadCommand:
         assert "requested -1 marginals" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_marginals_is_usage_error(self, toy_csv, tmp_path, capsys):
+        out = tmp_path / "w.json"
+        assert run(["workload", "--data", toy_csv, "--k", 2, "--marginals", 0,
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "--marginals 0 gives an empty workload" in err and "Traceback" not in err
+        assert not out.exists() and not out.with_suffix(".schema.json").exists()
+
     def test_non_utf8_data_exit_code(self, toy_csv, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(toy_csv.read_bytes() + b"\xff,0,0\n")
@@ -372,6 +380,28 @@ class TestFitCommand:
         assert (tmp_path / "replayed.csv").read_bytes() == (out_dir / "relaxed.csv").read_bytes()
 
 
+class TestNegativeSeed:
+    """A negative --seed is a usage error that names the seed, before any output is written."""
+
+    @pytest.mark.parametrize("command", ["workload", "fit", "round"])
+    def test_negative_seed_is_usage_error(self, fitted, tmp_path, capsys, command):
+        toy_csv, wpath, out_dir = fitted
+        out = tmp_path / "out"
+        argv = {
+            "workload": ["workload", "--data", toy_csv, "--k", 2, "--marginals", 1,
+                         "--out", out],
+            "fit": ["fit", "--data", toy_csv, "--workload", wpath, "--n-prime", 8,
+                    "--max-steps", 5, "--out-dir", out],
+            "round": ["round", "--relaxed", out_dir / "relaxed.csv",
+                      "--schema", out_dir / "schema.json", "--out", out],
+        }[command]
+        capsys.readouterr()
+        assert run([*argv, "--seed", -1]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be a non-negative integer, got -1" in err and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestConfigFile:
     def fit_with_config(self, fitted, tmp_path, config, name="cfg"):
         toy_csv, wpath, _ = fitted
@@ -522,6 +552,19 @@ class TestRoundAndEvalCommands:
         err = capsys.readouterr().err
         assert "feature 0 has a zero-mass block" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_eval_empty_workload_is_usage_error(self, fitted, tmp_path, capsys):
+        toy_csv, wpath, _ = fitted
+        schema_path = wpath.with_suffix(".schema.json")
+        empty = tmp_path / "empty.json"
+        Workload(Schema.load(schema_path), []).save(empty)
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run(["eval", "--data", toy_csv, "--schema", schema_path, "--workload", empty,
+                    "--synth", toy_csv, "--out", report]) == 2
+        err = capsys.readouterr().err
+        assert "the workload is empty" in err and "Traceback" not in err
+        assert not report.exists()
 
     def test_zero_oversample_is_usage_error(self, fitted, tmp_path):
         _, _, out_dir = fitted

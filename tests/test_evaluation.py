@@ -42,6 +42,13 @@ class TestMaxError:
         assert report.naive_baseline == truth.max()
         assert report.max_error == report.naive_baseline
 
+    def test_empty_workload_is_workload_error(self):
+        rng = np.random.default_rng(3)
+        s = schema_from_cardinalities((3, 2))
+        data = random_dataset(s, 10, rng)
+        with pytest.raises(WorkloadError, match="the workload is empty"):
+            max_error(Workload(s, []), data, data)
+
     def test_hand_arithmetic(self):
         s = schema_from_cardinalities((4,))
         data = DiscreteDataset(s, np.array([[0], [0], [1], [2]]))

@@ -510,7 +510,7 @@ def reference_cell_loss_and_gradient(path, X, targets):
 
 
 class TestCellPathBitIdentity:
-    """The workspace-backed per-cell path gives the allocating loop's exact bits."""
+    """The per-cell path, split into batches or not, gives the allocating loop's exact bits."""
 
     MARGINALS = {1: [(0,), (3,)], 2: [(0, 1), (2, 3)], 3: [(0, 1, 2), (1, 2, 3)], 4: [(0, 1, 2, 3)]}
 
@@ -525,10 +525,10 @@ class TestCellPathBitIdentity:
         return lists + [[mixed[i] for i in rng.permutation(len(mixed))]]
 
     # 72 values: batches of 6, 3, 2 and 1 queries for arities 1 to 4 (d' = 12 > 9 rows)
-    @pytest.mark.parametrize("budget", [queries_mod._TENSOR_CELL_BUDGET, 72])
+    @pytest.mark.parametrize("budget", [queries_mod._CELL_BATCH_BUDGET, 72])
     def test_matches_allocating_loop(self, budget, monkeypatch):
         monkeypatch.setattr(queries_mod, "_TENSOR_MIN_COVERAGE", math.inf)
-        monkeypatch.setattr(queries_mod, "_TENSOR_CELL_BUDGET", budget)
+        monkeypatch.setattr(queries_mod, "_CELL_BATCH_BUDGET", budget)
         rng = np.random.default_rng(36)
         s = schema_from_cardinalities((2, 3, 4, 3))
         for queries in self._lists(s, rng):
@@ -538,7 +538,7 @@ class TestCellPathBitIdentity:
             shapes = [(kind, cols.shape[0]) for kind, cols, _, _ in ev._cells._batches]
             if budget == 72 and len(queries) > 6:
                 assert len(shapes) > len(set(shapes))  # some (kind, arity) group was split
-            for rows in (9, 9, 5):  # reuse the workspace, then reallocate it
+            for rows in (9, 9, 5):  # the row count the path was built for, then another
                 X = rng.random((rows, s.d_prime))
                 Xt = np.ascontiguousarray(X.T)
                 loss, grad_t = ev._cells.loss_and_gradient(Xt, 1.0 - Xt, targets)
@@ -586,7 +586,7 @@ class TestCellBudget:
     def test_one_row_many_queries(self, monkeypatch):
         """At n_rows = 1 the one-hot matrices, not the rows, bound a batch."""
         budget = 256
-        monkeypatch.setattr(queries_mod, "_TENSOR_CELL_BUDGET", budget)
+        monkeypatch.setattr(queries_mod, "_CELL_BATCH_BUDGET", budget)
         rng = np.random.default_rng(37)
         s = schema_from_cardinalities((3, 4, 5, 3, 4, 2, 5))  # d' = 26
         queries = []
@@ -604,11 +604,33 @@ class TestCellBudget:
         for _, cols, _, scatter in path._batches:
             assert cols.size <= budget
             assert all(onehot.size <= budget for _, onehot in scatter)
-        assert max(path._slots.size, path._suffix.size, path._ones.size) <= budget
         monkeypatch.setattr(queries_mod, "_TENSOR_MIN_COVERAGE", 0.0)
         ref_loss, ref_grad = QueryEvaluator(queries, s, 1).loss_and_gradient(X, targets)
         assert abs(loss - ref_loss) <= 1e-12 * ref_loss
         assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+
+
+class TestCellPathMemory:
+    def test_gradient_call_keeps_nothing(self):
+        """500 sparse cells at 2000 rows: a few batch budgets at peak, only the gradient after."""
+        s = schema_from_cardinalities((2, 2, 3, 3, 4, 4, 4, 5, 5, 5, 6, 6, 6, 6, 7))  # d' = 68
+        w = Workload(s, list(itertools.combinations(range(s.d), 3)))
+        rng = np.random.default_rng(41)
+        queries = w.select(np.sort(rng.choice(w.m, 500, replace=False)))
+        rows = 2000
+        ev = QueryEvaluator(queries, s, rows)
+        assert ev._cells is not None and not ev._tensor
+        X = np.asfortranarray(rng.random((rows, s.d_prime)))  # so X.T is a view, not a copy
+        targets = rng.random(len(queries))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, grad = ev.loss_and_gradient(X, targets)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before - grad.nbytes <= 4 * queries_mod._CELL_BATCH_BUDGET * 8
+        assert after - before - grad.nbytes <= 4096
 
 
 class TestLazyWorkload:
