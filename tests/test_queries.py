@@ -524,8 +524,9 @@ class TestCellPathBitIdentity:
         mixed = [q for qs in lists for q in qs[:2]]  # both kinds, every arity
         return lists + [[mixed[i] for i in rng.permutation(len(mixed))]]
 
+    # 1 << 22 values: one batch per (kind, arity) group, as at the shipped budget.
     # 72 values: batches of 6, 3, 2 and 1 queries for arities 1 to 4 (d' = 12 > 9 rows)
-    @pytest.mark.parametrize("budget", [queries_mod._CELL_BATCH_BUDGET, 72])
+    @pytest.mark.parametrize("budget", [1 << 22, 72])
     def test_matches_allocating_loop(self, budget, monkeypatch):
         monkeypatch.setattr(queries_mod, "_TENSOR_MIN_COVERAGE", math.inf)
         monkeypatch.setattr(queries_mod, "_CELL_BATCH_BUDGET", budget)
