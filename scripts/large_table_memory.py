@@ -2,14 +2,18 @@
 
     PYTHONPATH=src python3 scripts/large_table_memory.py
 
-The script writes a CSV of 10^6 uniform random rows over the benchmark's
-cardinalities (bench/workloads.CARDINALITIES, 15 features) and its schema
-JSON to a temporary directory. Then, once with the schema given and once
-with it inferred, a fresh Python process runs schema.load_csv on the file
-and queries.eval_discrete over 64 random 3-way marginals. Each process
-reports how far the two calls raised its peak resident set size
-(ru_maxrss), measured after its imports. The script prints both growths
-against the file's size and fails when either exceeds 2.5 times that size.
+The script writes two CSVs of 10^6 uniform random rows over 15 features,
+each with its schema JSON, to a temporary directory: one over the benchmark's
+cardinalities (bench/workloads.CARDINALITIES), whose single-digit labels make
+every line the same length, and one with labels "0" to "15" in every column,
+whose lines vary in length. The loader reads the first by byte position and
+the second through its hash tables. Then, for each table once with the
+schema given and once with it inferred, a fresh Python process runs
+schema.load_csv on the file and queries.eval_discrete over 64 random 3-way
+marginals. Each process reports how far the two calls raised its peak
+resident set size (ru_maxrss), measured after its imports. The script prints
+the four growths against each file's size and fails when any exceeds 2.5
+times that size.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ MAX_GROWTH = 2.5
 
 
 def write_table(root: str) -> None:
-    """Write private.csv, ROWS uniform rows with single-digit labels, and schema.json into root."""
+    """Write digits.csv (single-digit labels), wide.csv (labels "0" to "15") and their schemas."""
     import numpy as np
 
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -38,17 +42,21 @@ def write_table(root: str) -> None:
 
     names = [f"f{i}" for i in range(len(CARDINALITIES))]
     rng = np.random.default_rng(SEED)
-    # Each row is its d digits, each followed by a comma, the last by a newline.
-    line = np.full((ROWS, 2 * len(names)), ord(","), np.uint8)
-    for c, t in enumerate(CARDINALITIES):
-        line[:, 2 * c] = rng.integers(0, t, ROWS, dtype=np.uint8) + ord("0")
-    line[:, -1] = ord("\n")
-    with open(Path(root) / "private.csv", "wb") as fh:
-        fh.write((",".join(names) + "\n").encode())
-        fh.write(line.data)
-    (Path(root) / "schema.json").write_text(json.dumps(
-        [{"name": f, "categories": [str(v) for v in range(t)]} for f, t in zip(names, CARDINALITIES)]
-    ))
+    for name, cards in (("digits", CARDINALITIES), ("wide", (16,) * len(names))):
+        values = np.column_stack([rng.integers(0, t, ROWS, dtype=np.uint8) for t in cards])
+        # Each cell takes a slot of a tens digit, left 0 below 10, its units
+        # digit and a comma (a newline last in the row); the 0 bytes are dropped.
+        slots = np.zeros((ROWS, len(names), 3), np.uint8)
+        slots[:, :, 0][values >= 10] = ord("1")
+        slots[:, :, 1] = values % 10 + ord("0")
+        slots[:, :, 2] = ord(",")
+        slots[:, -1, 2] = ord("\n")
+        with open(Path(root) / f"{name}.csv", "wb") as fh:
+            fh.write((",".join(names) + "\n").encode())
+            fh.write(slots[slots != 0].data)
+        (Path(root) / f"{name}.schema.json").write_text(json.dumps(
+            [{"name": f, "categories": [str(v) for v in range(t)]} for f, t in zip(names, cards)]
+        ))
 
 
 def measure(csv_path: str, schema_path: str | None) -> None:
@@ -87,17 +95,18 @@ def main(argv=None) -> None:
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         child("--write", tmp)
-        csv_path, schema_path = Path(tmp) / "private.csv", Path(tmp) / "schema.json"
-        size = csv_path.stat().st_size
-        print(f"{ROWS} rows of the bench schema: {size / 1e6:.1f} MB of CSV")
-        for label, paths in (("schema given", [csv_path, schema_path]), ("inferred", [csv_path])):
-            report = json.loads(child("--measure", *paths).splitlines()[-1])
-            if report["rows"] != ROWS:
-                raise SystemExit(f"{label}: loaded {report['rows']} rows, wrote {ROWS}")
-            ratio = report["growth_bytes"] / size
-            print(f"load_csv + eval_discrete, {label}: peak RSS +{report['growth_bytes'] / 1e6:.1f} MB"
-                  f" = {ratio:.2f} x the file (at most {MAX_GROWTH})")
-            failed |= ratio > MAX_GROWTH
+        for table, what in (("digits", "single-digit labels"), ("wide", 'labels "0" to "15"')):
+            csv_path, schema_path = Path(tmp) / f"{table}.csv", Path(tmp) / f"{table}.schema.json"
+            size = csv_path.stat().st_size
+            print(f"{ROWS} rows of {what}: {size / 1e6:.1f} MB of CSV")
+            for label, paths in (("schema given", [csv_path, schema_path]), ("inferred", [csv_path])):
+                report = json.loads(child("--measure", *paths).splitlines()[-1])
+                if report["rows"] != ROWS:
+                    raise SystemExit(f"{table}, {label}: loaded {report['rows']} rows, wrote {ROWS}")
+                ratio = report["growth_bytes"] / size
+                print(f"load_csv + eval_discrete, {label}: peak RSS +{report['growth_bytes'] / 1e6:.1f}"
+                      f" MB = {ratio:.2f} x the file (at most {MAX_GROWTH})")
+                failed |= ratio > MAX_GROWTH
     if failed:
         raise SystemExit(f"peak RSS grew by more than {MAX_GROWTH} x the CSV's size")
 

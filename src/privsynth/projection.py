@@ -273,15 +273,18 @@ def relaxed_projection(
     """Fit a relaxed dataset whose query answers are close to `targets`.
 
     `queries` is a list of compiled queries or a queries.Selection.
-    The input is normalized once on entry (a no-op for inputs already in
-    normal form, which is everything the engine produces), then Adam runs for
-    at most max_steps, renormalizing after every step. Stops early when the
-    relative loss improvement between consecutive steps is nonnegative and
-    below EARLY_STOP_REL; a loss increase never triggers the stop. A step
-    whose loss is not finite (a diverging learning rate) ends the run and is
-    not recorded in `losses`. The best-loss iterate observed is returned, so
-    the result is never worse than the (normalized) starting point even
-    though Adam is non-monotone.
+    The input is normalized once on entry, then Adam runs for at most
+    max_steps, renormalizing after every step. The entry pass may move the
+    last bits of an input already in normal form (renormalizing a seeded
+    adaptive fit's output moved entries by up to 1.1e-16), and each round of
+    a fit starts from the last round's output, so `engine.replay` rebuilds a
+    recorded release bit for bit only while the pass is kept. Stops early
+    when the relative loss improvement between consecutive steps is
+    nonnegative and below EARLY_STOP_REL; a loss increase never triggers the
+    stop. A step whose loss is not finite (a diverging learning rate) ends
+    the run and is not recorded in `losses`. The best-loss iterate observed
+    is returned, so the result is never worse than the (normalized) starting
+    point even though Adam is non-monotone.
     The result's timing holds the seconds spent in the gradient, the
     normalization and the Adam update, the entry pass included.
     init.data is not modified; an init with no rows raises SchemaError.

@@ -290,9 +290,12 @@ def load_csv(path, schema: Schema | None = None) -> DiscreteDataset:
     The bytes are parsed with numpy when they hold no `"`, no NUL and no `\\r`
     outside a `\\r\\n`, the header line is not empty, and every label in the
     file and the schema is at most 8 bytes long; each chunk of rows is then
-    mapped to category ids with one lookup in per-column hash tables. Any
-    other file, and any fault past the UTF-8 check, goes to `csv.reader`,
-    which alone reports it.
+    mapped to category ids with one lookup in per-column hash tables. A chunk
+    whose cells are all one byte, as in a table of single-character labels
+    such as the digits 0-9, skips the separator search and the hash tables:
+    its ids are read by position, with one lookup in a per-column table of
+    byte values. Any other file, and any fault past the UTF-8 check, goes to
+    `csv.reader`, which alone reports it.
     """
     path = Path(path)
     if not path.exists():
@@ -311,6 +314,14 @@ def _load_bytes(path: Path, schema: Schema | None) -> DiscreteDataset | None:
     a chunk's new labels added to the tables and the ids ranked at the end.
     The ids go straight into the column-major (d, n) table DiscreteDataset
     keeps, in the narrowest dtype the labels known so far need.
+
+    A chunk whose lines are all 2 * d bytes with their d - 1 commas at the odd
+    offsets holds only one-byte cells; its ids are one lookup of its even
+    bytes in `_byte_ids`, the known labels' table by byte value, which the
+    hash tables' rebuild drops. That chunk needs no separator search, key
+    gather or hash probe. A chunk that fails a check, or holds a byte its
+    column's table lacks, takes the hash path above, which alone finds faults
+    and new labels.
     """
     size = path.stat().st_size
     data = bytearray(size + 9)  # room to end the last line, then 8 zero bytes of pad
@@ -351,14 +362,27 @@ def _load_bytes(path: Path, schema: Schema | None) -> DiscreteDataset | None:
         known = [np.array([int.from_bytes(lab.ljust(8, b"\0"), "big") for lab in col], np.uint64)
                  for col in labels]
     columns = [_LabelTable(labels) for labels in known]
-    tables = _layout(columns)
+    tables, by_byte = _layout(columns), None
     rows = np.empty((d, n), tables[-1].dtype)  # an inferred column's new labels may widen it
 
+    column_base = np.arange(0, 256 * d, 256, _narrowest_ids(256 * d))
     windows = np.ndarray((buf.size - 7,), ">u8", buf, strides=(1,))  # one at every byte
     for a in range(0, n, _CHUNK_ROWS):
         b = min(a + _CHUNK_ROWS, n)
         lo = nl[a] + 1
         chunk = buf[lo : nl[b] + 1]
+        # One-byte cells only (see above); the chunk's length alone turns most
+        # chunks of wider cells away.
+        if nl[b] - nl[a] == 2 * d * (b - a) and (np.diff(nl[a : b + 1]) == 2 * d).all():
+            if by_byte is None:
+                by_byte = _byte_ids(columns)
+            ids = np.take(by_byte, chunk[::2].reshape(b - a, d) + column_base)
+            # by_byte maps no comma and each line ends at its newline, so d - 1
+            # commas per line, counted over the chunk, are those between cells.
+            if (ids.max() < np.iinfo(ids.dtype).max
+                    and np.count_nonzero(chunk == 44) == (b - a) * (d - 1)):
+                rows[:, a:b] = ids.T
+                continue
         sep = np.flatnonzero((chunk == 44) | (chunk == 10))
         sep += lo
         # Exactly d separators per line, the d-th being its newline.
@@ -377,7 +401,7 @@ def _load_bytes(path: Path, schema: Schema | None) -> DiscreteDataset | None:
             col = unknown % d
             for c in np.unique(col).tolist():
                 columns[c].add(np.unique(keys.flat[unknown[col == c]]))
-            tables = _layout(columns)
+            tables, by_byte = _layout(columns), None
             rows = rows.astype(tables[-1].dtype, copy=False)
             ids, _ = _lookup(tables, keys)
         rows[:, a:b] = ids.T
@@ -475,6 +499,23 @@ def _layout(columns: list[_LabelTable]) -> tuple[np.ndarray, ...]:
             _narrowest_ids(max(t.labels.size for t in columns))
         ),
     )
+
+
+def _byte_ids(columns: list[_LabelTable]) -> np.ndarray:
+    """The ids of each column's one-byte labels by byte value: a (d, 256) table, flattened.
+
+    Entry 256 * c + v is the id of column c's label `bytes([v])`; every other
+    entry is the largest value of the dtype, above every id. Bytes 10 and 44
+    never map, whatever the labels, so no separator is read as a cell, and
+    neither does byte 0, the key of the empty label.
+    """
+    dtype = _narrowest_ids(max(t.labels.size for t in columns) + 1)
+    table = np.full((len(columns), 256), np.iinfo(dtype).max, dtype)
+    for c, t in enumerate(columns):
+        one = np.flatnonzero(t.labels << np.uint64(8) == 0)  # keys with no second byte
+        table[c, t.labels[one] >> np.uint64(56)] = one
+    table[:, [0, 10, 44]] = np.iinfo(dtype).max
+    return table.reshape(-1)
 
 
 def _lookup(tables: tuple[np.ndarray, ...], keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

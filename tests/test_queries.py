@@ -407,7 +407,7 @@ class TestMarginalKernel:
 
 
 class TestCellWorkspace:
-    """The per-cell path reuses its buffers across calls; results must not."""
+    """Per-cell results match a fresh evaluator's and survive later calls at any row count."""
 
     def _lists(self, s):
         threshold = Workload(s, [(0, 1), (1, 2)], kind=ONE_OUT_OF_K).queries[::3]

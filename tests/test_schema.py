@@ -327,8 +327,54 @@ def unquoted_inputs(draw):
     return text, schema
 
 
+# Labels of one byte each, which the fixed-layout read maps by byte value;
+# "z" is never in a generated schema.
+ONE_BYTE_LABELS = ["a", "b", "0", "9", " ", "~"]
+
+
+@st.composite
+def one_byte_inputs(draw):
+    """CSV text of one-byte cells plus an optional schema, with faults inside 2*d-byte lines.
+
+    The schema may hold the wide label "ab" and the label ",", which no cell can match.
+    """
+    d = draw(st.integers(1, 3))
+    faults = draw(st.sets(st.sampled_from(["unknown", "separators", "wide"]), max_size=2))
+    cols = [draw(st.lists(st.sampled_from(ONE_BYTE_LABELS), min_size=1, unique=True))
+            for _ in range(d)]
+    row = st.tuples(*(st.sampled_from(c) for c in cols)).map(list)
+    lines = [",".join(cells) for cells in draw(st.lists(row, max_size=10))]
+    faulty = []
+    if "unknown" in faults:  # an unknown byte in a cell slot
+        cells = draw(row)
+        cells[draw(st.integers(0, d - 1))] = "z"
+        faulty.append(",".join(cells))
+    if "separators" in faults:  # 2*d - 1 bytes of cells and commas: "a,,", ",a,", "ab," for d = 2
+        faulty.append(draw(st.text(alphabet="ab,", min_size=2 * d - 1, max_size=2 * d - 1)))
+    if "wide" in faults:  # one line with a two-byte cell
+        cells = draw(row)
+        cells[draw(st.integers(0, d - 1))] = "ab"
+        faulty.append(",".join(cells))
+    for line in faulty:
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    ends = st.sampled_from(draw(st.sampled_from([["\n"], ["\r\n"], ["\n", "\r\n"]])))
+    text = "".join(line + draw(ends) for line in [",".join(NAMES[:d])] + lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    schema = None
+    if "unknown" in faults or draw(st.booleans()):
+        extra = draw(st.lists(st.sampled_from(["ab", ","]), max_size=2, unique=True))
+        schema = Schema(tuple(FeatureSpec(NAMES[c], tuple(draw(st.permutations(cols[c] + extra))))
+                              for c in range(d)))
+    return text, schema
+
+
 def no_reader(*args, **kwargs):
     raise AssertionError("csv.reader was called")
+
+
+def no_lookup(*args, **kwargs):
+    raise AssertionError("schema._lookup was called")
 
 
 class TestBytePath:
@@ -349,6 +395,47 @@ class TestBytePath:
         schema = Schema((FeatureSpec("a", ("a", "b", "é")),)) if with_schema else None
         with mock.patch.object(schema_module, "_CHUNK_ROWS", chunk_rows):
             TestColumnarLoader.check(tmp_path_factory, text, schema)
+
+    @pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
+    @settings(max_examples=150, deadline=None)
+    @given(case=one_byte_inputs())
+    def test_one_byte_cells_match_reference(self, tmp_path_factory, chunk_rows, case):
+        text, schema = case
+        with mock.patch.object(schema_module, "_CHUNK_ROWS", chunk_rows):
+            TestColumnarLoader.check(tmp_path_factory, text, schema)
+
+    @pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
+    @pytest.mark.parametrize("line", ["a,,", ",a,", "ab,", "a,z", ",,,", "ab,a", "a,b,a\nb"])
+    def test_faults_among_fixed_layout_lines(self, tmp_path_factory, chunk_rows, line):
+        # Every other line is 4 bytes of two one-byte cells, and so is `line`
+        # but for the lone wide one and the ragged pair, whose 8 bytes hold 4
+        # one-byte cells as 3 + 1; "," is a label of the schema.
+        text = "u,v\n" + "a,b\n" * 3 + line + "\n" + "b,a\n" * 3
+        schema = Schema((FeatureSpec("u", (",", "a", "b", "ab")), FeatureSpec("v", ("b", "a", ","))))
+        with mock.patch.object(schema_module, "_CHUNK_ROWS", chunk_rows):
+            for given in (schema, None):
+                TestColumnarLoader.check(tmp_path_factory, text, given)
+
+    def test_one_byte_labels_skip_the_hash_lookup(self, tmp_path, monkeypatch):
+        schema = schema_from_cardinalities((3, 2, 10))  # labels "0".."9"
+        data = random_dataset(schema, 40, np.random.default_rng(0))
+        path = tmp_path / "t.csv"
+        save_csv(data, path)
+        monkeypatch.setattr(csv, "reader", no_reader)
+        monkeypatch.setattr(schema_module, "_lookup", no_lookup)
+        assert np.array_equal(load_csv(path, schema).rows, data.rows)
+
+    def test_two_digit_labels_take_the_hash_lookup(self, tmp_path, monkeypatch):
+        schema = schema_from_cardinalities((3, 2, 12))  # "10" and "11" are two bytes
+        data = random_dataset(schema, 40, np.random.default_rng(0))
+        assert (data.rows[:, 2] >= 10).any()
+        path = tmp_path / "t.csv"
+        save_csv(data, path)
+        calls, lookup = [], schema_module._lookup
+        monkeypatch.setattr(csv, "reader", no_reader)
+        monkeypatch.setattr(schema_module, "_lookup", lambda *a: calls.append(a) or lookup(*a))
+        assert np.array_equal(load_csv(path, schema).rows, data.rows)
+        assert calls
 
     def test_header_only_file_infers_the_same_schema(self, tmp_path, monkeypatch):
         p = write(tmp_path, "empty.csv", "u,v\n")
