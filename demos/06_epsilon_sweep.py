@@ -14,6 +14,7 @@ from privsynth import (
     FitConfig,
     ProjectionConfig,
     SweepSpec,
+    random_workload,
     run_sweep,
     schema_from_cardinalities,
 )
@@ -27,15 +28,10 @@ c1 = np.where(rng.random(n) < 0.5, c0, rng.integers(0, 4, n))
 c2 = rng.choice(3, n, p=[0.7, 0.2, 0.1])
 data = DiscreteDataset(schema, np.column_stack([c0, c1, c2]))
 
-spec = SweepSpec(
-    axis="epsilon",
-    values=(0.1, 0.25, 0.5, 1.0),
-    seeds=(0, 1, 2),
-    workload_k=2,
-    workload_marginals=3,
-)
+workload = random_workload(schema, 2, 3, seed=0)
+spec = SweepSpec(axis="epsilon", values=(0.1, 0.25, 0.5, 1.0), seeds=(0, 1, 2))
 base = FitConfig(rounds=1, n_synth=150, projection=ProjectionConfig(max_steps=800))
-rows = run_sweep(data, spec, base)
+rows = run_sweep(data, workload, spec, base)
 
 print(f"{len(rows)} runs; median max error by privacy level:")
 for eps in spec.values:

@@ -180,6 +180,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     data = _load_data(args)
+    wl = queries.Workload.load(data.schema, args.workload)
     config = _fit_config(args)
     axis = args.axis.replace("-", "_").replace("n_prime", "n_synth")
     values = [float(v) if axis == "epsilon" else int(v) for v in args.values.split(",")]
@@ -187,16 +188,12 @@ def cmd_sweep(args) -> int:
         axis=axis,
         values=tuple(values),
         seeds=tuple(range(config.seed or 0, (config.seed or 0) + args.seeds)),
-        workload_k=args.k,
-        workload_marginals=args.marginals,
-        workload_seed=args.workload_seed,
-        kind=args.kind.replace("-", "_"),
         grid_rounds=tuple(int(v) for v in args.grid_T.split(",")) if args.grid_T else None,
         grid_queries_per_round=(
             tuple(int(v) for v in args.grid_K.split(",")) if args.grid_K else None
         ),
     )
-    rows = evaluation.run_sweep(data, spec, config)
+    rows = evaluation.run_sweep(data, wl, spec, config)
     evaluation.sweep_rows_to_csv(rows, args.out)
     failed = sum(1 for r in rows if r["status"] != "ok")
     print(f"sweep: {len(rows)} rows ({failed} failed, all non-private) -> {args.out}")
@@ -246,16 +243,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a fit per axis value x seed x grid point")
     _add_data_args(p)
     p.add_argument(
+        "--workload", required=True,
+        help="the workload fitted; --axis workload draws its own of this arity, kind and seed",
+    )
+    p.add_argument(
         "--axis", choices=["epsilon", "workload", "n-prime", "oversample"], required=True
     )
     p.add_argument("--values", required=True, help="comma-separated axis values")
     p.add_argument(
         "--seeds", type=int, default=5, help="number of fit seeds: --seed .. --seed+seeds-1"
     )
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--marginals", type=int, default=8)
-    p.add_argument("--workload-seed", type=int, default=0)
-    p.add_argument("--kind", choices=["product", "one-out-of-k"], default="product")
     p.add_argument("--grid-T", default=None, help="comma-separated rounds grid")
     p.add_argument("--grid-K", default=None, help="comma-separated queries-per-round grid")
     _add_fit_args(p)

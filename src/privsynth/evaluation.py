@@ -5,11 +5,11 @@ the synthetic data and its answer on the real data. For calibration every
 report carries the naive baseline: the max error obtained by answering every
 query with 0, i.e. max_i q_i(D). Error above that baseline is uninteresting.
 
-run_sweep drives repeated fits along one axis (privacy level, workload size,
-synthetic row count, or rounding oversample) crossed with seeds and an
-optional grid of (queries_per_round, rounds) combinations, and emits a
-row-complete table: failed cells are recorded with an error status, never
-dropped. Every row is measured against the private data, so each one says
+run_sweep drives repeated fits of one workload along one axis (privacy level,
+workload size, synthetic row count, or rounding oversample) crossed with
+seeds and an optional grid of (queries_per_round, rounds) combinations, and
+emits a row-complete table: failed cells are recorded with an error status,
+never dropped. Every row is measured against the private data, so each one says
 "non-private" in its privacy column, and so is a grid point picked by its error.
 """
 
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import FitConfig, fit
-from .queries import PRODUCT, Workload, WorkloadError, eval_discrete, eval_relaxed, random_workload
+from .queries import Workload, WorkloadError, eval_discrete, eval_relaxed, random_workload
 from .rounding import RoundingConfig, randomized_round
 from .schema import DiscreteDataset, RelaxedDataset, SchemaError
 
@@ -109,10 +109,6 @@ class SweepSpec:
     axis: str
     values: tuple
     seeds: tuple[int, ...]
-    workload_k: int = 3
-    workload_marginals: int = 8
-    workload_seed: int = 0
-    kind: str = PRODUCT
     grid_rounds: tuple[int, ...] | None = None  # None: take rounds from the base config
     grid_queries_per_round: tuple[int, ...] | None = None
 
@@ -134,18 +130,22 @@ class SweepSpec:
         return [(t, k) for t in ts for k in ks]
 
 
-def run_sweep(data: DiscreteDataset, spec: SweepSpec, base: FitConfig) -> list[dict]:
-    """One fit per (axis value, seed, grid point); returns table rows.
+def run_sweep(
+    data: DiscreteDataset, workload: Workload, spec: SweepSpec, base: FitConfig
+) -> list[dict]:
+    """One fit of `workload` per (axis value, seed, grid point); returns table rows.
 
     Rows come out in spec order: values outermost, then seeds, then the grid.
-    wall_ms is the only nondeterministic column.
+    wall_ms is the only nondeterministic column. The workload axis instead
+    fits random_workload(schema, workload.k, value, workload.seed, workload.kind).
+    Before any fit, a workload on another schema raises SchemaError, and one of
+    mixed arities or without a seed raises WorkloadError on the workload axis.
     """
+    if workload.schema != data.schema:
+        raise SchemaError("workload and dataset schemas differ")
+    if spec.axis == AXIS_WORKLOAD and (workload.k is None or workload.seed is None):
+        raise WorkloadError("the workload axis needs a workload of one arity with a seed")
     rows = []
-    base_workload = None
-    if spec.axis != AXIS_WORKLOAD:
-        base_workload = random_workload(
-            data.schema, spec.workload_k, spec.workload_marginals, spec.workload_seed, spec.kind
-        )
     for value in spec.values:
         for seed in spec.seeds:
             for t_rounds, k_per in spec.grid(base):
@@ -169,24 +169,24 @@ def run_sweep(data: DiscreteDataset, spec: SweepSpec, base: FitConfig) -> list[d
                 }
                 t0 = time.perf_counter()
                 try:  # an infeasible config, or workload-axis value, is an error row too
-                    workload = base_workload
-                    if workload is None:
-                        workload = random_workload(
-                            data.schema, spec.workload_k, int(value), spec.workload_seed, spec.kind
+                    wl = workload
+                    if spec.axis == AXIS_WORKLOAD:
+                        wl = random_workload(
+                            data.schema, workload.k, int(value), workload.seed, workload.kind
                         )
                     config = replace(
                         base, seed=seed, rounds=t_rounds, queries_per_round=k_per,
                         epsilon=epsilon, n_synth=n_synth,
                     )
-                    result = fit(data, workload, config)
+                    result = fit(data, wl, config)
                     row["delta"] = result.resolved_delta
                     if spec.axis == AXIS_OVERSAMPLE:
                         synth = randomized_round(
                             result.relaxed, RoundingConfig(oversample=int(value))
                         )
-                        report = max_error(workload, data, synth)
+                        report = max_error(wl, data, synth)
                     else:
-                        report = max_error(workload, data, result.relaxed)
+                        report = max_error(wl, data, result.relaxed)
                     row["max_error"] = report.max_error
                     row["mean_error"] = report.mean_error
                     row["naive_baseline"] = report.naive_baseline

@@ -151,23 +151,9 @@ def _sparsemax_network(Zt: np.ndarray) -> np.ndarray:
     return np.maximum(Zt - tau, 0.0)
 
 
-@functools.lru_cache(maxsize=16)
-def _blocks_by_cardinality(schema: Schema) -> tuple:
-    """(t, cols) per distinct block width t; cols[i, j] is column i of block j."""
-    by_t: dict[int, list[int]] = {}
-    for off, t in zip(schema.offsets, schema.cardinalities):
-        by_t.setdefault(t, []).append(off)
-    groups = []
-    for t, offs in by_t.items():
-        cols = np.add.outer(np.arange(t), np.asarray(offs))
-        cols.setflags(write=False)
-        groups.append((t, cols))
-    return tuple(groups)
-
-
 def _normalize_inplace(X: np.ndarray, schema: Schema) -> None:
     Xt = X.T
-    for t, cols in _blocks_by_cardinality(schema):
+    for t, cols in schema.blocks_by_cardinality:
         stacked = Xt[cols]  # every block of width t: (t, blocks, rows)
         out = sparsemax_rows(stacked.reshape(t, -1).T)
         Xt[cols] = out.T.reshape(stacked.shape)

@@ -196,10 +196,12 @@ class Workload:
             and all(
                 isinstance(s, list) and all(type(i) is int for i in s) for s in obj["marginals"]
             )
+            and (obj.get("seed") is None or type(obj["seed"]) is int and obj["seed"] >= 0)
         ):
             raise WorkloadError(
-                f'{source}: a workload must be a JSON object with "kind" one of {QUERY_KINDS} '
-                f'and "marginals" a list of lists of integer feature indices'
+                f'{source}: a workload must be a JSON object with "kind" one of {QUERY_KINDS}, '
+                f'"marginals" a list of lists of integer feature indices, and "seed", if given, '
+                f'a non-negative integer or null'
             )
         return cls(schema, obj["marginals"], kind=obj["kind"], seed=obj.get("seed"))
 
@@ -357,8 +359,8 @@ def eval_discrete(workload: Workload, dataset: DiscreteDataset) -> np.ndarray:
 
 # A marginal's gradient runs on its full answer tensor when the query list
 # covers at least this share of the marginal's cells, and on the per-cell
-# per-cell path below it. The tensor path costs about the same for any
-# coverage; the per-cell path grows with the number of selected cells.
+# path below it. The tensor path costs about the same for any coverage; the
+# per-cell path grows with the number of selected cells.
 _TENSOR_MIN_COVERAGE = 0.25
 
 # Cap on rows * prefix cells per tensor chunk. The prefix Khatri-Rao product

@@ -58,9 +58,10 @@ class Schema:
     def d(self) -> int:
         return len(self.features)
 
-    # Query compilation reads the layout once per query. cached_property
-    # writes the instance __dict__ directly, which a frozen dataclass allows;
-    # equality, hashing and repr still see only `features`.
+    # Query compilation reads the layout once per query, and normalization its
+    # block groups once per Adam step. cached_property writes the instance
+    # __dict__ directly, which a frozen dataclass allows; equality, hashing and
+    # repr still see only `features`.
     @cached_property
     def cardinalities(self) -> tuple[int, ...]:
         return tuple(f.cardinality for f in self.features)
@@ -73,6 +74,17 @@ class Schema:
             out.append(acc)
             acc += f.cardinality
         return tuple(out)
+
+    @cached_property
+    def blocks_by_cardinality(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """(t, cols) per distinct block width t; cols[i, j] is column i of the j-th such block."""
+        by_t: dict[int, list[int]] = {}
+        for off, t in zip(self.offsets, self.cardinalities):
+            by_t.setdefault(t, []).append(off)
+        groups = tuple((t, np.add.outer(np.arange(t), offs)) for t, offs in by_t.items())
+        for _, cols in groups:
+            cols.setflags(write=False)
+        return groups
 
     @cached_property
     def d_prime(self) -> int:

@@ -471,6 +471,9 @@ class TestConfigFile:
         ["sweep", "--axis", "epsilon", "--values", "1", "--trace", "t.csv"],
         ["fit", "--workload", "w.json", "--trace", "t.csv"],
         ["workload", "--k", "1", "--marginals", "1", "--dump-compiled"],
+        *(["sweep", "--workload", "w.json", "--axis", "epsilon", "--values", "1", flag, value]
+          for flag, value in [("--k", "2"), ("--marginals", "3"), ("--workload-seed", "4"),
+                              ("--kind", "product")]),
     ])
     def test_removed_flags_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -603,18 +606,27 @@ class TestRoundAndEvalCommands:
             assert not (tmp_path / "out").exists()
 
 
+def write_workload(toy_csv, path, *flags):
+    """Write `privsynth workload --k 2 --marginals 2` (flags override them) to `path`."""
+    assert run(["workload", "--data", toy_csv, "--k", 2, "--marginals", 2, *flags,
+                "--out", path]) == 0
+    return path
+
+
 class TestSweepCommand:
     def test_row_counts_and_best_table(self, toy_csv, tmp_path):
+        wpath = write_workload(toy_csv, tmp_path / "w.json")
+        before = set(tmp_path.iterdir())
         out = tmp_path / "sweep.csv"
-        code = run(["sweep", "--data", toy_csv, "--axis", "epsilon",
-                    "--values", "0.1,1.0", "--seeds", 2, "--k", 2, "--marginals", 2,
+        code = run(["sweep", "--data", toy_csv, "--workload", wpath, "--axis", "epsilon",
+                    "--values", "0.1,1.0", "--seeds", 2,
                     "--n-prime", 10, "--max-steps", 10, "--out", out])
         assert code == 0
         with out.open() as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4  # 2 values x 2 seeds x 1 grid point
         assert all(r["status"] == "ok" and r["privacy"] == "non-private" for r in rows)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv", "toy.csv"]
+        assert set(tmp_path.iterdir()) - before == {out}
         # README's best-row view: the least max_error per (axis, value, seed), from sweep.csv.
         best = {}
         for r in rows:
@@ -628,9 +640,11 @@ class TestSweepCommand:
     def test_bad_workload_axis_value_is_error_rows(self, tmp_path, capsys):
         data = tmp_path / "four.csv"
         save_csv(skewed_dataset(60, seed=2, cards=(2, 2, 2, 2)), data)
+        wpath = write_workload(data, tmp_path / "w.json", "--k", 3)
         out = tmp_path / "sweep.csv"
-        assert run(["sweep", "--data", data, "--axis", "workload", "--values", "2,99",
-                    "--k", 3, "--seeds", 1, "--n-prime", 5, "--max-steps", 2, "--out", out]) == 0
+        assert run(["sweep", "--data", data, "--workload", wpath, "--axis", "workload",
+                    "--values", "2,99", "--seeds", 1, "--n-prime", 5, "--max-steps", 2,
+                    "--out", out]) == 0
         assert "2 rows (1 failed, all non-private)" in capsys.readouterr().out
         with out.open() as fh:
             rows = list(csv.DictReader(fh))
@@ -638,11 +652,11 @@ class TestSweepCommand:
             "ok", "error: requested 99 marginals; from 0 to 4 exist"
         ]
 
-
-    def _rows(self, toy_csv, tmp_path, name, *extra):
+    def _rows(self, toy_csv, tmp_path, name, *extra, workload=()):
+        wpath = write_workload(toy_csv, tmp_path / f"{name}.json", *workload)
         out = tmp_path / f"{name}.csv"
-        assert run(["sweep", "--data", toy_csv, "--axis", "epsilon", "--values", "1",
-                    "--seeds", 2, "--k", 2, "--marginals", 2, "--n-prime", 10,
+        assert run(["sweep", "--data", toy_csv, "--workload", wpath, "--axis", "epsilon",
+                    "--values", "1", "--seeds", 2, "--n-prime", 10,
                     "--max-steps", 10, "--out", out, *extra]) == 0
         with out.open() as fh:
             return [{k: v for k, v in row.items() if k != "wall_ms"} for row in csv.DictReader(fh)]
@@ -656,6 +670,39 @@ class TestSweepCommand:
         assert [r["seed"] for r in five] == ["5", "6"]
         assert [r["seed"] for r in nine] == ["9", "10"]
         assert [r["max_error"] for r in five] != [r["max_error"] for r in nine]
+
+    @pytest.mark.parametrize("kind", ["product", "one-out-of-k"])
+    def test_workload_axis_draws_the_files_arity_kind_and_seed(self, toy_csv, tmp_path, kind):
+        """Value 3 on the workload axis fits what `workload --marginals 3` writes."""
+        flags = ("--seed", 4, "--kind", kind)
+        wpath = write_workload(toy_csv, tmp_path / "w1.json", "--marginals", 1, *flags)
+        out = tmp_path / "axis.csv"
+        assert run(["sweep", "--data", toy_csv, "--workload", wpath, "--axis", "workload",
+                    "--values", 3, "--seeds", 2, "--n-prime", 10, "--max-steps", 10,
+                    "--out", out]) == 0
+        with out.open() as fh:
+            drawn = [(r["seed"], r["max_error"]) for r in csv.DictReader(fh)]
+        given = self._rows(toy_csv, tmp_path, "w3", workload=("--marginals", 3, *flags))
+        assert drawn == [(r["seed"], r["max_error"]) for r in given]
+        flip = {"product": "one-out-of-k", "one-out-of-k": "product"}[kind]
+        other = self._rows(toy_csv, tmp_path, "w3o", workload=("--marginals", 3, "--kind", flip))
+        assert [r["max_error"] for r in other] != [e for _, e in drawn]
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "product", "marginals": [[0, 1], [1, 2]]},  # no seed
+        {"kind": "product", "marginals": [[0], [1, 2]], "seed": 0},  # mixed arities
+    ])
+    def test_workload_axis_needs_one_arity_and_a_seed(self, toy_csv, tmp_path, capsys, doc):
+        wpath = tmp_path / "w.json"
+        wpath.write_text(json.dumps(doc))
+        argv = ["sweep", "--data", toy_csv, "--workload", wpath, "--values", 1, "--seeds", 1,
+                "--n-prime", 10, "--max-steps", 5, "--out", tmp_path / "sweep.csv"]
+        capsys.readouterr()
+        assert run([*argv, "--axis", "workload"]) == 2
+        assert "needs a workload of one arity with a seed" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+        assert run([*argv, "--axis", "epsilon"]) == 0
+        assert "1 rows (0 failed, all non-private)" in capsys.readouterr().out
 
 
 class TestNoiseSecrecy:
@@ -780,6 +827,22 @@ class TestMalformedJsonInput:
             capsys.readouterr()
             assert run(argv) == code, argv[0]
             assert f"{prefix}{bad}: " in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", ["4", 1.5, -1, True, [4]])
+    def test_bad_workload_seed_names_file(self, toy_csv, tmp_path, capsys, seed):
+        bad = tmp_path / "bad_workload.json"
+        bad.write_text(json.dumps({"kind": "product", "marginals": [[0, 1]], "seed": seed}))
+        for argv in (
+            ["fit", "--data", toy_csv, "--workload", bad, "--seed", 0,
+             "--out-dir", tmp_path / "out"],
+            ["sweep", "--data", toy_csv, "--workload", bad, "--axis", "workload",
+             "--values", 1, "--out", tmp_path / "out" / "sweep.csv"],
+        ):
+            capsys.readouterr()
+            assert run(argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert f"error: {bad}: " in err and '"seed"' in err
             assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind, code, prefix", [

@@ -1,7 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import privsynth
 from privsynth import (
+    ONE_OUT_OF_K,
+    PRODUCT,
     DiscreteDataset,
     FitConfig,
     ProjectionConfig,
@@ -11,7 +16,9 @@ from privsynth import (
     Workload,
     WorkloadError,
     eval_discrete,
+    fit,
     max_error,
+    random_workload,
     run_sweep,
     schema_from_cardinalities,
 )
@@ -95,13 +102,16 @@ class TestMaxError:
 FAST_FIT = FitConfig(n_synth=16, projection=ProjectionConfig(max_steps=10))
 
 
+def sweep(data, spec, k=2, marginals=2, seed=0, kind=PRODUCT):
+    """run_sweep on the workload that `privsynth workload` draws with these flags."""
+    return run_sweep(data, random_workload(data.schema, k, marginals, seed, kind), spec, FAST_FIT)
+
+
 class TestRunSweep:
     def test_epsilon_axis_row_count(self):
         data = skewed_dataset(100, seed=3, cards=(3, 3, 3))
-        spec = SweepSpec(
-            axis="epsilon", values=(0.1, 1.0), seeds=(0,), workload_k=2, workload_marginals=2
-        )
-        rows = run_sweep(data, spec, FAST_FIT)
+        spec = SweepSpec(axis="epsilon", values=(0.1, 1.0), seeds=(0,))
+        rows = sweep(data, spec)
         assert len(rows) == 2
         assert all(r["status"] == "ok" for r in rows)
         assert [r["value"] for r in rows] == [0.1, 1.0]
@@ -110,10 +120,10 @@ class TestRunSweep:
     def test_grid_crossing_and_best(self):
         data = skewed_dataset(100, seed=4, cards=(3, 3, 3))
         spec = SweepSpec(
-            axis="epsilon", values=(0.5,), seeds=(0, 1), workload_k=2, workload_marginals=3,
+            axis="epsilon", values=(0.5,), seeds=(0, 1),
             grid_rounds=(1, 2), grid_queries_per_round=(3,),
         )
-        rows = run_sweep(data, spec, FAST_FIT)
+        rows = sweep(data, spec, marginals=3)
         assert len(rows) == 4  # 1 value x 2 seeds x 2 grid points
         assert [(r["seed"], r["T"], r["K"]) for r in rows] == [
             (0, 1, 3), (0, 2, 3), (1, 1, 3), (1, 2, 3)
@@ -128,35 +138,62 @@ class TestRunSweep:
 
     def test_workload_axis_regenerates(self):
         data = skewed_dataset(80, seed=5, cards=(3, 3, 3, 3))
-        spec = SweepSpec(
-            axis="workload", values=(1, 3), seeds=(0,), workload_k=2, workload_marginals=1
-        )
-        rows = run_sweep(data, spec, FAST_FIT)
+        spec = SweepSpec(axis="workload", values=(1, 3), seeds=(0,))
+        rows = sweep(data, spec, marginals=1)
         assert [r["status"] for r in rows] == ["ok", "ok"]
+
+    @pytest.mark.parametrize("kind", [PRODUCT, ONE_OUT_OF_K])
+    def test_workload_axis_draws_arity_kind_and_seed(self, kind):
+        """Value v fits random_workload(schema, k, v, seed, kind) of the given workload."""
+        data = skewed_dataset(80, seed=5, cards=(3, 2, 3, 2))
+        spec = SweepSpec(axis="workload", values=(1, 3), seeds=(0,))
+        rows = sweep(data, spec, k=3, marginals=1, seed=4, kind=kind)
+        expected = []
+        for v in spec.values:
+            drawn = random_workload(data.schema, 3, v, 4, kind)
+            result = fit(data, drawn, replace(FAST_FIT, seed=0))
+            expected.append(max_error(drawn, data, result.relaxed).max_error)
+        assert [r["max_error"] for r in rows] == expected
+        other = sweep(data, spec, k=3, marginals=1, seed=5, kind=kind)
+        assert [r["max_error"] for r in other] != expected
+
+    @pytest.mark.parametrize("marginals, seed", [([(0, 1), (1, 2)], None), ([(0,), (1, 2)], 0)])
+    def test_workload_axis_needs_one_arity_and_a_seed(self, marginals, seed):
+        data = skewed_dataset(60, seed=6, cards=(3, 3, 3))
+        workload = Workload(data.schema, marginals, seed=seed)
+        spec = SweepSpec(axis="workload", values=(1,), seeds=(0,))
+        with pytest.raises(WorkloadError, match="one arity with a seed"):
+            run_sweep(data, workload, spec, FAST_FIT)
+        for axis, value in (("epsilon", 1.0), ("n_synth", 8), ("oversample", 2)):
+            spec = SweepSpec(axis=axis, values=(value,), seeds=(0,))
+            assert run_sweep(data, workload, spec, FAST_FIT)[0]["status"] == "ok"
 
     def test_workload_axis_infeasible_value_is_error_row(self):
         data = skewed_dataset(50, seed=6, cards=(3, 3))
-        spec = SweepSpec(axis="workload", values=(1, 99), seeds=(0, 1), workload_k=2)
-        rows = run_sweep(data, spec, FAST_FIT)
+        spec = SweepSpec(axis="workload", values=(1, 99), seeds=(0, 1))
+        rows = sweep(data, spec, marginals=1)
         assert [r["status"] for r in rows[:2]] == ["ok", "ok"]
         for row in rows[2:]:  # both seeds of the 99-marginal value
             assert row["status"] == "error: requested 99 marginals; from 0 to 1 exist"
             assert row["max_error"] is None and row["privacy"] == "non-private"
 
-    def test_base_workload_error_still_raises(self):
+    def test_base_workload_error_still_raises(self, monkeypatch):
+        """A workload on another schema raises before any fit instead of filling error rows."""
         data = skewed_dataset(50, seed=6, cards=(3, 3))
-        spec = SweepSpec(axis="epsilon", values=(1.0,), seeds=(0,), workload_k=3)
-        with pytest.raises(WorkloadError):
-            run_sweep(data, spec, FAST_FIT)
+        workload = random_workload(schema_from_cardinalities((3, 2)), 2, 1, 0)
+        monkeypatch.setattr(privsynth.evaluation, "fit", lambda *a: pytest.fail("fit ran"))
+        for axis, value in (("epsilon", 1.0), ("workload", 1), ("n_synth", 8), ("oversample", 2)):
+            spec = SweepSpec(axis=axis, values=(value,), seeds=(0,))
+            with pytest.raises(SchemaError, match="workload and dataset schemas differ"):
+                run_sweep(data, workload, spec, FAST_FIT)
 
     def test_failed_cells_recorded_not_dropped(self):
         data = skewed_dataset(60, seed=7, cards=(3, 3))
         # rounds * queries_per_round exceeds m=9 -> infeasible fit, error row
         spec = SweepSpec(
-            axis="epsilon", values=(0.5,), seeds=(0,), workload_k=2, workload_marginals=1,
-            grid_rounds=(5,), grid_queries_per_round=(5,),
+            axis="epsilon", values=(0.5,), seeds=(0,), grid_rounds=(5,), grid_queries_per_round=(5,),
         )
-        rows = run_sweep(data, spec, FAST_FIT)
+        rows = sweep(data, spec, marginals=1)
         assert len(rows) == 1
         assert rows[0]["status"].startswith("error:")
         assert rows[0]["max_error"] is None
@@ -174,10 +211,10 @@ class TestRunSweep:
     ):
         data = skewed_dataset(60, seed=12, cards=(3, 3, 3))
         spec = SweepSpec(
-            axis=axis, values=values, seeds=(0,), workload_k=2, workload_marginals=2,
+            axis=axis, values=values, seeds=(0,),
             grid_rounds=grid_rounds, grid_queries_per_round=grid_k,
         )
-        rows = run_sweep(data, spec, FAST_FIT)
+        rows = sweep(data, spec)
         assert [r["status"].split(":")[0] for r in rows] == statuses
         failed = rows[statuses.index("error")]
         assert failed["max_error"] is None and failed["wall_ms"] >= 0
@@ -187,35 +224,27 @@ class TestRunSweep:
 
     def test_n_synth_axis_and_timing_presence(self):
         data = skewed_dataset(60, seed=8, cards=(3, 3, 3))
-        spec = SweepSpec(
-            axis="n_synth", values=(8, 16), seeds=(0,), workload_k=2, workload_marginals=2
-        )
-        rows = run_sweep(data, spec, FAST_FIT)
+        spec = SweepSpec(axis="n_synth", values=(8, 16), seeds=(0,))
+        rows = sweep(data, spec)
         assert [r["n_prime"] for r in rows] == [8, 16]
         assert all(r["wall_ms"] > 0 for r in rows)
 
     def test_deterministic_apart_from_timing(self):
         data = skewed_dataset(70, seed=9, cards=(3, 3, 3))
-        spec = SweepSpec(
-            axis="epsilon", values=(0.3,), seeds=(0, 1), workload_k=2, workload_marginals=2
-        )
+        spec = SweepSpec(axis="epsilon", values=(0.3,), seeds=(0, 1))
         strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
-        assert strip(run_sweep(data, spec, FAST_FIT)) == strip(run_sweep(data, spec, FAST_FIT))
+        assert strip(sweep(data, spec)) == strip(sweep(data, spec))
 
     def test_oversample_axis(self):
         data = skewed_dataset(60, seed=10, cards=(3, 3, 3))
-        spec = SweepSpec(
-            axis="oversample", values=(1, 5), seeds=(0,), workload_k=2, workload_marginals=2
-        )
-        rows = run_sweep(data, spec, FAST_FIT)
+        spec = SweepSpec(axis="oversample", values=(1, 5), seeds=(0,))
+        rows = sweep(data, spec)
         assert [r["status"] for r in rows] == ["ok", "ok"]
 
     def test_csv_round_trip(self, tmp_path):
         data = skewed_dataset(50, seed=11, cards=(3, 3))
-        spec = SweepSpec(
-            axis="epsilon", values=(0.5,), seeds=(0,), workload_k=2, workload_marginals=1
-        )
-        rows = run_sweep(data, spec, FAST_FIT)
+        spec = SweepSpec(axis="epsilon", values=(0.5,), seeds=(0,))
+        rows = sweep(data, spec, marginals=1)
         out = tmp_path / "sweep.csv"
         sweep_rows_to_csv(rows, out)
         lines = out.read_text().strip().splitlines()
