@@ -9,6 +9,7 @@ fit warns that the noise is removable. Other commands default to seed 0.
 from __future__ import annotations
 
 import argparse
+import csv
 import errno
 import os
 import sys
@@ -162,13 +163,29 @@ def cmd_round(args) -> int:
     return EXIT_OK
 
 
+def _load_synth(path, sch: schema.Schema):
+    """A labelled CSV when its first row is sch's feature names, else a relaxed matrix."""
+    names = sch.feature_names()
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+        first = fh.readline()
+    try:
+        labelled = next(csv.reader([first])) == names
+    except csv.Error:  # a NUL in the line, on Python 3.10
+        labelled = False
+    if labelled:
+        return schema.load_csv(path, sch)
+    try:
+        return engine.load_relaxed_csv(path, sch)
+    except schema.SchemaError as exc:
+        raise schema.SchemaError(
+            f"{str(exc).rstrip('.')}; a labelled CSV would have the header {names}"
+        ) from None
+
+
 def cmd_eval(args) -> int:
     data = _load_data(args)
     wl = queries.Workload.load(data.schema, args.workload)
-    if args.synth_format == "relaxed":
-        synth = engine.load_relaxed_csv(args.synth, data.schema)
-    else:
-        synth = schema.load_csv(args.synth, data.schema)
+    synth = _load_synth(args.synth, data.schema)
     report = evaluation.max_error(wl, data, synth)
     Path(args.out).write_text(schema.dump_json(report.to_json_dict()), encoding="utf-8")
     print(
@@ -235,8 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="error report of synthetic data against the real data")
     _add_data_args(p)
     p.add_argument("--workload", required=True)
-    p.add_argument("--synth", required=True)
-    p.add_argument("--synth-format", choices=["labels", "relaxed"], default="labels")
+    p.add_argument(
+        "--synth", required=True,
+        help="round's labelled CSV, or fit's relaxed.csv (told apart by the header row)",
+    )
     p.add_argument("--out", default="error_report.json")
     p.set_defaults(func=cmd_eval)
 

@@ -172,26 +172,39 @@ class PrivacyBudget:
     running total is kept exactly as one int counting that unit, rebuilt
     from any ledger given at construction and updated on each spend. The cap
     check compares that int with rho_total in the same unit, with no
-    tolerance: a private ledger never totals more than rho_total. Record
+    tolerance: a ledger never totals more than a finite rho_total. Record
     spends through spend(), which keeps the two in step.
+
+    A finite rho_total must reproduce epsilon at delta. The one budget without
+    a cap is rho_total = epsilon = +inf, the noiseless sentinel (non_private()).
     """
 
     epsilon: float
     delta: float
     rho_total: float
-    private: bool = True
     ledger: list[tuple[str, float]] = field(default_factory=list)
     _total: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.private:
+        if self.rho_total == math.inf:
+            if self.epsilon != math.inf:
+                raise BudgetError(
+                    f"an infinite rho_total is the noiseless sentinel and needs epsilon inf, "
+                    f"got {self.epsilon}"
+                )
+        else:
             back = eps_from_rho_delta(self.rho_total, self.delta)
-            if abs(back - self.epsilon) > 1e-9:
+            if not abs(back - self.epsilon) <= 1e-9:  # a NaN on either side fails too
                 raise BudgetError(
                     f"rho_total {self.rho_total} does not reproduce epsilon "
                     f"{self.epsilon} (got {back})"
                 )
         self._total = sum(_units(rho) for _, rho in self.ledger)
+
+    @property
+    def private(self) -> bool:
+        """Whether spends are capped: true exactly when rho_total is finite."""
+        return math.isfinite(self.rho_total)
 
     @classmethod
     def from_eps_delta(cls, epsilon: float, delta: float) -> "PrivacyBudget":
@@ -205,7 +218,7 @@ class PrivacyBudget:
     @classmethod
     def non_private(cls) -> "PrivacyBudget":
         """Noiseless sentinel budget for test runs; spends are recorded as 0."""
-        return cls(math.inf, 0.0, math.inf, private=False)
+        return cls(math.inf, 0.0, math.inf)
 
     def spend(self, label: str | list[str], rho: float) -> None:
         """Book rho under `label`, or under each of a list of m labels (m equal spends).

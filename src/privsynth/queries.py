@@ -189,7 +189,11 @@ class Workload:
 
     @classmethod
     def from_json_dict(cls, schema: Schema, obj: dict, source: str = "workload") -> "Workload":
-        """Inverse of to_json_dict; any other JSON shape is a WorkloadError naming `source`."""
+        """Inverse of to_json_dict; any other JSON shape is a WorkloadError naming `source`.
+
+        So is a file without marginals, or one whose "k", when not null, is
+        not the marginals' common arity.
+        """
         if not (
             isinstance(obj, dict) and obj.get("kind") in QUERY_KINDS
             and isinstance(obj.get("marginals"), list)
@@ -203,7 +207,17 @@ class Workload:
                 f'"marginals" a list of lists of integer feature indices, and "seed", if given, '
                 f'a non-negative integer or null'
             )
-        return cls(schema, obj["marginals"], kind=obj["kind"], seed=obj.get("seed"))
+        if not obj["marginals"]:
+            raise WorkloadError(f"{source}: the workload is empty: it lists no marginals")
+        workload = cls(schema, obj["marginals"], kind=obj["kind"], seed=obj.get("seed"))
+        k = obj.get("k")
+        if k is not None and not (type(k) is int and k == workload.k):
+            arity = "mixed" if workload.k is None else workload.k
+            raise WorkloadError(
+                f'{source}: "k" is {k!r} but the marginals\' arity is {arity}; '
+                f'give their common arity, or null'
+            )
+        return workload
 
     @classmethod
     def load(cls, schema: Schema, path) -> "Workload":

@@ -474,6 +474,7 @@ class TestConfigFile:
         *(["sweep", "--workload", "w.json", "--axis", "epsilon", "--values", "1", flag, value]
           for flag, value in [("--k", "2"), ("--marginals", "3"), ("--workload-seed", "4"),
                               ("--kind", "product")]),
+        ["eval", "--workload", "w.json", "--synth", "s.csv", "--synth-format", "relaxed"],
     ])
     def test_removed_flags_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -507,8 +508,7 @@ class TestRoundAndEvalCommands:
         toy_csv, wpath, out_dir = fitted
         report = tmp_path / "rr.json"
         code = run(["eval", "--data", toy_csv, "--workload", wpath,
-                    "--synth", out_dir / "relaxed.csv", "--synth-format", "relaxed",
-                    "--out", report])
+                    "--synth", out_dir / "relaxed.csv", "--out", report])
         assert code == 0
         assert json.loads(report.read_text())["m"] == 26
 
@@ -516,11 +516,25 @@ class TestRoundAndEvalCommands:
         toy_csv, wpath, out_dir = fitted
         report = tmp_path / "report.json"
         assert run(["eval", "--data", toy_csv, "--workload", wpath,
-                    "--synth", out_dir / "relaxed.csv", "--synth-format", "relaxed",
-                    "--out", report]) == 0
+                    "--synth", out_dir / "relaxed.csv", "--out", report]) == 0
         text = report.read_text()
         assert json.loads(text)["privacy"] == "non-private"
         assert text.count("\n") == 1 and text.endswith("\n")
+
+    def test_eval_wrong_header_names_the_schema_header(self, fitted, tmp_path, capsys):
+        """A labelled CSV whose header is not the schema's is refused as a relaxed matrix too."""
+        toy_csv, wpath, _ = fitted
+        header, *rows = toy_csv.read_text().splitlines(keepends=True)
+        bad = tmp_path / "renamed.csv"
+        bad.write_text("".join(["x" + header, *rows]))
+        names = Schema.load(wpath.with_suffix(".schema.json")).feature_names()
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run(["eval", "--data", toy_csv, "--workload", wpath, "--synth", bad,
+                    "--out", report]) == 3
+        err = capsys.readouterr().err
+        assert f"schema error: {bad}: " in err and f"the header {names}" in err
+        assert "Traceback" not in err and not report.exists()
 
     @pytest.mark.parametrize("command", ["round", "eval"])
     def test_non_finite_relaxed_input_exit_code(self, fitted, tmp_path, capsys, command):
@@ -534,7 +548,7 @@ class TestRoundAndEvalCommands:
             "round": ["round", "--relaxed", bad, "--schema", out_dir / "schema.json",
                       "--out", out],
             "eval": ["eval", "--data", toy_csv, "--workload", wpath, "--synth", bad,
-                     "--synth-format", "relaxed", "--out", out],
+                     "--out", out],
         }[command]
         capsys.readouterr()
         assert run(argv) == 3
@@ -593,8 +607,7 @@ class TestRoundAndEvalCommands:
             bad.write_text(text)
             argv = {
                 "round": ["round", "--relaxed", bad, "--schema", out_dir / "schema.json"],
-                "eval": ["eval", "--data", toy_csv, "--workload", wpath, "--synth", bad,
-                         "--synth-format", "relaxed"],
+                "eval": ["eval", "--data", toy_csv, "--workload", wpath, "--synth", bad],
             }[command]
             proc = subprocess.run(
                 [sys.executable, "-m", "privsynth.cli", *map(str, argv), "--out", tmp_path / "out"],
@@ -843,6 +856,28 @@ class TestMalformedJsonInput:
             assert run(argv) == 2, argv[0]
             err = capsys.readouterr().err
             assert f"error: {bad}: " in err and '"seed"' in err
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"kind": "product", "marginals": []}, "the workload is empty"),
+        ({"kind": "product", "k": 3, "marginals": [[0, 1]]}, '"k" is 3 '),
+        ({"kind": "product", "k": 2, "marginals": [[0], [1, 2]]}, '"k" is 2 '),
+        ({"kind": "product", "k": True, "marginals": [[0]]}, '"k" is True '),
+        ({"kind": "product", "k": 2.0, "marginals": [[0, 1]]}, '"k" is 2.0 '),
+    ])
+    def test_empty_workload_or_wrong_k_names_file(self, toy_csv, tmp_path, capsys, doc, message):
+        bad = tmp_path / "bad_workload.json"
+        bad.write_text(json.dumps(doc))
+        for argv in (
+            ["fit", "--data", toy_csv, "--workload", bad, "--seed", 0,
+             "--out-dir", tmp_path / "out"],
+            ["sweep", "--data", toy_csv, "--workload", bad, "--axis", "epsilon",
+             "--values", 1, "--out", tmp_path / "out" / "sweep.csv"],
+        ):
+            capsys.readouterr()
+            assert run(argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert f"error: {bad}: " in err and message in err
             assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind, code, prefix", [

@@ -243,6 +243,24 @@ class TestPrivacyBudget:
         b.spend("noiseless", 0.0)
         assert b.spent() == 0.0
         assert b.summary()["private"] is False
+        assert b.private is False and PrivacyBudget.from_eps_delta(1.0, 1e-6).private is True
+
+    def test_private_is_not_a_constructor_argument(self):
+        rho = rho_from_eps_delta(1.0, 1e-5)
+        with pytest.raises(TypeError):
+            PrivacyBudget(1.0, 1e-5, rho, private=False)
+
+    @pytest.mark.parametrize("epsilon", [1.0, math.nan])
+    def test_infinite_cap_needs_infinite_epsilon(self, epsilon):
+        """Only the noiseless sentinel (epsilon = rho_total = inf) goes uncapped."""
+        with pytest.raises(BudgetError, match="needs epsilon inf"):
+            PrivacyBudget(epsilon, 1e-5, math.inf)
+
+    def test_finite_cap_is_checked_against_epsilon(self):
+        with pytest.raises(BudgetError, match="does not reproduce epsilon"):
+            PrivacyBudget(5.0, 1e-5, rho_from_eps_delta(1.0, 1e-5))
+        with pytest.raises(BudgetError, match="does not reproduce epsilon"):
+            PrivacyBudget(1.0, 1e-5, math.nan)
 
     @settings(max_examples=200, deadline=None)
     @given(SPENDS)
@@ -251,7 +269,7 @@ class TestPrivacyBudget:
         for i, rho in enumerate(rhos):
             b.spend(f"call{i}", rho)
             assert b.spent() == math.fsum(rhos[: i + 1])
-        rebuilt = PrivacyBudget(b.epsilon, b.delta, b.rho_total, private=False, ledger=b.ledger)
+        rebuilt = PrivacyBudget(b.epsilon, b.delta, b.rho_total, ledger=b.ledger)
         assert rebuilt.spent() == math.fsum(rhos)
 
     @settings(max_examples=200, deadline=None)

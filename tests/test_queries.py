@@ -97,6 +97,16 @@ class TestWorkloadGeneration:
         assert back.kind == ONE_OUT_OF_K
         assert back.seed == 5
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": "product", "marginals": [[0, 1]]},
+        {"kind": "product", "k": None, "marginals": [[0, 1]]},
+        {"kind": "product", "k": 2, "marginals": [[0, 1], [1, 2]]},
+        {"kind": "product", "k": None, "marginals": [[0], [1, 2]]},
+    ])
+    def test_json_k_absent_null_or_the_common_arity(self, doc):
+        w = Workload.from_json_dict(schema_from_cardinalities((2, 3, 4)), doc)
+        assert w.marginals == [tuple(s) for s in doc["marginals"]]
+
     def test_compiled_dump(self):
         s = schema_from_cardinalities((2, 2))
         w = Workload(s, [(0,)])
@@ -407,7 +417,10 @@ class TestMarginalKernel:
 
 
 class TestCellWorkspace:
-    """Per-cell results match a fresh evaluator's and survive later calls at any row count."""
+    """A per-cell gradient shares no memory with a later call's, so it survives later calls.
+
+    Each later call, at the same row count or another, also matches a fresh evaluator's.
+    """
 
     def _lists(self, s):
         threshold = Workload(s, [(0, 1), (1, 2)], kind=ONE_OUT_OF_K).queries[::3]
