@@ -52,7 +52,7 @@ def _parse_delta(text: str) -> float | None:
 
 
 def _add_fit_args(p) -> None:
-    """The fit flags of fit and sweep. Each given flag overrides its --config key."""
+    """fit's config flags. Each given flag overrides its --config key."""
     p.add_argument(
         "--config", help='JSON file with the keys of result.json\'s "config"; flags override it'
     )
@@ -63,7 +63,7 @@ def _add_fit_args(p) -> None:
         "--K", dest="queries_per_round", type=int, help="queries selected per round when T > 1"
     )
     p.add_argument("--n-prime", dest="n_synth", type=int, help="synthetic rows")
-    p.add_argument("--seed", type=int, help="reproducible noise (NOT private; sweep default 0)")
+    p.add_argument("--seed", type=int, help="reproducible noise (NOT private)")
     p.add_argument(
         "--no-noise", action="store_true", default=None, help="noiseless test mode (NOT private)"
     )
@@ -72,10 +72,11 @@ def _add_fit_args(p) -> None:
 
 
 def _given(args, keys) -> dict:
-    return {key: value for key in keys if (value := getattr(args, key)) is not None}
+    return {key: value for key in keys if (value := getattr(args, key, None)) is not None}
 
 
 def _fit_config(args) -> engine.FitConfig:
+    """The --config file's FitConfig, each given _add_fit_args flag overriding its key."""
     obj = {}
     if args.config:
         obj = schema.load_json(args.config, ValueError)
@@ -83,7 +84,7 @@ def _fit_config(args) -> engine.FitConfig:
             obj["delta"] = _parse_delta(obj["delta"])
     base = engine.config_from_json(engine.FitConfig, obj)
     flags = _given(args, ("epsilon", "rounds", "queries_per_round", "n_synth", "seed", "no_noise"))
-    if args.delta is not None:
+    if getattr(args, "delta", None) is not None:
         flags["delta"] = _parse_delta(args.delta)
     proj = _given(args, ("max_steps", "learning_rate"))
     return replace(base, **flags, projection=replace(base.projection, **proj))
@@ -196,20 +197,19 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    data = _load_data(args)
-    wl = queries.Workload.load(data.schema, args.workload)
+    # The config and the flags are checked before the private table is read.
     config = _fit_config(args)
     axis = args.axis.replace("-", "_").replace("n_prime", "n_synth")
-    values = [float(v) if axis == "epsilon" else int(v) for v in args.values.split(",")]
+    grid = (tuple(map(int, g.split(","))) if g else None for g in (args.grid_T, args.grid_K))
     spec = evaluation.SweepSpec(
-        axis=axis,
-        values=tuple(values),
-        seeds=tuple(range(config.seed or 0, (config.seed or 0) + args.seeds)),
-        grid_rounds=tuple(int(v) for v in args.grid_T.split(",")) if args.grid_T else None,
-        grid_queries_per_round=(
-            tuple(int(v) for v in args.grid_K.split(",")) if args.grid_K else None
-        ),
+        axis, tuple(map(float if axis == "epsilon" else int, args.values.split(","))),
+        tuple(range(config.seed or 0, (config.seed or 0) + args.seeds)), *grid,
     )
+    data = _load_data(args)
+    wl = queries.Workload.load(data.schema, args.workload)
+    delta = engine.resolve_delta(config, data.n)
+    print("config:", *_config_items(dict(engine.config_to_json(config), delta=delta)),
+          f"seeds={spec.seeds[0]}..{spec.seeds[-1]}")
     rows = evaluation.run_sweep(data, wl, spec, config)
     evaluation.sweep_rows_to_csv(rows, args.out)
     failed = sum(1 for r in rows if r["status"] != "ok")
@@ -259,22 +259,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="error_report.json")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", help="run a fit per axis value x seed x grid point")
+    # No prefix matching: a --seed meant for fit must not be read as --seeds.
+    p = sub.add_parser("sweep", help="run a fit per axis value x seed x grid point",
+                       allow_abbrev=False)
     _add_data_args(p)
     p.add_argument(
         "--workload", required=True,
         help="the workload fitted; --axis workload draws its own of this arity, kind and seed",
     )
-    p.add_argument(
-        "--axis", choices=["epsilon", "workload", "n-prime", "oversample"], required=True
-    )
+    p.add_argument("--axis", required=True,
+                   choices=["epsilon", "workload", "n-prime", "oversample"])
     p.add_argument("--values", required=True, help="comma-separated axis values")
-    p.add_argument(
-        "--seeds", type=int, default=5, help="number of fit seeds: --seed .. --seed+seeds-1"
-    )
+    p.add_argument("--seeds", type=int, default=5,
+                   help='number of fit seeds, counted up from the config\'s "seed" (0 if null)')
     p.add_argument("--grid-T", default=None, help="comma-separated rounds grid")
     p.add_argument("--grid-K", default=None, help="comma-separated queries-per-round grid")
-    _add_fit_args(p)
+    p.add_argument("--config", help='every fit\'s base: JSON with result.json\'s "config" keys')
     p.add_argument("--out", default="sweep.csv")
     p.set_defaults(func=cmd_sweep)
 

@@ -475,6 +475,10 @@ class TestConfigFile:
           for flag, value in [("--k", "2"), ("--marginals", "3"), ("--workload-seed", "4"),
                               ("--kind", "product")]),
         ["eval", "--workload", "w.json", "--synth", "s.csv", "--synth-format", "relaxed"],
+        *(["sweep", "--workload", "w.json", "--axis", "epsilon", "--values", "1", *flag]
+          for flag in [("--epsilon", "1"), ("--delta", "auto"), ("--T", "1"), ("--K", "2"),
+                       ("--n-prime", "10"), ("--seed", "0"), ("--no-noise",),
+                       ("--max-steps", "5"), ("--learning-rate", "0.1")]),
     ])
     def test_removed_flags_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -626,14 +630,21 @@ def write_workload(toy_csv, path, *flags):
     return path
 
 
+def write_config(path, n_synth=10, max_steps=10, **keys):
+    """A --config file for a small, fast fit; `keys` adds or overrides top-level keys."""
+    path.write_text(json.dumps({"n_synth": n_synth, "projection": {"max_steps": max_steps},
+                                **keys}))
+    return path
+
+
 class TestSweepCommand:
     def test_row_counts_and_best_table(self, toy_csv, tmp_path):
         wpath = write_workload(toy_csv, tmp_path / "w.json")
-        before = set(tmp_path.iterdir())
         out = tmp_path / "sweep.csv"
+        cfg = write_config(tmp_path / "c.json")
+        before = set(tmp_path.iterdir())
         code = run(["sweep", "--data", toy_csv, "--workload", wpath, "--axis", "epsilon",
-                    "--values", "0.1,1.0", "--seeds", 2,
-                    "--n-prime", 10, "--max-steps", 10, "--out", out])
+                    "--values", "0.1,1.0", "--seeds", 2, "--config", cfg, "--out", out])
         assert code == 0
         with out.open() as fh:
             rows = list(csv.DictReader(fh))
@@ -655,9 +666,9 @@ class TestSweepCommand:
         save_csv(skewed_dataset(60, seed=2, cards=(2, 2, 2, 2)), data)
         wpath = write_workload(data, tmp_path / "w.json", "--k", 3)
         out = tmp_path / "sweep.csv"
+        cfg = write_config(tmp_path / "c.json", n_synth=5, max_steps=2)
         assert run(["sweep", "--data", data, "--workload", wpath, "--axis", "workload",
-                    "--values", "2,99", "--seeds", 1, "--n-prime", 5, "--max-steps", 2,
-                    "--out", out]) == 0
+                    "--values", "2,99", "--seeds", 1, "--config", cfg, "--out", out]) == 0
         assert "2 rows (1 failed, all non-private)" in capsys.readouterr().out
         with out.open() as fh:
             rows = list(csv.DictReader(fh))
@@ -665,21 +676,22 @@ class TestSweepCommand:
             "ok", "error: requested 99 marginals; from 0 to 4 exist"
         ]
 
-    def _rows(self, toy_csv, tmp_path, name, *extra, workload=()):
+    def _rows(self, toy_csv, tmp_path, name, workload=(), **config):
         wpath = write_workload(toy_csv, tmp_path / f"{name}.json", *workload)
+        cfg = write_config(tmp_path / f"{name}.config.json", **config)
         out = tmp_path / f"{name}.csv"
         assert run(["sweep", "--data", toy_csv, "--workload", wpath, "--axis", "epsilon",
-                    "--values", "1", "--seeds", 2, "--n-prime", 10,
-                    "--max-steps", 10, "--out", out, *extra]) == 0
+                    "--values", "1", "--seeds", 2, "--config", cfg, "--out", out]) == 0
         with out.open() as fh:
             return [{k: v for k, v in row.items() if k != "wall_ms"} for row in csv.DictReader(fh)]
 
     def test_seed_offsets_the_seed_range(self, toy_csv, tmp_path):
         default = self._rows(toy_csv, tmp_path, "default")
         assert [r["seed"] for r in default] == ["0", "1"]
-        assert self._rows(toy_csv, tmp_path, "zero", "--seed", 0) == default
-        five = self._rows(toy_csv, tmp_path, "five", "--seed", 5)
-        nine = self._rows(toy_csv, tmp_path, "nine", "--seed", 9)
+        assert self._rows(toy_csv, tmp_path, "zero", seed=0) == default
+        assert self._rows(toy_csv, tmp_path, "null", seed=None) == default
+        five = self._rows(toy_csv, tmp_path, "five", seed=5)
+        nine = self._rows(toy_csv, tmp_path, "nine", seed=9)
         assert [r["seed"] for r in five] == ["5", "6"]
         assert [r["seed"] for r in nine] == ["9", "10"]
         assert [r["max_error"] for r in five] != [r["max_error"] for r in nine]
@@ -690,9 +702,9 @@ class TestSweepCommand:
         flags = ("--seed", 4, "--kind", kind)
         wpath = write_workload(toy_csv, tmp_path / "w1.json", "--marginals", 1, *flags)
         out = tmp_path / "axis.csv"
+        cfg = write_config(tmp_path / "c.json")
         assert run(["sweep", "--data", toy_csv, "--workload", wpath, "--axis", "workload",
-                    "--values", 3, "--seeds", 2, "--n-prime", 10, "--max-steps", 10,
-                    "--out", out]) == 0
+                    "--values", 3, "--seeds", 2, "--config", cfg, "--out", out]) == 0
         with out.open() as fh:
             drawn = [(r["seed"], r["max_error"]) for r in csv.DictReader(fh)]
         given = self._rows(toy_csv, tmp_path, "w3", workload=("--marginals", 3, *flags))
@@ -708,14 +720,75 @@ class TestSweepCommand:
     def test_workload_axis_needs_one_arity_and_a_seed(self, toy_csv, tmp_path, capsys, doc):
         wpath = tmp_path / "w.json"
         wpath.write_text(json.dumps(doc))
+        cfg = write_config(tmp_path / "c.json", max_steps=5)
         argv = ["sweep", "--data", toy_csv, "--workload", wpath, "--values", 1, "--seeds", 1,
-                "--n-prime", 10, "--max-steps", 5, "--out", tmp_path / "sweep.csv"]
+                "--config", cfg, "--out", tmp_path / "sweep.csv"]
         capsys.readouterr()
         assert run([*argv, "--axis", "workload"]) == 2
         assert "needs a workload of one arity with a seed" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
         assert run([*argv, "--axis", "epsilon"]) == 0
         assert "1 rows (0 failed, all non-private)" in capsys.readouterr().out
+
+    def test_echoes_the_resolved_base_config(self, toy_csv, tmp_path, capsys):
+        wpath = write_workload(toy_csv, tmp_path / "w.json")
+        cfg = write_config(tmp_path / "c.json", n_synth=7, max_steps=3, seed=4, delta="auto")
+        capsys.readouterr()
+        assert run(["sweep", "--data", toy_csv, "--workload", wpath, "--axis", "epsilon",
+                    "--values", 1, "--seeds", 2, "--config", cfg,
+                    "--out", tmp_path / "sweep.csv"]) == 0
+        [line] = [x for x in capsys.readouterr().out.splitlines() if x.startswith("config: ")]
+        assert f" delta={1.0 / 200**2} " in line
+        assert " n_synth=7 seed=4 " in line and " projection.max_steps=3 " in line
+        assert line.endswith(" seeds=4..5")
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--config", "bad.json", "--values", "1"], "n_synth"),
+        (["--values", "abc"], "'abc'"),
+        (["--values", "1", "--grid-T", "1,x"], "'x'"),
+    ])
+    def test_bad_config_or_flag_fails_before_loading(self, toy_csv, tmp_path, capsys,
+                                                     monkeypatch, flags, named):
+        """A bad config, --values or grid exits 2 before the private table is read."""
+        wpath = write_workload(toy_csv, tmp_path / "w.json")
+        write_config(tmp_path / "bad.json", n_synth="ten")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(privsynth.schema, "load_csv", lambda *a, **k: pytest.fail("loaded"))
+        capsys.readouterr()
+        assert run(["sweep", "--data", toy_csv, "--workload", wpath, "--axis", "epsilon",
+                    *flags, "--out", "sweep.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "warning" not in err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_empty_table_exit_code(self, toy_csv, tmp_path, capsys):
+        wpath = write_workload(toy_csv, tmp_path / "w.json")
+        empty = tmp_path / "empty.csv"
+        empty.write_text(toy_csv.read_text().splitlines()[0] + "\n")
+        out = tmp_path / "sweep.csv"
+        capsys.readouterr()
+        assert run(["sweep", "--data", empty, "--schema", wpath.with_suffix(".schema.json"),
+                    "--workload", wpath, "--axis", "epsilon", "--values", 1,
+                    "--out", out]) == 3
+        assert "no rows" in capsys.readouterr().err and not out.exists()
+
+    def test_cell_is_fit_then_eval(self, toy_csv, tmp_path):
+        """Each cell's max_error is what `fit --config <file> --seed s` then `eval` report."""
+        wpath = write_workload(toy_csv, tmp_path / "w.json")
+        cfg = write_config(tmp_path / "c.json", seed=3, epsilon=0.5)
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--data", toy_csv, "--workload", wpath, "--axis", "epsilon",
+                    "--values", 0.5, "--seeds", 2, "--config", cfg, "--out", out]) == 0
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["seed"] for r in rows] == ["3", "4"]
+        for row in rows:
+            fit_dir, report = tmp_path / f"fit{row['seed']}", tmp_path / f"{row['seed']}.json"
+            assert run(["fit", "--data", toy_csv, "--workload", wpath, "--config", cfg,
+                        "--seed", row["seed"], "--out-dir", fit_dir]) == 0
+            assert run(["eval", "--data", toy_csv, "--workload", wpath,
+                        "--synth", fit_dir / "relaxed.csv", "--out", report]) == 0
+            assert float(row["max_error"]) == json.loads(report.read_text())["max_error"]
 
 
 class TestNoiseSecrecy:
