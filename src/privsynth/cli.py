@@ -80,8 +80,8 @@ def _fit_config(args) -> engine.FitConfig:
     obj = {}
     if args.config:
         obj = schema.load_json(args.config, ValueError)
-        if isinstance(obj, dict) and isinstance(obj.get("delta"), str):
-            obj["delta"] = _parse_delta(obj["delta"])
+        if isinstance(obj, dict) and obj.get("delta") == "auto":  # any other string is refused
+            obj["delta"] = None
     base = engine.config_from_json(engine.FitConfig, obj)
     flags = _given(args, ("epsilon", "rounds", "queries_per_round", "n_synth", "seed", "no_noise"))
     if getattr(args, "delta", None) is not None:

@@ -179,8 +179,6 @@ class _Measurements:
 def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResult:
     """Run the full mechanism and return the fitted relaxed dataset."""
     delta = resolve_delta(config, data.n)
-    if workload.m == 0:
-        raise InfeasibleConfigError("workload is empty")
     if data.schema != workload.schema:
         raise SchemaError("dataset and workload schemas differ")
     t_rounds, k_per = config.rounds, config.queries_per_round

@@ -80,12 +80,10 @@ def max_error(workload: Workload, data: DiscreteDataset, synth) -> ErrorReport:
     `synth` may be a relaxed matrix (evaluated differentiably) or a discrete
     dataset (evaluated exactly); the two agree when the relaxed input is
     one-hot. A table without rows answers no query, so either one empty is
-    a SchemaError; a workload without queries has no maximum, a WorkloadError.
+    a SchemaError.
     """
     if not isinstance(synth, (RelaxedDataset, DiscreteDataset)):
         raise TypeError(f"synth must be a relaxed or discrete dataset, got {type(synth)!r}")
-    if workload.m == 0:
-        raise WorkloadError("the workload is empty: it has no queries to measure an error on")
     for table, name in ((data, "private"), (synth, "synthetic")):
         if table.n == 0:
             raise SchemaError(f"the {name} table has no rows")
@@ -151,21 +149,9 @@ def run_sweep(
             for t_rounds, k_per in spec.grid(base):
                 epsilon = float(value) if spec.axis == AXIS_EPSILON else base.epsilon
                 n_synth = int(value) if spec.axis == AXIS_N_SYNTH else base.n_synth
-                row = {
-                    "axis": spec.axis,
-                    "value": value,
-                    "seed": seed,
-                    "K": k_per,
-                    "T": t_rounds,
-                    "n_prime": n_synth,
-                    "epsilon": epsilon,
-                    "delta": None,
-                    "max_error": None,
-                    "mean_error": None,
-                    "naive_baseline": None,
-                    "wall_ms": None,
-                    "status": "ok",
-                    "privacy": NON_PRIVATE,
+                row = dict.fromkeys(SWEEP_COLUMNS) | {
+                    "axis": spec.axis, "value": value, "seed": seed, "K": k_per, "T": t_rounds,
+                    "n_prime": n_synth, "epsilon": epsilon, "status": "ok", "privacy": NON_PRIVATE,
                 }
                 t0 = time.perf_counter()
                 try:  # an infeasible config, or workload-axis value, is an error row too
@@ -201,5 +187,4 @@ def sweep_rows_to_csv(rows: list[dict], path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
-        for row in rows:
-            writer.writerow({c: row.get(c) for c in SWEEP_COLUMNS})
+        writer.writerows(rows)

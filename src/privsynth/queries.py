@@ -73,6 +73,16 @@ class WorkloadError(ValueError):
     """Invalid workload request (arity, count, or index out of range)."""
 
 
+#: Largest supported marginal arity. It bounds the cell count of a marginal's
+#: answer tensor, which the evaluators allocate in full.
+MAX_ARITY = 8
+
+
+def _check_arity(k: int) -> None:
+    if k > MAX_ARITY:
+        raise WorkloadError(f"marginal arity above {MAX_ARITY} is not supported")
+
+
 @dataclass(frozen=True)
 class MarginalQuery:
     """A value assignment y to a feature subset S."""
@@ -128,6 +138,10 @@ class Workload:
     marginal's queries contiguous. Construction keeps only the marginals and
     the offset of each one's first query; `queries`, the list of compiled
     queries, is built on first access.
+
+    This is the one check of what a workload is: at least one marginal, each
+    of 1 to MAX_ARITY distinct, in-range features. Anything else raises
+    WorkloadError, so the evaluators and the fit take the workload as valid.
     """
 
     def __init__(self, schema: Schema, marginals, kind: str = PRODUCT, seed: int | None = None):
@@ -137,6 +151,8 @@ class Workload:
         self.kind = kind
         self.seed = seed
         self.marginals = [tuple(int(i) for i in s) for s in marginals]
+        if not self.marginals:
+            raise WorkloadError("the workload is empty: it lists no marginals")
         t = schema.cardinalities
         starts = [0]
         for s in self.marginals:
@@ -144,6 +160,7 @@ class Workload:
                 raise WorkloadError(f"marginal {s} has repeated features")
             if not s:
                 raise WorkloadError("query must touch at least one column")
+            _check_arity(len(s))
             for i in s:
                 if not 0 <= i < schema.d:
                     raise WorkloadError(f"feature index {i} out of range")
@@ -191,8 +208,8 @@ class Workload:
     def from_json_dict(cls, schema: Schema, obj: dict, source: str = "workload") -> "Workload":
         """Inverse of to_json_dict; any other JSON shape is a WorkloadError naming `source`.
 
-        So is a file without marginals, or one whose "k", when not null, is
-        not the marginals' common arity.
+        So is every fault the constructor finds, and a "k" that, when not
+        null, is not the marginals' common arity.
         """
         if not (
             isinstance(obj, dict) and obj.get("kind") in QUERY_KINDS
@@ -207,9 +224,10 @@ class Workload:
                 f'"marginals" a list of lists of integer feature indices, and "seed", if given, '
                 f'a non-negative integer or null'
             )
-        if not obj["marginals"]:
-            raise WorkloadError(f"{source}: the workload is empty: it lists no marginals")
-        workload = cls(schema, obj["marginals"], kind=obj["kind"], seed=obj.get("seed"))
+        try:
+            workload = cls(schema, obj["marginals"], kind=obj["kind"], seed=obj.get("seed"))
+        except WorkloadError as exc:
+            raise WorkloadError(f"{source}: {exc}") from None
         k = obj.get("k")
         if k is not None and not (type(k) is int and k == workload.k):
             arity = "mixed" if workload.k is None else workload.k
@@ -259,7 +277,7 @@ def _workload_columns(workload: Workload, indices: np.ndarray) -> list[tuple[np.
     card = np.asarray(workload.schema.cardinalities, dtype=np.int64)
     starts = np.asarray(workload._starts, dtype=np.int64)
     arities = [len(s) for s in workload.marginals]
-    width = max(arities, default=0)  # features of each marginal, zero-padded to one width
+    width = max(arities)  # features of each marginal, zero-padded to one width
     features = np.array([s + (0,) * (width - len(s)) for s in workload.marginals], np.int64)
     which = np.searchsorted(starts, indices, side="right") - 1  # marginal of each query
     arity = np.asarray(arities, dtype=np.int64)[which]
@@ -311,15 +329,6 @@ def random_workload(
 # Exact evaluation on discrete data
 # ---------------------------------------------------------------------------
 
-#: Largest supported marginal arity. It bounds the cell count of a marginal's
-#: answer tensor, which the evaluators allocate in full.
-MAX_ARITY = 8
-
-
-def _check_arity(k: int) -> None:
-    if k > MAX_ARITY:
-        raise WorkloadError(f"marginal arity above {MAX_ARITY} is not supported")
-
 
 def eval_discrete(workload: Workload, dataset: DiscreteDataset) -> np.ndarray:
     """Exact answers on discrete data, as match fractions count/n.
@@ -336,12 +345,10 @@ def eval_discrete(workload: Workload, dataset: DiscreteDataset) -> np.ndarray:
     """
     if dataset.schema != workload.schema:
         raise SchemaError("workload and dataset schemas differ")
-    for s in workload.marginals:
-        _check_arity(len(s))
     n = dataset.n
     t = workload.schema.cardinalities
     out = np.zeros(workload.m, dtype=np.float64)
-    if n == 0 or workload.m == 0:
+    if n == 0:
         return out
     sizes = workload.marginal_sizes()
     # Every multiplier t_i and every code is at most its marginal's size, so

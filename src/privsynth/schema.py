@@ -103,7 +103,11 @@ class Schema:
 
     @classmethod
     def from_json_dict(cls, obj: list[dict], source: str = "schema") -> "Schema":
-        """Inverse of to_json_dict; any other JSON shape is a SchemaError naming `source`."""
+        """Inverse of to_json_dict; any other JSON shape is a SchemaError naming `source`.
+
+        So is every fault FeatureSpec or Schema finds: a feature without
+        categories or with repeated ones, repeated names, or no features.
+        """
         if not isinstance(obj, list) or not all(
             isinstance(e, dict) and isinstance(e.get("name"), str)
             and isinstance(e.get("categories"), list)
@@ -114,7 +118,10 @@ class Schema:
                 f'{source}: a schema must be a JSON list of objects, each with a string "name" '
                 f'and a list of string "categories"'
             )
-        return cls(tuple(FeatureSpec(e["name"], tuple(e["categories"])) for e in obj))
+        try:
+            return cls(tuple(FeatureSpec(e["name"], tuple(e["categories"])) for e in obj))
+        except SchemaError as exc:
+            raise SchemaError(f"{source}: {exc}") from None
 
     def save(self, path) -> None:
         Path(path).write_text(dump_json(self.to_json_dict()), encoding="utf-8")

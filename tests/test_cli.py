@@ -440,6 +440,7 @@ class TestConfigFile:
         ({"delta": "soon"}, "delta"),
         ({"projection": 5}, "projection"),
         ({"projection": {"max_steps": 2.5}}, "projection.max_steps"),
+        ({"delta": "0.001"}, "delta"),  # only "auto" is taken as a string
     ])
     def test_wrong_type_is_usage_error(self, fitted, tmp_path, capsys, config, key):
         capsys.readouterr()
@@ -578,7 +579,7 @@ class TestRoundAndEvalCommands:
         toy_csv, wpath, _ = fitted
         schema_path = wpath.with_suffix(".schema.json")
         empty = tmp_path / "empty.json"
-        Workload(Schema.load(schema_path), []).save(empty)
+        empty.write_text(json.dumps({"kind": "product", "k": None, "seed": None, "marginals": []}))
         report = tmp_path / "report.json"
         capsys.readouterr()
         assert run(["eval", "--data", toy_csv, "--schema", schema_path, "--workload", empty,
@@ -952,6 +953,63 @@ class TestMalformedJsonInput:
             err = capsys.readouterr().err
             assert f"error: {bad}: " in err and message in err
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("marginals, message", [
+        ([[0, 10]], "feature index 10 out of range"),
+        ([[-1]], "feature index -1 out of range"),
+        ([[0, 3, 0]], "marginal (0, 3, 0) has repeated features"),
+        ([[0], []], "query must touch at least one column"),
+        ([list(range(9))], "marginal arity above 8 is not supported"),
+    ])
+    def test_workload_constructor_fault_names_file(self, tmp_path, capsys, marginals, message):
+        """On a 10-feature table each fault exits 2 when the file is read, before `config:`."""
+        data = tmp_path / "ten.csv"
+        save_csv(skewed_dataset(40, seed=3, cards=(2,) * 10), data)
+        bad = tmp_path / "bad_workload.json"
+        bad.write_text(json.dumps({"kind": "product", "marginals": marginals}))
+        out = tmp_path / "out"
+        for argv in (
+            ["fit", "--data", data, "--workload", bad, "--seed", 0, "--out-dir", out],
+            ["eval", "--data", data, "--workload", bad, "--synth", data,
+             "--out", out / "report.json"],
+            ["sweep", "--data", data, "--workload", bad, "--axis", "epsilon", "--values", 1,
+             "--out", out / "sweep.csv"],
+        ):
+            capsys.readouterr()
+            assert run(argv) == 2, argv[0]
+            printed, err = capsys.readouterr()
+            assert f"error: {bad}: {message}" in err and "Traceback" not in err
+            assert "config:" not in printed
+            assert not out.exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        ([{"name": "f0", "categories": []}], "feature 'f0' has no categories"),
+        ([{"name": "f0", "categories": ["a", "a"]}], "feature 'f0' has duplicate categories"),
+        ([{"name": "f0", "categories": ["a"]}, {"name": "f0", "categories": ["b"]}],
+         "duplicate feature names"),
+        ([], "schema has no features"),
+    ])
+    def test_schema_constructor_fault_names_file(self, toy_csv, tmp_path, capsys, doc, message):
+        good = tmp_path / "w.json"
+        assert run(["workload", "--data", toy_csv, "--k", 2, "--marginals", 2, "--out", good]) == 0
+        bad = tmp_path / "bad_schema.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        for argv in (
+            ["workload", "--schema", bad, "--k", 1, "--marginals", 1, "--out", out / "w.json"],
+            ["fit", "--data", toy_csv, "--schema", bad, "--workload", good, "--seed", 0,
+             "--out-dir", out],
+            ["eval", "--data", toy_csv, "--schema", bad, "--workload", good,
+             "--synth", toy_csv, "--out", out / "report.json"],
+            ["sweep", "--data", toy_csv, "--schema", bad, "--workload", good,
+             "--axis", "epsilon", "--values", 1, "--out", out / "sweep.csv"],
+            ["round", "--relaxed", toy_csv, "--schema", bad, "--out", out / "synthetic.csv"],
+        ):
+            capsys.readouterr()
+            assert run(argv) == 3, argv[0]
+            err = capsys.readouterr().err
+            assert f"schema error: {bad}: {message}" in err and "Traceback" not in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("kind, code, prefix", [
         ("schema", 3, "schema error: "),

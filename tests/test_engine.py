@@ -37,7 +37,7 @@ from privsynth import (
 
 from privsynth import engine
 from privsynth.privacy import BudgetError, PrivacyBudget, gaussian_noise_sigma
-from privsynth.queries import QueryEvaluator, eval_compiled
+from privsynth.queries import QueryEvaluator, WorkloadError, eval_compiled
 
 from helpers import all_k_way_workload, random_dataset, skewed_dataset, untimed_record
 
@@ -235,10 +235,9 @@ class TestTinyEdges:
         assert result.relaxed.data.shape[0] == 1
 
     def test_empty_workload_rejected(self):
-        schema = schema_from_cardinalities((2,))
-        data = random_dataset(schema, 5, np.random.default_rng(0))
-        with pytest.raises(InfeasibleConfigError):
-            fit(data, Workload(schema, []), FitConfig(no_noise=True))
+        """No fit sees an empty workload: the constructor refuses it."""
+        with pytest.raises(WorkloadError, match="the workload is empty"):
+            Workload(schema_from_cardinalities((2,)), [])
 
     def test_empty_table_rejected(self):
         schema = schema_from_cardinalities((2, 3))

@@ -50,11 +50,10 @@ class TestMaxError:
         assert report.max_error == report.naive_baseline
 
     def test_empty_workload_is_workload_error(self):
-        rng = np.random.default_rng(3)
-        s = schema_from_cardinalities((3, 2))
-        data = random_dataset(s, 10, rng)
-        with pytest.raises(WorkloadError, match="the workload is empty"):
-            max_error(Workload(s, []), data, data)
+        """An empty workload never reaches max_error: reading one raises."""
+        doc = {"kind": PRODUCT, "marginals": []}
+        with pytest.raises(WorkloadError, match="^w.json: the workload is empty"):
+            Workload.from_json_dict(schema_from_cardinalities((3, 2)), doc, "w.json")
 
     def test_hand_arithmetic(self):
         s = schema_from_cardinalities((4,))

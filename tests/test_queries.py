@@ -407,13 +407,14 @@ class TestMarginalKernel:
             eval_compiled([CompiledQuery(PRODUCT, (1, 5))], dp)
 
     def test_arity_above_eight_rejected(self):
+        """A workload refuses the marginal; a hand-built query list is refused where evaluated."""
         s = schema_from_cardinalities((2,) * 9)
-        w = Workload(s, [tuple(range(9))])
+        with pytest.raises(WorkloadError, match="arity above 8"):
+            Workload(s, [(0,), tuple(range(9))])
         data = random_dataset(s, 3, np.random.default_rng(34))
-        with pytest.raises(WorkloadError, match="arity"):
-            eval_discrete(w, data)
-        with pytest.raises(WorkloadError, match="arity"):
-            eval_relaxed(w, one_hot(data).as_relaxed())
+        wide = [CompiledQuery(PRODUCT, tuple(range(0, 18, 2)))]  # category 0 of each feature
+        with pytest.raises(WorkloadError, match="arity above 8"):
+            eval_compiled(wide, one_hot(data).as_relaxed())
 
 
 class TestCellWorkspace:
