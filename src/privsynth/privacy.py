@@ -25,7 +25,6 @@ become identity/argmax and the ledger records zero spend.
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,20 +62,22 @@ _STREAM_SALT = {"init": 0, "gaussian": 1, "gumbel": 2, "rounding": 3}
 
 
 class NoiseSource:
-    """A named PCG64 stream: secret by default, reproducible when seeded.
+    """A named PCG64 stream: secret when unseeded, reproducible when seeded.
 
-    With seed=None the stream is seeded from 128 bits of OS entropy
-    (np.random.SeedSequence()), which no output records, so the noise cannot
-    be regenerated from a release. An integer seed derives the stream from
-    (seed, label), so one run seed fans out into independent sub-streams
-    (init, gaussian, gumbel, rounding) and each is reproducible on its own;
+    The label names one of the fit's four streams (init, gaussian, gumbel,
+    rounding); any other label raises ValueError. With seed=None the stream
+    is seeded from 128 bits of OS entropy (np.random.SeedSequence()), which
+    no output records, so the noise cannot be regenerated from a release. An
+    integer seed derives the stream from (seed, label), so one run seed fans
+    out into independent sub-streams and each is reproducible on its own;
     noise drawn that way can be subtracted by anyone who knows the seed.
     PCG64 is a statistical generator, not a secure one (see README).
     """
 
-    def __init__(self, seed: int | None = None, label: str = ""):
-        salt = _STREAM_SALT.get(label, zlib.crc32(label.encode("utf-8")))
-        entropy = None if seed is None else (int(seed), salt)
+    def __init__(self, seed: int | None, label: str):
+        if label not in _STREAM_SALT:
+            raise ValueError(f"label must be one of {', '.join(_STREAM_SALT)}; got {label!r}")
+        entropy = None if seed is None else (int(seed), _STREAM_SALT[label])
         self._rng = np.random.default_rng(np.random.SeedSequence(entropy))
 
     def uniform(self, size: int | None = None):

@@ -83,8 +83,8 @@ def sparsemax_rows(Z: np.ndarray) -> np.ndarray:
 # rows (19 at t = 8, 38 at t = 11) beat np.sort's per-row cost 1.2-3x at
 # t <= 11 on N = 1000 stacks; from t = 12 the two trade places by width
 # there, and at t = 42 the sort wins (0.90 ms against 1.11 ms). Longer
-# stacks favour the network (N = 5000: it wins up to t = 32).
-# scripts/sparsemax_cutoff.py measures the crossover.
+# stacks favour the network (N = 5000: it wins up to t = 32). CHANGES.md
+# records the crossover and an ADULT-like fit under each choice.
 _NETWORK_MAX_T = 11
 
 

@@ -309,8 +309,8 @@ def random_workload(
         raise WorkloadError(f"k={k} must be in [1, {d}]")
     _check_arity(k)
     total = math.comb(d, k)
-    if not 0 <= num_marginals <= total:
-        raise WorkloadError(f"requested {num_marginals} marginals; from 0 to {total} exist")
+    if not 1 <= num_marginals <= total:
+        raise WorkloadError(f"requested {num_marginals} marginals; from 1 to {total} exist")
     rng = np.random.default_rng(seed)
     if total <= _ENUMERATION_LIMIT:
         combos = list(itertools.combinations(range(d), k))
@@ -390,8 +390,8 @@ _TENSOR_MIN_COVERAGE = 0.25
 _TENSOR_CELL_BUDGET = 1 << 22
 
 # Cap on the slot cells of one per-cell batch: 1 MiB of float64, so a batch's
-# slots stay in a typical L2 cache while its passes and scatters reread them
-# (scripts/cell_batches.py times the choice).
+# slots stay in a typical L2 cache while its passes and scatters reread them.
+# CHANGES.md records an adaptive fit at it and at 2^16, 2^18 and 2^22.
 _CELL_BATCH_BUDGET = 1 << 17
 
 

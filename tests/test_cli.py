@@ -674,7 +674,7 @@ class TestSweepCommand:
         with out.open() as fh:
             rows = list(csv.DictReader(fh))
         assert [r["status"] for r in rows] == [
-            "ok", "error: requested 99 marginals; from 0 to 4 exist"
+            "ok", "error: requested 99 marginals; from 1 to 4 exist"
         ]
 
     def _rows(self, toy_csv, tmp_path, name, workload=(), **config):

@@ -173,7 +173,7 @@ class TestRunSweep:
         rows = sweep(data, spec, marginals=1)
         assert [r["status"] for r in rows[:2]] == ["ok", "ok"]
         for row in rows[2:]:  # both seeds of the 99-marginal value
-            assert row["status"] == "error: requested 99 marginals; from 0 to 1 exist"
+            assert row["status"] == "error: requested 99 marginals; from 1 to 1 exist"
             assert row["max_error"] is None and row["privacy"] == "non-private"
 
     def test_base_workload_error_still_raises(self, monkeypatch):

@@ -201,6 +201,15 @@ class TestNoiseSource:
         b = NoiseSource(None, "gaussian").normal(1.0, size=10)
         assert not np.array_equal(a, b)
 
+    def test_label_is_required(self):
+        with pytest.raises(TypeError):
+            NoiseSource(5)
+
+    @pytest.mark.parametrize("label", ["", "Init", "noise"])
+    def test_unknown_label_is_refused(self, label):
+        with pytest.raises(ValueError, match="one of init, gaussian, gumbel, rounding"):
+            NoiseSource(5, label)
+
 
 class TestPrivacyBudget:
     def test_from_eps_delta_satisfies_identity(self):

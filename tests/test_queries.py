@@ -14,8 +14,10 @@ from privsynth import (
     PRODUCT,
     CompiledQuery,
     DiscreteDataset,
+    FitConfig,
     MarginalQuery,
     NoiseSource,
+    ProjectionConfig,
     RelaxedDataset,
     SchemaError,
     Workload,
@@ -24,6 +26,7 @@ from privsynth import (
     conjectured_answers,
     eval_discrete,
     eval_relaxed,
+    fit,
     load_relaxed_csv,
     loss_and_gradient,
     normalize_rows,
@@ -68,6 +71,13 @@ class TestWorkloadGeneration:
         s = schema_from_cardinalities((2,) * d)
         with pytest.raises(WorkloadError, match="requested -1 marginals"):
             random_workload(s, k, -1, seed=0)
+
+    @pytest.mark.parametrize("cards, k, total", [((2, 3, 4), 2, 3), ((2,) * 30, 8, 5852925)])
+    def test_zero_marginals_rejected_by_own_check(self, cards, k, total):
+        """No marginals is refused with the count range, before the empty Workload is built."""
+        s = schema_from_cardinalities(cards)
+        with pytest.raises(WorkloadError, match=f"requested 0 marginals; from 1 to {total} exist"):
+            random_workload(s, k, 0, seed=0)
 
     def test_different_seed_differs(self):
         s = schema_from_cardinalities((3,) * 10)
@@ -623,6 +633,26 @@ class TestCellBudget:
         ref_loss, ref_grad = QueryEvaluator(queries, s, 1).loss_and_gradient(X, targets)
         assert abs(loss - ref_loss) <= 1e-12 * ref_loss
         assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+
+    def test_adaptive_fit_losses_agree_across_budgets(self, monkeypatch):
+        """Batches only regroup the gradient's sums, so every round's loss agrees to rounding."""
+        s = schema_from_cardinalities((2, 3, 4, 3, 5))  # d' = 17
+        data = random_dataset(s, 300, np.random.default_rng(43))
+        w = random_workload(s, 3, 6, seed=2)
+        config = FitConfig(rounds=3, queries_per_round=6, n_synth=40, seed=0,
+                           projection=ProjectionConfig(max_steps=40))
+        losses = []
+        # The shipped budget holds the 18 selected 3-way queries in one batch; 240 slot
+        # cells split them into batches of 240 // (3 * 40) = 2.
+        for budget, sizes in ((queries_mod._CELL_BATCH_BUDGET, [18]), (240, [2] * 9)):
+            monkeypatch.setattr(queries_mod, "_CELL_BATCH_BUDGET", budget)
+            result = fit(data, w, config)
+            ev = QueryEvaluator(w.select(result.selected), s, config.n_synth)
+            assert not ev._tensor and [cols.shape[1] for _, cols, _, _ in ev._cells._batches] == sizes
+            losses.append(np.array([r["projection_loss"] for r in result.rounds]))
+        shipped, split = losses
+        assert len(shipped) == 3 and (shipped > 0).all()
+        assert (np.abs(split - shipped) <= 1e-9 * shipped).all()
 
 
 class TestCellPathMemory:
