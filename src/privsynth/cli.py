@@ -130,8 +130,8 @@ def cmd_fit(args) -> int:
     config = _fit_config(args)
     data = _load_data(args)
     wl = queries.Workload.load(data.schema, args.workload)
-    delta = engine.resolve_delta(config, data.n)
-    print("config:", *_config_items(dict(engine.config_to_json(config), delta=delta)))
+    config = engine.resolved_config(config, data.n)
+    print("config:", *_config_items(engine.config_to_json(config)))
     if engine.noise_label(config) == "seeded-reproducible-non-private":
         print("warning: --seed makes the noise reproducible: anyone who knows the seed can "
               "remove it, so the output is not differentially private", file=sys.stderr)
@@ -207,8 +207,8 @@ def cmd_sweep(args) -> int:
     )
     data = _load_data(args)
     wl = queries.Workload.load(data.schema, args.workload)
-    delta = engine.resolve_delta(config, data.n)
-    print("config:", *_config_items(dict(engine.config_to_json(config), delta=delta)),
+    config = engine.resolved_config(config, data.n)
+    print("config:", *_config_items(engine.config_to_json(config)),
           f"seeds={spec.seeds[0]}..{spec.seeds[-1]}")
     rows = evaluation.run_sweep(data, wl, spec, config)
     evaluation.sweep_rows_to_csv(rows, args.out)

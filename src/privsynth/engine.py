@@ -39,7 +39,7 @@ from __future__ import annotations
 import time
 import typing
 import warnings
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -83,13 +83,12 @@ class FitResult:
     noisy_answers: list[float]  # aligned with `selected`
     rounds: list[dict]  # per-round selection count, loss trajectory and steps
     budget: PrivacyBudget
-    config: FitConfig
-    resolved_delta: float
+    config: FitConfig  # with delta resolved
     timing: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
-            "config": dict(config_to_json(self.config), delta=self.resolved_delta),
+            "config": config_to_json(self.config),
             "noise": noise_label(self.config),
             "budget": self.budget.summary(),
             "ledger": self.budget.ledger_json(),
@@ -111,14 +110,14 @@ def noise_label(config: FitConfig) -> str:
     return "os-entropy" if config.seed is None else "seeded-reproducible-non-private"
 
 
-def resolve_delta(config: FitConfig, n: int) -> float:
-    """Apply the default delta = 1/n^2 when none was given.
+def resolved_config(config: FitConfig, n: int) -> FitConfig:
+    """The config with the default delta = 1/n^2 filled in when none was given.
 
     Raises SchemaError for a table without rows: no answer count/n exists.
     """
     if n < 1:
         raise SchemaError("the private table has no rows")
-    return 1.0 / (n * n) if config.delta is None else config.delta
+    return replace(config, delta=1.0 / (n * n)) if config.delta is None else config
 
 
 def conjectured_answers(
@@ -151,12 +150,12 @@ class _Measurements:
     infinite share, which they answer without noise.
     """
 
-    def __init__(self, data: DiscreteDataset, workload: Workload, config: FitConfig, delta: float):
+    def __init__(self, data: DiscreteDataset, workload: Workload, config: FitConfig):
         self.n = data.n
         if config.no_noise:
             self.budget = PrivacyBudget.non_private()
         else:
-            self.budget = PrivacyBudget.from_eps_delta(config.epsilon, delta)
+            self.budget = PrivacyBudget.from_eps_delta(config.epsilon, config.delta)
         self._true = eval_discrete(workload, data)
         self._gaussian = NoiseSource(config.seed, "gaussian")
         self._gumbel = NoiseSource(config.seed, "gumbel")
@@ -178,7 +177,7 @@ class _Measurements:
 
 def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResult:
     """Run the full mechanism and return the fitted relaxed dataset."""
-    delta = resolve_delta(config, data.n)
+    config = resolved_config(config, data.n)
     if data.schema != workload.schema:
         raise SchemaError("dataset and workload schemas differ")
     t_rounds, k_per = config.rounds, config.queries_per_round
@@ -188,7 +187,7 @@ def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResu
         )
 
     started = time.perf_counter()
-    private = _Measurements(data, workload, config, delta)
+    private = _Measurements(data, workload, config)
     init_rng = NoiseSource(config.seed or 0, "init")  # public: replay rebuilds it from the record
     current = random_init(workload.schema, config.n_synth, init_rng)
     share = private.budget.share(workload.m if t_rounds == 1 else 2 * t_rounds * k_per)
@@ -235,7 +234,6 @@ def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResu
         rounds=round_trace,
         budget=private.budget,
         config=config,
-        resolved_delta=delta,
         timing={"wall_s": time.perf_counter() - started, **timing},
     )
 

@@ -165,7 +165,7 @@ def run_sweep(
                         epsilon=epsilon, n_synth=n_synth,
                     )
                     result = fit(data, wl, config)
-                    row["delta"] = result.resolved_delta
+                    row["delta"] = result.config.delta
                     if spec.axis == AXIS_OVERSAMPLE:
                         synth = randomized_round(
                             result.relaxed, RoundingConfig(oversample=int(value))

@@ -19,12 +19,13 @@ calls, with results bit-identical to the plain per-block formulas:
 * The normalization stacks all feature blocks of one cardinality t into one
   (t, blocks * rows) array and projects it in one sparsemax_rows call, so a
   step costs one call per distinct cardinality, not one per feature.
-* For t <= _NETWORK_MAX_T (11), sparsemax works column-wise on that layout:
-  Batcher's odd-even mergesort network of elementwise max/min (generated
-  per width and cached; 19 comparators at t = 8, against 28 for odd-even
-  transposition) sorts each column, and the prefix sums run in cumsum's
-  order. Wider blocks keep the row-wise np.sort kernel, which the network
-  loses to from about t = 12 on 1000-row stacks. The cut-off is a constant.
+* Sparsemax is one kernel on that (t, N) layout with two sorts. Stacks of
+  t <= _NETWORK_MAX_T (11) are sorted by Batcher's odd-even mergesort
+  network of elementwise max/min (generated per width and cached; 19
+  comparators at t = 8, against 28 for odd-even transposition), taller ones
+  by np.sort along the columns. One tail then runs the prefix sums in
+  cumsum's order, counts the support and subtracts tau. The cut-off is a
+  constant.
 * Adam runs only on the one-hot columns the query list can move: the
   evaluator's `touched` columns, where the gradient can be nonzero (all d'
   of them in a one-shot fit, an adaptive round's few selected cells
@@ -68,33 +69,21 @@ def sparsemax_rows(Z: np.ndarray) -> np.ndarray:
 
     Support size k(z) = max{k : 1 + k*z_(k) > sum_{j<=k} z_(j)} over the
     descending sort, tau = (sum of the top k(z) entries - 1)/k(z), output
-    max(z - tau, 0). Rows of up to _NETWORK_MAX_T entries go through the
-    column kernel, wider rows through the sort kernel; both give the same bits.
-    The output is float64 whatever the input dtype.
+    max(z - tau, 0). The rows become the columns of _sparsemax_columns, which
+    sorts rows of up to _NETWORK_MAX_T entries with a comparator network and
+    wider rows with np.sort; both give the same bits. The output is float64
+    whatever the input dtype, and Z is not modified.
     """
-    Z = np.asarray(Z, dtype=np.float64)
-    if Z.shape[1] > _NETWORK_MAX_T:
-        return _sparsemax_sorted(Z)
-    return _sparsemax_network(Z.T).T
+    return _sparsemax_columns(np.asarray(Z, dtype=np.float64).T).T
 
 
-# Rows up to this width are sorted by Batcher's odd-even mergesort network on
-# the transposed (t, N) layout: its elementwise max/min pairs over length-N
-# rows (19 at t = 8, 38 at t = 11) beat np.sort's per-row cost 1.2-3x at
-# t <= 11 on N = 1000 stacks; from t = 12 the two trade places by width
-# there, and at t = 42 the sort wins (0.90 ms against 1.11 ms). Longer
-# stacks favour the network (N = 5000: it wins up to t = 32). CHANGES.md
-# records the crossover and an ADULT-like fit under each choice.
+# Columns up to this height are sorted by Batcher's odd-even mergesort network:
+# its elementwise max/min pairs over length-N rows (19 at t = 8, 38 at t = 11)
+# beat np.sort along the columns 2-4x at the bench's widths (t = 2, N = 2000:
+# 0.032 against 0.121 ms; t = 6, N = 4000: 0.145 against 0.297 ms). The
+# crossover moves with N: the network wins up to t of about 13 at N = 1000,
+# and up to t = 24-32 at N = 5000 and 42 000. CHANGES.md has the kernel table.
 _NETWORK_MAX_T = 11
-
-
-def _sparsemax_sorted(Z: np.ndarray) -> np.ndarray:
-    srt = -np.sort(-Z, axis=1)
-    css = np.cumsum(srt, axis=1) - 1.0
-    ranks = np.arange(1, Z.shape[1] + 1, dtype=np.float64)
-    support = np.count_nonzero(srt * ranks > css, axis=1)
-    tau = css[np.arange(Z.shape[0]), support - 1] / support
-    return np.maximum(Z - tau[:, None], 0.0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -120,25 +109,29 @@ def _batcher_comparators(t: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _sparsemax_network(Zt: np.ndarray) -> np.ndarray:
-    """_sparsemax_sorted on the transposed (t, N) layout, one column per row.
+def _sparsemax_columns(Zt: np.ndarray) -> np.ndarray:
+    """Simplex projection of each column of a (t, N) array.
 
-    Batcher's network of elementwise max/min yields the same descending values
-    as the sort, and the prefix sums run in cumsum's order, so every output
-    bit matches. The first layer writes its outputs as fresh rows; the rest
-    of the network runs in place.
+    The columns are sorted descending by Batcher's network of elementwise
+    max/min when t <= _NETWORK_MAX_T, else by np.sort along axis 0; both give
+    the same values. The network's first layer writes its outputs as fresh
+    rows and the rest of it runs in place. The prefix sums then run in
+    cumsum's order, so every output bit matches the textbook row formula.
     """
     t, N = Zt.shape
-    srt = []
-    for i in range(0, t - 1, 2):
-        srt += [np.maximum(Zt[i], Zt[i + 1]), np.minimum(Zt[i], Zt[i + 1])]
-    if t % 2:
-        srt.append(Zt[t - 1].copy())
     spare = np.empty(N)
-    for i, j in _batcher_comparators(t)[t // 2 :]:
-        lo = np.minimum(srt[i], srt[j], out=spare)
-        np.maximum(srt[i], srt[j], out=srt[i])
-        spare, srt[j] = srt[j], lo
+    if t > _NETWORK_MAX_T:
+        srt = -np.sort(-Zt, axis=0)
+    else:
+        srt = []
+        for i in range(0, t - 1, 2):
+            srt += [np.maximum(Zt[i], Zt[i + 1]), np.minimum(Zt[i], Zt[i + 1])]
+        if t % 2:
+            srt.append(Zt[t - 1].copy())
+        for i, j in _batcher_comparators(t)[t // 2 :]:
+            lo = np.minimum(srt[i], srt[j], out=spare)
+            np.maximum(srt[i], srt[j], out=srt[i])
+            spare, srt[j] = srt[j], lo
     css = np.empty((t, N))
     css[0] = srt[0]
     for i in range(1, t):

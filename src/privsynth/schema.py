@@ -576,11 +576,13 @@ def _load_text(path: Path, schema: Schema | None) -> DiscreteDataset:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            for row in reader:
+                widths.append(len(row))
+                cells += row
         except StopIteration:
             raise SchemaError(f"{path}: empty file, expected a header row")
-        for row in reader:
-            widths.append(len(row))
-            cells += row
+        except csv.Error as exc:  # a field over csv.field_size_limit(), or a NUL on Python 3.10
+            raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from None
 
     n, d = len(widths), len(header)
     ragged = None if widths.count(d) == n else next(r for r, w in enumerate(widths) if w != d)

@@ -884,6 +884,31 @@ MALFORMED_SCHEMAS = [
 ]
 
 
+class TestOversizedCsvField:
+    def test_field_over_the_csv_limit_is_a_data_error(self, toy_csv, tmp_path, capsys):
+        """A cell longer than csv.field_size_limit() exits 3 naming the file and its line."""
+        good = tmp_path / "w.json"
+        assert run(["workload", "--data", toy_csv, "--k", 2, "--marginals", 2, "--out", good]) == 0
+        lines = toy_csv.read_text().splitlines(keepends=True)
+        lines[2] = "x" * 200_000 + lines[2][lines[2].index(","):]
+        bad = tmp_path / "long.csv"
+        bad.write_text("".join(lines))
+        out = tmp_path / "out"
+        for argv in (
+            ["workload", "--data", bad, "--k", 2, "--marginals", 2, "--out", out / "w.json"],
+            ["fit", "--data", bad, "--workload", good, "--seed", 0, "--out-dir", out],
+            ["eval", "--data", bad, "--workload", good, "--synth", toy_csv,
+             "--out", out / "report.json"],
+            ["eval", "--data", toy_csv, "--workload", good, "--synth", bad,
+             "--out", out / "report.json"],
+        ):
+            capsys.readouterr()
+            assert run(argv) == 3, argv
+            err = capsys.readouterr().err
+            assert f"schema error: {bad}: line 3: field larger than field limit" in err, argv
+            assert "Traceback" not in err and not out.exists()
+
+
 class TestMalformedJsonInput:
     """A workload or schema file of the wrong JSON shape exits with its code and names the file."""
 

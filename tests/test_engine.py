@@ -339,7 +339,7 @@ class TestMeasurementBoundary:
 
     def test_overspend_raises_before_any_noise_is_drawn(self):
         _, data, workload = toy_instance(seed=22)
-        private = engine._Measurements(data, workload, FitConfig(epsilon=1.0, seed=5), 1e-4)
+        private = engine._Measurements(data, workload, FitConfig(epsilon=1.0, delta=1e-4, seed=5))
         rho = private.budget.rho_total
         private.measure([0, 1], rho / 4)
         private.select([2, 3], np.zeros(2), rho / 4, "noisy_max[round=1,pick=0]")

@@ -325,7 +325,13 @@ class TestBatcherNetwork:
         for t in (*range(2, 17), 24, 32, 42):
             Z = rng.uniform(-3.0, 3.0, (50, t))
             Z[25:] = np.round(Z[25:], 0)  # ties
-            assert sparsemax_rows(Z).tobytes() == reference_sparsemax_rows(Z).tobytes(), t
+            # The view _normalize_inplace passes: 3 blocks of width t over 1700 rows.
+            stacked = rng.uniform(-3.0, 3.0, (t, 3, 1700))
+            stacked[:, 1] = np.round(stacked[:, 1], 0)
+            for Zi in (Z, stacked.reshape(t, -1).T):
+                before = Zi.copy()
+                assert sparsemax_rows(Zi).tobytes() == reference_sparsemax_rows(Zi).tobytes(), t
+                assert np.array_equal(Zi, before), t
 
 
 def full_width_projection(queries, targets, init, config):

@@ -116,9 +116,11 @@ def reference_load_csv(path, schema=None):
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            raw = list(reader)
         except StopIteration:
             raise SchemaError(f"{path}: empty file, expected a header row")
-        raw = list(reader)
+        except csv.Error as exc:
+            raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from None
 
     d = len(header)
     for r, row in enumerate(raw):
