@@ -1,6 +1,6 @@
 """Differentially private synthetic data for marginal query workloads.
 
-The pipeline: encode a categorical dataset one-hot, compile a workload of
+The pipeline: encode a categorical dataset one-hot, extend a workload of
 marginal (or 1-out-of-k threshold) queries to differentiable product queries,
 answer a budgeted selection of them with calibrated Gaussian noise, project
 the noisy answers onto a relaxed synthetic dataset by gradient descent, and
@@ -41,11 +41,8 @@ from .projection import (
 from .queries import (
     ONE_OUT_OF_K,
     PRODUCT,
-    CompiledQuery,
-    MarginalQuery,
     Workload,
     WorkloadError,
-    compile_marginal,
     eval_discrete,
     eval_relaxed,
     loss_and_gradient,
@@ -73,14 +70,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamState",
     "BudgetError",
-    "CompiledQuery",
     "DiscreteDataset",
     "ErrorReport",
     "FeatureSpec",
     "FitConfig",
     "FitResult",
     "InfeasibleConfigError",
-    "MarginalQuery",
     "NoiseSource",
     "ONE_OUT_OF_K",
     "OneHotDataset",
@@ -97,7 +92,6 @@ __all__ = [
     "Workload",
     "WorkloadError",
     "bin_numeric",
-    "compile_marginal",
     "conjectured_answers",
     "decode",
     "decode_row",

@@ -113,10 +113,14 @@ def noise_label(config: FitConfig) -> str:
 def resolved_config(config: FitConfig, n: int) -> FitConfig:
     """The config with the default delta = 1/n^2 filled in when none was given.
 
-    Raises SchemaError for a table without rows: no answer count/n exists.
+    Raises SchemaError for a table without rows, where no answer count/n
+    exists, and for a one-row table without a delta, whose 1/n^2 is 1.
     """
     if n < 1:
         raise SchemaError("the private table has no rows")
+    if config.delta is None and n < 2:
+        raise SchemaError(f"the private table has {n} row, so the default delta 1/n^2 is 1; "
+                          f'give a delta in (0, 1) (--delta, or "delta" in --config)')
     return replace(config, delta=1.0 / (n * n)) if config.delta is None else config
 
 
@@ -178,8 +182,6 @@ class _Measurements:
 def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResult:
     """Run the full mechanism and return the fitted relaxed dataset."""
     config = resolved_config(config, data.n)
-    if data.schema != workload.schema:
-        raise SchemaError("dataset and workload schemas differ")
     t_rounds, k_per = config.rounds, config.queries_per_round
     if t_rounds > 1 and t_rounds * k_per > workload.m:
         raise InfeasibleConfigError(

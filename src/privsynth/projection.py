@@ -251,7 +251,7 @@ def relaxed_projection(
 ) -> ProjectionResult:
     """Fit a relaxed dataset whose query answers are close to `targets`.
 
-    `queries` is a list of compiled queries or a queries.Selection.
+    `queries` is a queries.Selection or a list of one-query Selections.
     The input is normalized once on entry, then Adam runs for at most
     max_steps, renormalizing after every step. The entry pass may move the
     last bits of an input already in normal form (renormalizing a seeded

@@ -9,16 +9,16 @@ threshold variant is q_T(x) = 1 - prod_{c in T} (1 - x_c).
 The marginal is the unit of work. All prod_{i in S} t_i queries of a
 marginal are the cells of one answer tensor: the row sum of the row-wise
 Khatri-Rao product of S's feature blocks. A Workload stores only its
-marginals and the offset of each one's first query; its list of compiled
-queries is built on demand, for callers that want one. Evaluation is built on
-the marginals:
+marginals and the offset of each one's first query, and a query is named by
+a Selection: the workload plus the query's index. Evaluation is built on the
+marginals:
 
-* Relaxed answers group the query list by (kind, feature set), in one
-  grouper over (q, k) arrays of one-hot columns: a compiled list gives its
-  queries' columns, a Selection of workload queries has them decoded from the
-  marginals. For each marginal the Khatri-Rao product of the first k-1 blocks
-  is multiplied by the last block (one matmul), and the requested cells are
-  gathered. The threshold kind runs the same computation on 1 - X.
+* Relaxed answers group a Selection's queries by (kind, feature set), with
+  their one-hot columns decoded as (q, k) arrays from the marginals; a list
+  of one-query Selections is decoded workload by workload. For each marginal
+  the Khatri-Rao product of the first k-1 blocks is multiplied by the last
+  block (one matmul), and the requested cells are gathered. The threshold
+  kind runs the same computation on 1 - X.
 * The gradient applies the same contractions to the residual tensor, a
   bincount of 2/n * residual over the cells, for marginals the query list
   covers densely. Marginals with only a few selected cells (as in adaptive
@@ -38,8 +38,10 @@ rows rather than across a block's few columns. A RelaxedDataset stores its
 data column-major, so that array is a free view of it.
 
 Tensor work runs over row chunks under one fixed cell budget, and per-cell
-work over query batches under a smaller, cache-sized one, so memory stays
-bounded as the rows and the selected cells grow.
+work over query batches under a smaller, cache-sized one, so the row-wise
+buffers stay bounded as the rows and the selected cells grow. A marginal's
+answer tensor is still allocated whole, and neither budget nor arity bounds
+its size (see MAX_ARITY).
 
 Answers are dataset averages (not counts), so each query has sensitivity 1/n
 to a one-row change. Workload enumeration is odometer order (last feature
@@ -73,8 +75,10 @@ class WorkloadError(ValueError):
     """Invalid workload request (arity, count, or index out of range)."""
 
 
-#: Largest supported marginal arity. It bounds the cell count of a marginal's
-#: answer tensor, which the evaluators allocate in full.
+#: Largest supported marginal arity. It bounds no cell count: a feature may
+#: have tens of thousands of categories, and an 8-way marginal of 16-category
+#: features already has 16^8 (about 4.3e9) cells, whose answer tensor
+#: eval_discrete and the evaluators allocate whole.
 MAX_ARITY = 8
 
 
@@ -83,61 +87,14 @@ def _check_arity(k: int) -> None:
         raise WorkloadError(f"marginal arity above {MAX_ARITY} is not supported")
 
 
-@dataclass(frozen=True)
-class MarginalQuery:
-    """A value assignment y to a feature subset S."""
-
-    features: tuple[int, ...]
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(set(self.features)) != len(self.features):
-            raise WorkloadError("marginal features must be distinct")
-        if len(self.features) != len(self.values):
-            raise WorkloadError("features and values must have equal length")
-
-
-@dataclass(frozen=True)
-class CompiledQuery:
-    """A query over one-hot columns: kind plus the column index set T.
-
-    The columns must lie in distinct feature blocks, one category per
-    feature, so that the query is a cell of a marginal; the evaluators raise
-    WorkloadError otherwise.
-    """
-
-    kind: str
-    columns: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.kind not in QUERY_KINDS:
-            raise WorkloadError(f"unknown query kind {self.kind!r}")
-        if len(self.columns) == 0:
-            raise WorkloadError("query must touch at least one column")
-
-
-def compile_marginal(query: MarginalQuery, schema: Schema, kind: str = PRODUCT) -> CompiledQuery:
-    """Map (S, y) to its one-hot column set T = {offset[i] + y_i : i in S}."""
-    offsets = schema.offsets
-    t = schema.cardinalities
-    cols = []
-    for i, y in zip(query.features, query.values):
-        if not 0 <= i < schema.d:
-            raise WorkloadError(f"feature index {i} out of range")
-        if not 0 <= y < t[i]:
-            raise WorkloadError(f"category {y} out of range for feature {i}")
-        cols.append(offsets[i] + y)
-    return CompiledQuery(kind, tuple(sorted(cols)))
-
-
 class Workload:
     """An ordered list of marginal query cells, stored as its marginals.
 
     For each marginal S (in the stored order) every category assignment
     y in prod_i [0, t_i) is enumerated odometer-style, keeping each
     marginal's queries contiguous. Construction keeps only the marginals and
-    the offset of each one's first query; `queries`, the list of compiled
-    queries, is built on first access.
+    the offset of each one's first query; `queries`, one one-query Selection
+    per query, is built on first access.
 
     This is the one check of what a workload is: at least one marginal, each
     of 1 to MAX_ARITY distinct, in-range features. Anything else raises
@@ -168,13 +125,9 @@ class Workload:
         self._starts = starts
 
     @functools.cached_property
-    def queries(self) -> list[CompiledQuery]:
-        queries = [None] * self.m
-        for cols, pos in _workload_columns(self, np.arange(self.m)):
-            cols.sort(axis=1)  # as compile_marginal sorts them
-            for j, c in zip(pos.tolist(), cols.tolist()):
-                queries[j] = CompiledQuery(self.kind, tuple(c))
-        return queries
+    def queries(self) -> list["Selection"]:
+        """One one-query Selection per query, in workload order: a query list to pool or slice."""
+        return [Selection(self, [j]) for j in range(self.m)]
 
     @property
     def m(self) -> int:
@@ -245,9 +198,10 @@ class Workload:
 class Selection:
     """Queries of a workload picked by index, in the given order.
 
-    It stands in for the list [workload.queries[i] for i in indices] wherever
-    a query list is taken: the evaluator decodes its columns as arrays from
-    the workload's marginals, without building a query object.
+    The one way to name queries: the evaluator decodes their columns as
+    arrays from the workload's marginals. A query list is a Selection, or a
+    list of one-query Selections (entries of Workload.queries, say) that may
+    come from several workloads on one schema.
     """
 
     def __init__(self, workload: Workload, indices):
@@ -408,52 +362,47 @@ class _Marginal:
 
 
 def _query_batches(queries, schema: Schema) -> list[tuple[str, np.ndarray, np.ndarray]]:
-    """The query list as (kind, columns (q, k), positions) batches, one per (kind, arity).
+    """The query list as (kind, columns (q, k), positions) batches, one per workload and arity.
 
-    Batches come in order of first appearance, positions ascending. A
-    Selection's workload must be on `schema` (SchemaError otherwise).
+    Batches come in order of first appearance, positions ascending. Every
+    workload must be on `schema` (SchemaError otherwise), and a list entry
+    that is not a one-query Selection raises WorkloadError.
     """
     if isinstance(queries, Selection):
-        if queries.workload.schema != schema:
+        parts = {queries.workload: (queries.indices, np.arange(len(queries)))}
+    else:
+        parts = {}
+        for j, q in enumerate(queries):
+            if not (isinstance(q, Selection) and len(q) == 1):
+                raise WorkloadError(f"query list entry {j} is not a one-query Selection")
+            indices, pos = parts.setdefault(q.workload, ([], []))
+            indices.append(q.indices[0])
+            pos.append(j)
+    batches = []
+    for workload, (indices, pos) in parts.items():
+        if workload.schema != schema:
             raise SchemaError("workload and relaxed dataset schemas differ")
-        kind = queries.workload.kind
-        return [(kind, c, pos) for c, pos in _workload_columns(queries.workload, queries.indices)]
-    by_shape: dict[tuple[str, int], list[int]] = {}
-    for j, q in enumerate(queries):
-        by_shape.setdefault((q.kind, len(q.columns)), []).append(j)
-    return [
-        (kind, np.array([queries[j].columns for j in idx], dtype=np.int64), np.array(idx, np.intp))
-        for (kind, _), idx in by_shape.items()
-    ]
+        indices, pos = np.asarray(indices, np.int64), np.asarray(pos, np.intp)
+        batches += [(workload.kind, c, pos[p]) for c, p in _workload_columns(workload, indices)]
+    return batches
 
 
 def _group_by_marginal(queries, schema: Schema) -> list[_Marginal]:
-    """Split each (kind, arity) batch of the query list into marginal groups.
+    """Split each batch of the query list into marginal groups.
 
     Within a batch, groups come by ascending feature set. A query's cell is
     its flat index in the marginal's tensor, last feature fastest, from one
-    Horner pass over the batch. Raises WorkloadError, naming the query's
-    columns as given, for a column outside the one-hot layout and for two
-    columns in one feature block, which is not a marginal cell.
+    Horner pass over the batch.
     """
     offsets = np.asarray(schema.offsets, dtype=np.int64)
     card = np.asarray(schema.cardinalities, dtype=np.int64)
     groups = []
-    for kind, given, pos in _query_batches(queries, schema):
-        _check_arity(given.shape[1])
-        cols = np.sort(given, axis=1)
+    for kind, cols, pos in _query_batches(queries, schema):
+        cols = np.sort(cols, axis=1)
         feats = np.searchsorted(offsets, cols, side="right") - 1
-        outside = (cols[:, 0] < 0) | (cols[:, -1] >= schema.d_prime)
-        shared = (np.diff(feats, axis=1) == 0).any(axis=1)
-        for bad, why in (
-            (outside, f"outside [0, {schema.d_prime})"),
-            (shared, "put two columns in one feature block; a marginal takes one per feature"),
-        ):
-            if bad.any():
-                raise WorkloadError(f"query columns {tuple(given[np.argmax(bad)].tolist())} {why}")
         values = cols - offsets[feats]
         cells = values[:, 0]
-        for p in range(1, given.shape[1]):
+        for p in range(1, cols.shape[1]):
             cells = cells * card[feats[:, p]] + values[:, p]
         order = np.lexsort(feats.T[::-1])  # stable, lexicographic by feature set
         feats, cells, cols, pos = feats[order], cells[order], cols[order], pos[order]
@@ -566,7 +515,7 @@ class _CellPath:
         loss = 0.0
         for kind, cols, pos, scatter in self._batches:
             k = cols.shape[0]
-            # Column indices were validated when the evaluator was built.
+            # Column indices come from workload cells, so they are in range.
             slots = np.take(Xt if kind == PRODUCT else Xc, cols, axis=0, mode="clip")
             # suffix[p] = product of slots p+1..k-1: the last slot itself for p = k-2,
             # the empty product for arity 1
@@ -604,8 +553,8 @@ def _one_hot(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class QueryEvaluator:
     """A fixed query list grouped into marginals, built once per use.
 
-    `queries` is a list of compiled queries or a Selection of workload
-    queries on `schema`; both give the same groups. Each query is a cell of
+    `queries` is a Selection or a list of one-query Selections, on `schema`;
+    the same queries give the same groups either way. Each query is a cell of
     the answer tensor of its (kind, feature set).
     Answers always come from the full tensors; the gradient uses the tensors
     for marginals the list covers densely and the per-cell path for the rest.
@@ -714,7 +663,7 @@ def eval_relaxed(workload: Workload, relaxed: RelaxedDataset) -> np.ndarray:
 
 
 def eval_compiled(queries, relaxed: RelaxedDataset) -> np.ndarray:
-    """eval_relaxed for an explicit query list (e.g. a selected subset).
+    """eval_relaxed for a query list: a Selection or a list of one-query Selections.
 
     The list is checked against the relaxed schema even when the table has no
     rows, in which case every answer is 0.

@@ -197,6 +197,36 @@ class TestFitCommand:
         assert message in err and "Traceback" not in err
         assert not out_dir.exists()
 
+    def test_delta_float_recorded(self, toy_csv, tmp_path):
+        wpath, out_dir = write_workload(toy_csv, tmp_path / "w.json"), tmp_path / "out"
+        assert run(["fit", "--data", toy_csv, "--workload", wpath, "--delta", "1e-5",
+                    "--n-prime", 8, "--max-steps", 5, "--seed", 0, "--out-dir", out_dir]) == 0
+        text = (out_dir / "result.json").read_text()
+        assert '"delta":1e-05' in text and json.loads(text)["config"]["delta"] == 1e-05
+
+    def test_delta_not_a_float_is_usage_error(self, toy_csv, tmp_path, capsys):
+        wpath, out_dir = write_workload(toy_csv, tmp_path / "w.json"), tmp_path / "out"
+        capsys.readouterr()
+        assert run(["fit", "--data", toy_csv, "--workload", wpath, "--delta", "abc",
+                    "--out-dir", out_dir]) == 2
+        err = capsys.readouterr().err
+        assert "delta must be a float or \"auto\", got 'abc'" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_one_row_table_needs_a_delta(self, tmp_path, capsys):
+        """On one row the default delta 1/n^2 is 1: exit 3 naming the row count, before config:."""
+        one, wpath = one_row_table(tmp_path)
+        out_dir = tmp_path / "out"
+        capsys.readouterr()
+        assert run(["fit", "--data", one, "--workload", wpath, "--seed", 0,
+                    "--out-dir", out_dir]) == 3
+        captured = capsys.readouterr()
+        assert "private table has 1 row" in captured.err and "--delta" in captured.err
+        assert "config:" not in captured.out and not out_dir.exists()
+        assert run(["fit", "--data", one, "--workload", wpath, "--seed", 0, "--delta", "1e-3",
+                    "--n-prime", 4, "--max-steps", 5, "--out-dir", out_dir]) == 0
+        assert json.loads((out_dir / "result.json").read_text())["config"]["delta"] == 1e-3
+
     def test_writes_outputs_and_ledger(self, fitted):
         _, _, out_dir = fitted
         doc = json.loads((out_dir / "result.json").read_text())
@@ -631,6 +661,14 @@ def write_workload(toy_csv, path, *flags):
     return path
 
 
+def one_row_table(tmp_path):
+    """A CSV of one row, `f0,f1` / `0,1`, and a one-marginal workload of arity 1 on it."""
+    one, wpath = tmp_path / "one.csv", tmp_path / "w1.json"
+    one.write_text("f0,f1\n0,1\n")
+    assert run(["workload", "--data", one, "--k", 1, "--marginals", 1, "--out", wpath]) == 0
+    return one, wpath
+
+
 def write_config(path, n_synth=10, max_steps=10, **keys):
     """A --config file for a small, fast fit; `keys` adds or overrides top-level keys."""
     path.write_text(json.dumps({"n_synth": n_synth, "projection": {"max_steps": max_steps},
@@ -772,6 +810,21 @@ class TestSweepCommand:
                     "--workload", wpath, "--axis", "epsilon", "--values", 1,
                     "--out", out]) == 3
         assert "no rows" in capsys.readouterr().err and not out.exists()
+
+    def test_one_row_table_needs_a_delta(self, tmp_path, capsys):
+        """No error row per cell: exit 3 before config:, and a config's delta still sweeps."""
+        one, wpath = one_row_table(tmp_path)
+        out = tmp_path / "sweep.csv"
+        flags = ["--axis", "epsilon", "--values", "1,2", "--seeds", 1, "--out", out]
+        capsys.readouterr()
+        assert run(["sweep", "--data", one, "--workload", wpath, *flags]) == 3
+        captured = capsys.readouterr()
+        assert "private table has 1 row" in captured.err and "--delta" in captured.err
+        assert "config:" not in captured.out and not out.exists()
+        cfg = write_config(tmp_path / "c.json", delta=1e-3)
+        assert run(["sweep", "--data", one, "--workload", wpath, "--config", cfg, *flags]) == 0
+        with out.open() as fh:
+            assert [r["status"] for r in csv.DictReader(fh)] == ["ok", "ok"]
 
     def test_cell_is_fit_then_eval(self, toy_csv, tmp_path):
         """Each cell's max_error is what `fit --config <file> --seed s` then `eval` report."""

@@ -337,6 +337,23 @@ class TestMeasurementBoundary:
         assert start == len(booked) > 0
         assert measured == result.selected
 
+    @pytest.mark.parametrize("rounds, per_round", [(1, None), (3, 4)])
+    def test_workload_on_another_schema_draws_nothing(self, monkeypatch, rounds, per_round):
+        """eval_discrete refuses the workload, so fit raises before either mechanism runs."""
+        _, data, _ = toy_instance(seed=23)
+        other = random_workload(schema_from_cardinalities((4, 4, 4, 3)), 2, 6, seed=23)
+        with pytest.raises(SchemaError, match="schemas differ"):
+            eval_discrete(other, data)
+
+        def no_draw(*args):
+            raise AssertionError("noise was drawn")
+
+        monkeypatch.setattr(engine, "gaussian_mechanism", no_draw)
+        monkeypatch.setattr(engine, "report_noisy_max", no_draw)
+        config = FitConfig(rounds=rounds, queries_per_round=per_round, n_synth=8, seed=0)
+        with pytest.raises(SchemaError, match="schemas differ"):
+            fit(data, other, config)
+
     def test_overspend_raises_before_any_noise_is_drawn(self):
         _, data, workload = toy_instance(seed=22)
         private = engine._Measurements(data, workload, FitConfig(epsilon=1.0, delta=1e-4, seed=5))

@@ -12,17 +12,14 @@ from hypothesis import strategies as st
 from privsynth import (
     ONE_OUT_OF_K,
     PRODUCT,
-    CompiledQuery,
     DiscreteDataset,
     FitConfig,
-    MarginalQuery,
     NoiseSource,
     ProjectionConfig,
     RelaxedDataset,
     SchemaError,
     Workload,
     WorkloadError,
-    compile_marginal,
     conjectured_answers,
     eval_discrete,
     eval_relaxed,
@@ -42,6 +39,15 @@ import privsynth.queries as queries_mod
 from privsynth.queries import QueryEvaluator, eval_compiled
 
 from helpers import random_dataset, reference_eval_discrete
+
+
+def query_columns(w):
+    """Each workload query's one-hot columns, ascending, in workload order."""
+    columns = [None] * w.m
+    for cols, pos in queries_mod._workload_columns(w, np.arange(w.m)):
+        for j, c in zip(pos.tolist(), np.sort(cols, axis=1).tolist()):
+            columns[j] = tuple(c)
+    return columns
 
 
 class TestWorkloadGeneration:
@@ -79,6 +85,17 @@ class TestWorkloadGeneration:
         with pytest.raises(WorkloadError, match=f"requested 0 marginals; from 1 to {total} exist"):
             random_workload(s, k, 0, seed=0)
 
+    def test_rejection_sampled_subsets(self):
+        """C(30, 8) = 5 852 925 subsets exceed the enumeration limit, so they are sampled."""
+        s = schema_from_cardinalities((2,) * 30)
+        assert math.comb(30, 8) > queries_mod._ENUMERATION_LIMIT
+        w = random_workload(s, 8, 5, seed=3)
+        assert w.m == 5 * 2**8 and w.seed == 3
+        assert w.marginals == sorted(w.marginals) and len(set(w.marginals)) == 5
+        assert all(list(m) == sorted(set(m)) and len(m) == 8 for m in w.marginals)
+        assert random_workload(s, 8, 5, seed=3).marginals == w.marginals
+        assert random_workload(s, 8, 5, seed=4).marginals != w.marginals
+
     def test_different_seed_differs(self):
         s = schema_from_cardinalities((3,) * 10)
         assert (
@@ -96,14 +113,14 @@ class TestWorkloadGeneration:
         s = schema_from_cardinalities((2, 3))
         w = Workload(s, [(0, 1)])
         expected = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]
-        assert [q.columns for q in w.queries] == expected
+        assert query_columns(w) == expected
 
     def test_json_roundtrip(self, tmp_path):
         s = schema_from_cardinalities((2, 3, 4))
         w = random_workload(s, 2, 3, seed=5, kind=ONE_OUT_OF_K)
         w.save(tmp_path / "w.json")
         back = Workload.load(s, tmp_path / "w.json")
-        assert back.queries == w.queries
+        assert query_columns(back) == query_columns(w)
         assert back.kind == ONE_OUT_OF_K
         assert back.seed == 5
 
@@ -120,24 +137,7 @@ class TestWorkloadGeneration:
     def test_compiled_dump(self):
         s = schema_from_cardinalities((2, 2))
         w = Workload(s, [(0,)])
-        assert [list(q.columns) for q in w.queries] == [[0], [1]]
-
-
-class TestCompileMarginal:
-    def test_single_feature(self):
-        s = schema_from_cardinalities((2, 3))
-        q = compile_marginal(MarginalQuery((0,), (1,)), s)
-        assert q.columns == (1,)
-
-    def test_two_features_with_offsets(self):
-        s = schema_from_cardinalities((2, 3))
-        q = compile_marginal(MarginalQuery((0, 1), (1, 2)), s)
-        assert q.columns == (1, 4)
-
-    def test_full_marginal(self):
-        s = schema_from_cardinalities((2, 2))
-        q = compile_marginal(MarginalQuery((0, 1), (0, 0)), s)
-        assert q.columns == (0, 2)
+        assert query_columns(w) == [(0,), (1,)]
 
 
 class TestEvalDiscrete:
@@ -160,6 +160,12 @@ class TestEvalDiscrete:
         d = DiscreteDataset(s, np.array([[0, 1], [0, 2], [0, 0]]))
         w = Workload(s, [(0,)], kind=ONE_OUT_OF_K)
         assert eval_discrete(w, d)[0] == 1.0  # every row has feature 0 == 0
+
+    def test_other_schema_rejected(self):
+        w = Workload(schema_from_cardinalities((2, 3)), [(0, 1)])
+        data = DiscreteDataset(schema_from_cardinalities((3, 2)), np.array([[0, 0], [2, 1]]))
+        with pytest.raises(SchemaError, match="schemas differ"):
+            eval_discrete(w, data)
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(2)
@@ -289,7 +295,7 @@ class TestLossAndGradient:
     def test_hand_derived_single_query(self):
         s = schema_from_cardinalities((2,))
         dp = RelaxedDataset(s, np.array([[0.3, 0.0]]))
-        queries = [CompiledQuery(PRODUCT, (0,))]
+        queries = Workload(s, [(0,)]).queries[:1]  # column 0
         loss, grad = loss_and_gradient(queries, np.array([0.5]), dp)
         assert loss == pytest.approx(0.04)
         assert grad[0, 0] == pytest.approx(-0.4)
@@ -315,13 +321,15 @@ class TestLossAndGradient:
         s = schema_from_cardinalities((2,))
         dp = RelaxedDataset(s, np.ones((1, 2)))
         with pytest.raises(WorkloadError):
-            loss_and_gradient([CompiledQuery(PRODUCT, (0,))], np.array([0.1, 0.2]), dp)
+            loss_and_gradient(Workload(s, [(0,)]).queries[:1], np.array([0.1, 0.2]), dp)
 
     def test_mixed_kinds_in_one_call(self):
         rng = np.random.default_rng(13)
         s = schema_from_cardinalities((2, 2))
         dp = RelaxedDataset(s, rng.random((3, 4)))
-        queries = [CompiledQuery(PRODUCT, (0, 2)), CompiledQuery(ONE_OUT_OF_K, (1, 3))]
+        # columns (0, 2) of the product kind and (1, 3) of the threshold kind, from two workloads
+        product, threshold = (Workload(s, [(0, 1)], kind) for kind in (PRODUCT, ONE_OUT_OF_K))
+        queries = [product.queries[0], threshold.queries[3]]
         targets = np.array([0.2, 0.9])
         _, analytic = loss_and_gradient(queries, targets, dp)
         numeric = finite_difference_gradient(queries, targets, dp)
@@ -331,8 +339,8 @@ class TestLossAndGradient:
 def _random_query_list(rng):
     """Queries mixing full and partial marginals of both kinds, arity 1-5.
 
-    Cardinality-1 features, duplicate queries, marginals stored unsorted and
-    hand-shuffled column tuples are all included.
+    Cardinality-1 features, duplicate queries and marginals stored unsorted
+    are all included.
     """
     d = int(rng.integers(1, 7))
     s = schema_from_cardinalities(tuple(int(rng.integers(1, 4)) for _ in range(d)))
@@ -347,7 +355,6 @@ def _random_query_list(rng):
                 cells = [cells[i] for i in take]
             queries.extend(cells)
     queries.extend(queries[i] for i in rng.choice(len(queries), 3))  # duplicates
-    queries = [CompiledQuery(q.kind, tuple(rng.permutation(q.columns).tolist())) for q in queries]
     order = rng.permutation(len(queries))
     return s, [queries[i] for i in order]
 
@@ -401,30 +408,11 @@ class TestMarginalKernel:
             assert chunked[1][0] == pytest.approx(whole[1][0], rel=1e-12)
             np.testing.assert_allclose(chunked[1][1], whole[1][1], rtol=1e-12, atol=1e-15)
 
-    def test_two_columns_in_one_block_rejected(self):
-        s = schema_from_cardinalities((3, 2))
-        dp = RelaxedDataset(s, np.full((2, 5), 0.5))
-        bad = [CompiledQuery(PRODUCT, (0, 3)), CompiledQuery(PRODUCT, (0, 1))]
-        with pytest.raises(WorkloadError, match="one feature block"):
-            loss_and_gradient(bad, np.zeros(2), dp)
-        with pytest.raises(WorkloadError, match="one feature block"):
-            eval_compiled(bad, dp)
-
-    def test_column_outside_layout_rejected(self):
-        s = schema_from_cardinalities((3, 2))
-        dp = RelaxedDataset(s, np.full((2, 5), 0.5))
-        with pytest.raises(WorkloadError):
-            eval_compiled([CompiledQuery(PRODUCT, (1, 5))], dp)
-
     def test_arity_above_eight_rejected(self):
-        """A workload refuses the marginal; a hand-built query list is refused where evaluated."""
+        """A workload refuses the marginal, so no query of arity above 8 reaches an evaluator."""
         s = schema_from_cardinalities((2,) * 9)
         with pytest.raises(WorkloadError, match="arity above 8"):
             Workload(s, [(0,), tuple(range(9))])
-        data = random_dataset(s, 3, np.random.default_rng(34))
-        wide = [CompiledQuery(PRODUCT, tuple(range(0, 18, 2)))]  # category 0 of each feature
-        with pytest.raises(WorkloadError, match="arity above 8"):
-            eval_compiled(wide, one_hot(data).as_relaxed())
 
 
 class TestCellWorkspace:
@@ -579,7 +567,8 @@ class TestTouchedColumns:
     MARGINALS = [(0, 1), (1, 3), (0, 2, 3), (2,)]
 
     def _query_lists(self, w, rng):
-        """Compiled lists and Selections whose marginals take the tensor path, the cell path or both."""
+        """Selections and lists of one-query Selections whose marginals take the tensor path,
+        the cell path or both."""
         dense = np.arange(w._starts[1])  # every cell of the first marginal
         sparse = np.sort(rng.choice(np.arange(w._starts[1], w.m), 5, replace=False))
         for indices in (dense, sparse, np.concatenate([dense, sparse])):
@@ -679,7 +668,7 @@ class TestCellPathMemory:
 
 
 class TestLazyWorkload:
-    """Workload stores marginals; the compiled query list is built on first access."""
+    """Workload stores marginals; its list of one-query Selections is built on first access."""
 
     @pytest.mark.parametrize(
         "marginals, kind, match",
@@ -693,9 +682,9 @@ class TestLazyWorkload:
     )
     def test_errors_raised_without_compiling(self, marginals, kind, match, monkeypatch):
         def no_compile(*args, **kwargs):
-            raise AssertionError("a query was compiled")
+            raise AssertionError("a query's columns were decoded")
 
-        monkeypatch.setattr(queries_mod, "compile_marginal", no_compile)
+        monkeypatch.setattr(queries_mod, "_workload_columns", no_compile)
         s = schema_from_cardinalities((2, 3, 4))
         with pytest.raises(WorkloadError, match=match):
             Workload(s, marginals, kind=kind)
@@ -705,13 +694,25 @@ class TestLazyWorkload:
         w = Workload(s, [(2, 0), (1,)])
         assert "queries" not in vars(w)
         assert w.m == 11 and w.marginal_sizes() == [8, 3]
-        expected = [
-            compile_marginal(MarginalQuery((2, 0), (a, b)), s)
-            for a in range(4)
-            for b in range(2)
-        ] + [compile_marginal(MarginalQuery((1,), (c,)), s) for c in range(3)]
-        assert w.queries == expected
-        assert w.queries is w.queries
+        assert w.queries is w.queries and len(w.queries) == w.m
+        for j, q in enumerate(w.queries):
+            assert q.workload is w and q.indices.tolist() == [j]
+        # (2, 0): feature 2's category a at column 5 + a, feature 0 fastest
+        expected = [(b, 5 + a) for a in range(4) for b in range(2)] + [(2 + c,) for c in range(3)]
+        assert query_columns(w) == expected
+
+    @pytest.mark.parametrize("entry", [
+        lambda w: w.select([0, 1]), lambda w: w.select([]), lambda w: (0, 2), lambda w: 0,
+    ], ids=["two queries", "no query", "column tuple", "index"])
+    def test_list_entry_other_than_one_query_rejected(self, entry):
+        s = schema_from_cardinalities((2, 3))
+        w = Workload(s, [(0, 1)])
+        dp = RelaxedDataset(s, np.full((2, 5), 0.5))
+        queries = [w.queries[0], entry(w)]
+        with pytest.raises(WorkloadError, match="entry 1 is not a one-query Selection"):
+            QueryEvaluator(queries, s, 2)
+        with pytest.raises(WorkloadError, match="entry 1 is not a one-query Selection"):
+            eval_compiled(queries, dp)
 
     def test_selection_rejects_index_outside_workload(self):
         w = Workload(schema_from_cardinalities((2, 3)), [(0, 1)])
@@ -766,16 +767,15 @@ class TestMarginalGroups:
     @settings(max_examples=100, deadline=None)
     @given(case=workload_selections())
     def test_workload_queries_match_compile_marginal(self, case):
-        """The decoded columns equal compile_marginal over every odometer assignment."""
+        """The decoded columns are T = {offset[i] + y_i} over every odometer assignment y."""
         w, _ = case
-        t = w.schema.cardinalities
+        offsets, t = w.schema.offsets, w.schema.cardinalities
         expected = [
-            compile_marginal(MarginalQuery(s, y), w.schema, w.kind)
+            tuple(sorted(offsets[i] + v for i, v in zip(s, y)))
             for s in w.marginals
             for y in itertools.product(*(range(t[i]) for i in s))
         ]
-        assert w.queries == expected
-        assert all(type(c) is int for q in w.queries for c in q.columns)
+        assert query_columns(w) == expected
 
     def test_selection_evaluator_matches_query_list(self):
         rng = np.random.default_rng(38)
