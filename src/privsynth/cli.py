@@ -1,9 +1,10 @@
 """Command-line front end: workload generation, fitting, rounding, eval, sweeps.
 
-Exit codes: 0 success, 2 usage error, 3 data/schema error, 4 infeasible
-configuration. fit draws its noise from OS entropy unless --seed is given;
-with it, reruns reproduce outputs byte for byte (timing fields aside), and
-fit warns that the noise is removable. Other commands default to seed 0.
+Exit codes: 0 success, 2 usage error, 3 data/schema error (an input too
+large to allocate among them), 4 infeasible configuration. fit draws its
+noise from OS entropy unless --seed is given; with it, reruns reproduce
+outputs byte for byte (timing fields aside), and fit warns that the noise is
+removable. Other commands default to seed 0.
 """
 
 from __future__ import annotations
@@ -298,6 +299,9 @@ def main(argv=None) -> int:
     except (queries.WorkloadError, rounding.RoundingError, BudgetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # no size bound caught the input before it was allocated
+        print(f"error: input too large for memory: {exc or 'allocation failed'}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -5,15 +5,22 @@ One loop of `rounds` rounds, each measuring queries and then fitting:
 * rounds == 1: the one round answers every workload query with the Gaussian
   mechanism at share(m), the largest float whose m-fold sum is at most rho,
   and a single projection fits a relaxed dataset to the full noisy answer
-  vector from a seeded random start.
+  vector. On a product workload it starts from the released one-way
+  marginals: each marginal's noisy cells are summed down to each of its
+  features, averaged per feature and mapped onto the simplex, and every row
+  starts at (1 - START_ALPHA) times those one-way rows plus START_ALPHA
+  times a seeded random row. That is post-processing of the release, so it
+  costs no budget. A threshold workload, and a feature no marginal covers,
+  keep the seeded random start.
 
 * rounds > 1: per round, `queries_per_round` selections are made
   sequentially. Each selection scores the not-yet-answered pool by the gap
   between its true answers and the answers conjectured from the current
   relaxed dataset, picks a winner by Gumbel noisy-max at share(2*T*K), and
   answers the winner with the Gaussian mechanism at the same share. The round
-  ends with one projection over everything selected so far, warm-started from
-  the previous round's dataset. Selection and answering each consume
+  ends with one projection over everything selected so far, from the seeded
+  random start in round 1 and warm-started from the previous round's dataset
+  after it. Selection and answering each consume
   share(2*T*K), so the ledger's 2*T*K spends total at most rho, exactly.
 
 Only _Measurements reaches the private table: it holds the true answers, the
@@ -45,9 +52,18 @@ from pathlib import Path
 import numpy as np
 
 from .privacy import NoiseSource, PrivacyBudget, gaussian_mechanism, report_noisy_max
-from .projection import ProjectionConfig, random_init, relaxed_projection
-from .queries import QueryEvaluator, Workload, eval_compiled, eval_discrete
+from .projection import ProjectionConfig, random_init, relaxed_projection, sparsemax_rows
+from .queries import PRODUCT, QueryEvaluator, Workload, eval_compiled, eval_discrete
 from .schema import DiscreteDataset, RelaxedDataset, SchemaError, dump_json
+
+
+# The random rows' share of a one-shot product fit's start, (1 - alpha)*P + alpha*R.
+# It is above 0 because rows that start identical get identical gradients and
+# never diverge. Chosen from {0.1, 0.2, 0.3, 0.5} by the steps a fit needs to
+# reach a relaxed max error of 0.13 on the bench's tables (CHANGES.md).
+START_ALPHA = 0.2
+
+RANDOM_START = {"kind": "random"}
 
 
 class InfeasibleConfigError(ValueError):
@@ -84,6 +100,7 @@ class FitResult:
     rounds: list[dict]  # per-round selection count, loss trajectory and steps
     budget: PrivacyBudget
     config: FitConfig  # with delta resolved
+    start: dict  # RANDOM_START, or {"kind": "one-way", "alpha": a}
     timing: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -95,6 +112,7 @@ class FitResult:
             "selected": list(self.selected),
             "noisy_answers": [float(a) for a in self.noisy_answers],
             "rounds": self.rounds,
+            "start": self.start,
             "n_synth_rows": self.relaxed.n,
             "timing": self.timing,
         }
@@ -190,22 +208,24 @@ def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResu
 
     started = time.perf_counter()
     private = _Measurements(data, workload, config)
-    init_rng = NoiseSource(config.seed or 0, "init")  # public: replay rebuilds it from the record
-    current = random_init(workload.schema, config.n_synth, init_rng)
     share = private.budget.share(workload.m if t_rounds == 1 else 2 * t_rounds * k_per)
-    if t_rounds > 1:
-        full = QueryEvaluator(workload.select(), workload.schema, config.n_synth)
-        pool = np.arange(workload.m)  # the queries not yet selected
     selected: list[int] = []
     noisy: list[float] = []
+    start = RANDOM_START
+    if t_rounds == 1:  # the one round measures every query, before the start is built
+        selected = list(range(workload.m))
+        noisy = private.measure(selected, share).tolist()
+        if workload.kind == PRODUCT:
+            start = {"kind": "one-way", "alpha": START_ALPHA}
+    else:
+        full = QueryEvaluator(workload.select(), workload.schema, config.n_synth)
+        pool = np.arange(workload.m)  # the queries not yet selected
+    current = _start(workload, config, start, noisy)
     round_trace: list[dict] = []
     timing = {"projection_s": 0.0, "gradient_s": 0.0, "normalize_s": 0.0, "adam_s": 0.0}
 
     for t in range(1, t_rounds + 1):
-        if t_rounds == 1:  # the one round measures every query
-            selected = list(range(workload.m))
-            noisy = private.measure(selected, share).tolist()
-        else:  # K sequential picks, each measured as soon as it is chosen
+        if t_rounds > 1:  # K sequential picks, each measured as soon as it is chosen
             conj = conjectured_answers(pool, workload, current, full)
             for j in range(k_per):
                 win = private.select(pool, conj, share, f"noisy_max[round={t},pick={j}]")
@@ -236,8 +256,46 @@ def fit(data: DiscreteDataset, workload: Workload, config: FitConfig) -> FitResu
         rounds=round_trace,
         budget=private.budget,
         config=config,
+        start=start,
         timing={"wall_s": time.perf_counter() - started, **timing},
     )
+
+
+def _start(workload: Workload, config: FitConfig, start: dict, answers) -> RelaxedDataset:
+    """The dataset a fit's first projection starts from, as `start` names it.
+
+    R is random_init's rows, drawn from the public "init" stream of the seed
+    (seed 0 without one). RANDOM_START returns R. {"kind": "one-way",
+    "alpha": a} needs `answers`, noisy answers to every query of a product
+    workload in workload order. Each marginal's cells are summed down to the
+    one-way marginal of each of its features, and those are averaged per
+    feature (a plain mean over the marginals that contain it) and projected
+    onto the simplex with sparsemax: P. A covered feature's block becomes
+    (1 - a)*P + a*R on every row; any other block keeps R's bits.
+    """
+    relaxed = random_init(workload.schema, config.n_synth, NoiseSource(config.seed or 0, "init"))
+    if start == RANDOM_START:
+        return relaxed
+    if start.get("kind") != "one-way" or workload.kind != PRODUCT:
+        raise ValueError(f"a {workload.kind} workload cannot start from {start!r}")
+    alpha, schema = start["alpha"], workload.schema
+    t, offsets = schema.cardinalities, schema.offsets
+    answers = np.asarray(answers, dtype=np.float64)
+    sums, covers = np.zeros(schema.d_prime), np.zeros(schema.d)
+    for s, a, size in zip(workload.marginals, workload._starts, workload.marginal_sizes()):
+        cells = answers[a : a + size].reshape([t[i] for i in s])
+        for axis, i in enumerate(s):
+            others = tuple(p for p in range(len(s)) if p != axis)
+            sums[offsets[i] : offsets[i] + t[i]] += cells.sum(axis=others)
+            covers[i] += 1
+    covers = np.repeat(covers, t)  # per one-hot column
+    one_way = np.divide(sums, covers, out=np.zeros_like(sums), where=covers > 0)
+    for _, cols in schema.blocks_by_cardinality:  # (t, blocks): one block per column
+        one_way[cols] = sparsemax_rows(one_way[cols].T).T
+    cols = np.flatnonzero(covers)
+    X = relaxed.data
+    X[:, cols] = (1.0 - alpha) * one_way[cols] + alpha * X[:, cols]
+    return relaxed
 
 
 def replay(record: dict, workload: Workload) -> list[RelaxedDataset]:
@@ -245,9 +303,13 @@ def replay(record: dict, workload: Workload) -> list[RelaxedDataset]:
 
     `record` is FitResult.to_json_dict() or the parsed result.json. No private
     data enters: the release is post-processing of the recorded noisy answers.
+    A record without a "start" entry, written before fits recorded one,
+    starts from the random rows.
     """
     config = config_from_json(FitConfig, record["config"])
-    current = random_init(workload.schema, config.n_synth, NoiseSource(config.seed or 0, "init"))
+    current = _start(
+        workload, config, record.get("start", RANDOM_START), record["noisy_answers"]
+    )
     datasets = []
     for round_record in record["rounds"]:
         upto = round_record["selected_total"]

@@ -53,7 +53,6 @@ byte.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,8 +65,8 @@ PRODUCT = "product"
 ONE_OUT_OF_K = "one_out_of_k"
 QUERY_KINDS = (PRODUCT, ONE_OUT_OF_K)
 
-# Enumerating all C(d, k) feature subsets is fine up to this count; above it,
-# subsets are rejection-sampled instead.
+# Up to this many C(d, k) feature subsets, sampled ranks are unranked in
+# lexicographic order; above it, subsets are rejection-sampled instead.
 _ENUMERATION_LIMIT = 1 << 20
 
 
@@ -127,7 +126,8 @@ class Workload:
     @functools.cached_property
     def queries(self) -> list["Selection"]:
         """One one-query Selection per query, in workload order: a query list to pool or slice."""
-        return [Selection(self, [j]) for j in range(self.m)]
+        rows = np.arange(self.m, dtype=np.int64).reshape(-1, 1)
+        return [Selection._of_valid(self, row) for row in rows]
 
     @property
     def m(self) -> int:
@@ -214,6 +214,13 @@ class Selection:
                 f"query index {self.indices[bad][0]} out of range for workload of size {m}"
             )
 
+    @classmethod
+    def _of_valid(cls, workload: Workload, indices: np.ndarray) -> "Selection":
+        """A Selection of int64 `indices` known to be in range, taken without a copy or check."""
+        selection = cls.__new__(cls)
+        selection.workload, selection.indices = workload, indices
+        return selection
+
     def __len__(self) -> int:
         return self.indices.size
 
@@ -248,6 +255,22 @@ def _workload_columns(workload: Workload, indices: np.ndarray) -> list[tuple[np.
     return batches
 
 
+def _combination(rank: int, d: int, k: int) -> tuple[int, ...]:
+    """The k-subset of range(d) at `rank` in itertools.combinations' (lexicographic) order.
+
+    Each element is the smallest x whose count of completions, C(d - x - 1,
+    slots left - 1), exceeds what is left of the rank.
+    """
+    out, x = [], 0
+    for left in range(k, 0, -1):
+        while rank >= (count := math.comb(d - x - 1, left - 1)):
+            rank -= count
+            x += 1
+        out.append(x)
+        x += 1
+    return tuple(out)
+
+
 def random_workload(
     schema: Schema, k: int, num_marginals: int, seed: int, kind: str = PRODUCT
 ) -> Workload:
@@ -267,9 +290,8 @@ def random_workload(
         raise WorkloadError(f"requested {num_marginals} marginals; from 1 to {total} exist")
     rng = np.random.default_rng(seed)
     if total <= _ENUMERATION_LIMIT:
-        combos = list(itertools.combinations(range(d), k))
         chosen_idx = rng.choice(total, size=num_marginals, replace=False)
-        chosen = [combos[i] for i in sorted(chosen_idx.tolist())]
+        chosen = [_combination(r, d, k) for r in sorted(chosen_idx.tolist())]
     else:
         seen: set[tuple[int, ...]] = set()
         while len(seen) < num_marginals:
@@ -371,18 +393,21 @@ def _query_batches(queries, schema: Schema) -> list[tuple[str, np.ndarray, np.nd
     if isinstance(queries, Selection):
         parts = {queries.workload: (queries.indices, np.arange(len(queries)))}
     else:
+        queries = list(queries)
+        owners = [q.workload if isinstance(q, Selection) and len(q) == 1 else None for q in queries]
+        if None in owners:
+            raise WorkloadError(f"query list entry {owners.index(None)} is not a one-query Selection")
+        indices = np.concatenate([q.indices for q in queries]) if queries else None
+        number = {w: n for n, w in enumerate(dict.fromkeys(owners))}  # by first appearance
+        codes = np.array([number[w] for w in owners], dtype=np.intp)
         parts = {}
-        for j, q in enumerate(queries):
-            if not (isinstance(q, Selection) and len(q) == 1):
-                raise WorkloadError(f"query list entry {j} is not a one-query Selection")
-            indices, pos = parts.setdefault(q.workload, ([], []))
-            indices.append(q.indices[0])
-            pos.append(j)
+        for workload, n in number.items():
+            pos = np.flatnonzero(codes == n)
+            parts[workload] = (indices[pos], pos)
     batches = []
     for workload, (indices, pos) in parts.items():
         if workload.schema != schema:
             raise SchemaError("workload and relaxed dataset schemas differ")
-        indices, pos = np.asarray(indices, np.int64), np.asarray(pos, np.intp)
         batches += [(workload.kind, c, pos[p]) for c, p in _workload_columns(workload, indices)]
     return batches
 

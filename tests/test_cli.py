@@ -14,9 +14,10 @@ import pytest
 
 import privsynth
 from privsynth import (
-    NoiseSource, Schema, Workload, eval_discrete, load_csv, normalize_rows, random_init,
-    replay, save_csv, save_relaxed_csv,
+    FitConfig, NoiseSource, Schema, Workload, eval_discrete, load_csv, normalize_rows, replay,
+    save_csv, save_relaxed_csv,
 )
+from privsynth import engine
 from privsynth.cli import build_parser, main
 from privsynth.privacy import gaussian_noise_sigma
 
@@ -389,10 +390,13 @@ class TestFitCommand:
         assert run(["fit", "--data", toy_csv, "--workload", wpath, "--n-prime", 10,
                     "--max-steps", 5, "--seed", 2, "--learning-rate", learning_rate,
                     "--out-dir", out_dir]) == 0
-        # No step has a finite loss: none is recorded, and the best iterate is the start.
-        (only,) = json.loads((out_dir / "result.json").read_text())["rounds"]
-        assert only["projection_losses"] == [only["projection_loss"]]
-        start = random_init(Schema.load(out_dir / "schema.json"), 10, NoiseSource(2, "init"))
+        # Every step overshoots: none beats the entry loss, and the best iterate is the start.
+        record = json.loads((out_dir / "result.json").read_text())
+        (only,) = record["rounds"]
+        assert only["projection_loss"] == only["projection_losses"][0]
+        workload = Workload.load(Schema.load(out_dir / "schema.json"), wpath)
+        start = engine._start(workload, FitConfig(n_synth=10, seed=2), record["start"],
+                              record["noisy_answers"])
         save_relaxed_csv(normalize_rows(start), tmp_path / "start.csv")  # the entry pass
         assert (out_dir / "relaxed.csv").read_bytes() == (tmp_path / "start.csv").read_bytes()
 
@@ -1146,6 +1150,37 @@ class TestOutputPathErrors:
         message = f"[Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{toy_csv}'"
         assert capsys.readouterr().err == f"error: {message}\n"
         assert toy_csv.read_bytes() == before
+
+
+class TestOutOfMemory:
+    """An allocation that fails exits 3 with one line, no traceback and no output file."""
+
+    @pytest.mark.parametrize("command", ["fit", "round"])
+    def test_memory_error_exits_3(self, fitted, tmp_path, capsys, monkeypatch, command):
+        toy_csv, wpath, out_dir = fitted
+        argv, method = {
+            # fit --n-prime 100000000000: random_init's uniform(-1, 1) matrix
+            "fit": (["fit", "--data", toy_csv, "--workload", wpath, "--n-prime", 5,
+                     "--max-steps", 2, "--seed", 0, "--out-dir", tmp_path / "out"],
+                    "uniform_signed"),
+            # round --oversample 1000000000: the rounding uniforms
+            "round": (["round", "--relaxed", out_dir / "relaxed.csv",
+                       "--schema", out_dir / "schema.json", "--out", tmp_path / "out"],
+                      "uniform"),
+        }[command]
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 6.55 TiB for an array")
+
+        monkeypatch.setattr(privsynth.privacy.NoiseSource, method, out_of_memory)
+        capsys.readouterr()
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            "error: input too large for memory: Unable to allocate 6.55 TiB for an array"
+        )
+        assert not (tmp_path / "out").exists()
 
 
 def readme_commands() -> list[list[str]]:

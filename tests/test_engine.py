@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import itertools
 import json
 import math
@@ -18,6 +19,7 @@ from privsynth import (
     PRODUCT,
     ProjectionConfig,
     RelaxedDataset,
+    Schema,
     Workload,
     conjectured_answers,
     eval_discrete,
@@ -33,6 +35,7 @@ from privsynth import (
     SchemaError,
     save_relaxed_csv,
     schema_from_cardinalities,
+    sparsemax,
 )
 
 from privsynth import engine
@@ -59,8 +62,8 @@ class TestSingleRoundBranch:
         config = FitConfig(no_noise=True, rounds=1, n_synth=30, seed=7, projection=SMALL_PROJ)
         result = fit(data, workload, config)
 
-        start = random_init(schema, 30, NoiseSource(7, "init"))
         exact = eval_discrete(workload, data)
+        start = engine._start(workload, result.config, result.start, exact)
         reference = relaxed_projection(workload.queries, exact, start, SMALL_PROJ)
         np.testing.assert_array_equal(result.relaxed.data, reference.dataset.data)
         assert result.budget.summary()["private"] is False
@@ -559,6 +562,75 @@ class TestReplay:
         for r, fitted, replayed in zip(record["rounds"], projections, projections[rounds:]):
             assert r["projection_losses"] == fitted.losses == replayed.losses
             assert len(r["projection_losses"]) == r["projection_steps"] + 1
+
+
+class TestOneWayStart:
+    """A one-shot product fit starts from the released one-way marginals, mixed with R."""
+
+    ONE_WAY = {"kind": "one-way", "alpha": engine.START_ALPHA}
+
+    DATA = skewed_dataset(300, seed=5, cards=(2, 3, 4, 3))
+    WORKLOAD = Workload(DATA.schema, [(0, 1), (1, 2)])  # feature 3 is in no marginal
+
+    def one_shot(self, **config):
+        config = FitConfig(rounds=1, n_synth=40, seed=6, projection=SMALL_PROJ, **config)
+        return fit(self.DATA, self.WORKLOAD, config)
+
+    def test_record_names_the_start(self):
+        result = self.one_shot(epsilon=1.0)
+        assert 0.0 < engine.START_ALPHA < 1.0
+        assert result.start == self.ONE_WAY
+        assert json.loads(result.to_json())["start"] == self.ONE_WAY
+        config = FitConfig(rounds=2, queries_per_round=2, n_synth=5, projection=SMALL_PROJ)
+        assert fit(self.DATA, self.WORKLOAD, config).start == engine.RANDOM_START
+
+    def test_blocks_on_simplex_rows_differ_uncovered_feature_is_random(self):
+        workload, result = self.WORKLOAD, self.one_shot(epsilon=1.0)
+        start = engine._start(workload, result.config, result.start, result.noisy_answers)
+        random = engine._start(workload, result.config, engine.RANDOM_START, None)
+        schema = workload.schema
+        for off, t in zip(schema.offsets, schema.cardinalities):
+            block = start.data[:, off : off + t]
+            assert block.min() >= 0.0
+            np.testing.assert_allclose(block.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert len(np.unique(start.data, axis=0)) == start.n
+        covered = slice(0, schema.offsets[3])
+        uncovered = slice(schema.offsets[3], schema.d_prime)
+        assert start.data[:, uncovered].tobytes() == random.data[:, uncovered].tobytes()
+        assert not np.array_equal(start.data[:, covered], random.data[:, covered])
+
+    def test_no_noise_one_way_rows_are_the_exact_one_way_marginals(self):
+        data, workload, result = self.DATA, self.WORKLOAD, self.one_shot(no_noise=True)
+        alpha = engine.START_ALPHA
+        start = engine._start(workload, result.config, result.start, result.noisy_answers)
+        random = engine._start(workload, result.config, engine.RANDOM_START, None)
+        schema = workload.schema
+        for i in range(3):
+            off, t = schema.offsets[i], schema.cardinalities[i]
+            exact = np.bincount(data.rows[:, i], minlength=t) / data.n
+            expected = (1 - alpha) * sparsemax(exact) + alpha * random.data[:, off : off + t]
+            np.testing.assert_allclose(start.data[:, off : off + t], expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("rounds, per_round, kind, digest", [
+        (3, 4, PRODUCT, "f5e2081ef112194b54b4691f9a29094e1e9e236538ec3d946a7662548e3d663d"),
+        (1, None, ONE_OUT_OF_K, "82fac8c6f3a253776c6019435799ebe28cee4c6125377bbd260719b3718c6e66"),
+    ])
+    def test_random_start_fits_keep_their_bytes(self, rounds, per_round, kind, digest):
+        """Adaptive and threshold fits release what they did before the one-way start."""
+        workload = random_workload(self.DATA.schema, 2, 4, seed=1, kind=kind)
+        config = FitConfig(epsilon=1.0, rounds=rounds, queries_per_round=per_round, n_synth=12,
+                           seed=6, projection=ProjectionConfig(max_steps=20))
+        relaxed = fit(self.DATA, workload, config).relaxed
+        assert hashlib.sha256(relaxed.data.tobytes()).hexdigest() == digest
+
+    def test_record_without_start_replays_from_random_start(self, tmp_path):
+        """A one-shot result.json written before fits recorded a start rebuilds its relaxed.csv."""
+        saved = Path(__file__).parent / "data" / "pre_start_fit"
+        record = json.loads((saved / "result.json").read_text())
+        assert "start" not in record and len(record["rounds"]) == 1
+        workload = Workload.load(Schema.load(saved / "schema.json"), saved / "workload.json")
+        save_relaxed_csv(replay(record, workload)[-1], tmp_path / "replayed.csv")
+        assert (tmp_path / "replayed.csv").read_bytes() == (saved / "relaxed.csv").read_bytes()
 
 
 def ks_statistic_vs_standard_normal(samples) -> float:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -95,6 +96,38 @@ class TestWorkloadGeneration:
         assert all(list(m) == sorted(set(m)) and len(m) == 8 for m in w.marginals)
         assert random_workload(s, 8, 5, seed=3).marginals == w.marginals
         assert random_workload(s, 8, 5, seed=4).marginals != w.marginals
+
+    def test_sampled_subsets_match_the_listed_ones(self):
+        """Unranked subsets are the ones indexed out of the full itertools list, per seed.
+
+        Every (d, k) with d <= 40 and C(d, k) <= 5000 is checked, each rank of
+        the list once and random_workload's picks at three seeds.
+        """
+        for d in range(1, 41):
+            s = schema_from_cardinalities((2,) * d)
+            for k in range(1, min(d, queries_mod.MAX_ARITY) + 1):
+                total = math.comb(d, k)
+                if total > 5000:
+                    continue
+                combos = list(itertools.combinations(range(d), k))
+                assert [queries_mod._combination(r, d, k) for r in range(total)] == combos
+                count = min(total, 5)
+                for seed in range(3):
+                    ranks = np.random.default_rng(seed).choice(total, size=count, replace=False)
+                    expected = [combos[i] for i in sorted(ranks.tolist())]
+                    assert random_workload(s, k, count, seed).marginals == expected
+
+    def test_sampling_from_many_subsets_lists_none(self):
+        """5 of C(25, 7) = 480 700 subsets, below the enumeration limit, in well under 10 ms."""
+        s = schema_from_cardinalities((2,) * 25)
+        assert math.comb(25, 7) <= queries_mod._ENUMERATION_LIMIT
+        random_workload(s, 7, 5, seed=0)  # warm
+        seconds = []
+        for seed in range(5):
+            t0 = time.perf_counter()
+            random_workload(s, 7, 5, seed=seed)
+            seconds.append(time.perf_counter() - t0)
+        assert min(seconds) < 0.010
 
     def test_different_seed_differs(self):
         s = schema_from_cardinalities((3,) * 10)
